@@ -25,6 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .basis import _frozen
+
 __all__ = [
     "ChannelFormatError",
     "QuantumChannel",
@@ -57,12 +59,6 @@ PRESET_NAMES = (
 
 class ChannelFormatError(ValueError):
     """Raised when a channel JSON document does not match the schema."""
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=complex)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True, eq=False)

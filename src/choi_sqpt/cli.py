@@ -23,6 +23,7 @@ from .basis import chi_choi_to_pauli, chi_pauli_to_choi
 from .channels import (
     ChannelFormatError,
     QuantumChannel,
+    _complex_to_pair,
     chi_oracle,
     load_channel,
     preset_channel,
@@ -45,10 +46,6 @@ EXIT_PARSE = 3
 EXIT_PHYSICALITY = 4
 
 SEED_ENV_VAR = "CHOI_SQPT_SEED"
-
-
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
 
 
 def _add_channel_args(parser: argparse.ArgumentParser, required: bool = True) -> None:
@@ -255,7 +252,7 @@ def _cmd_element(args, report: dict) -> tuple[int, list[str]]:
         backend=backend_echo,
         results={
             "target": {"chi": list(target), "lambda": [f, h, e, g]},
-            "value": _pair(estimate.value),
+            "value": _complex_to_pair(estimate.value),
             "std_error": estimate.std_error,
             "settings_used": estimate.settings_used,
             "backend": estimate.backend,
@@ -357,10 +354,11 @@ def _cmd_plan(args, report: dict) -> tuple[int, list[str]]:
     settings_json = []
     for setting in plan.settings:
         obs: dict = {"kind": "projector" if setting.is_projector else "hermitian"}
-        obs["data"] = [_pair(z) for z in np.asarray(setting.observable).reshape(-1)]
+        data = np.asarray(setting.observable).reshape(-1)
+        obs["data"] = [_complex_to_pair(z) for z in data]
         settings_json.append(
             {
-                "input": [_pair(z) for z in setting.input_state],
+                "input": [_complex_to_pair(z) for z in setting.input_state],
                 "observable": obs,
             }
         )
@@ -371,7 +369,7 @@ def _cmd_plan(args, report: dict) -> tuple[int, list[str]]:
             "target": {"chi": list(target), "lambda": [f, h, e, g]},
             "settings": settings_json,
             "terms": [
-                {"weight": _pair(w), "setting": idx} for w, idx in plan.terms
+                {"weight": _complex_to_pair(w), "setting": idx} for w, idx in plan.terms
             ],
         },
         settings={"plan_settings": plan.settings_count},

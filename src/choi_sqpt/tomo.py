@@ -1,9 +1,9 @@
 """The tomography engine.
 
 Reconstructs individual elements of a channel's process matrix from
-simulated measurements, and the full matrix by two strategies.  Both chi
-and lambda matrices are ``D**2 x D**2`` arrays; a row or column pair
-(x, y) flattens to ``x * D + y``.
+simulated measurements, and the full matrix from one measured table of
+input states x observables.  Both chi and lambda matrices are
+``D**2 x D**2`` arrays; a row or column pair (x, y) flattens to ``x * D + y``.
 
 The data matrix lambda collects the channel outputs of the matrix units:
 lambda[a*D+b, c*D+d] = Tr[(|c><d|)^dagger eps(|a><b|)].  It is related to
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import basis_state, expand_choi_four, _solve_expansion, sud_generators
-from .channels import QuantumChannel
+from .channels import QuantumChannel, _complex_to_pair
 from .measure import (
     BackendConfig,
     MeasurementOutcome,
@@ -176,27 +176,30 @@ def lambda_from_chi(chi: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementPlan:
-    """Deduplicated measurement settings realizing one chi matrix element.
+    """Measurement settings realizing one chi matrix element.
 
     Each term attaches a complex weight (a product of one input-expansion
     and one observable-expansion coefficient) to a setting index; the
     element value is the weighted sum of the settings' expectation values.
+    Settings and terms correspond one to one.
     """
 
     dim: int
     target: tuple[int, int, int, int]
     settings: tuple[MeasurementSetting, ...]
     terms: tuple[tuple[complex, int], ...]
-    tp_shortcut: bool = False
 
     @property
     def settings_count(self) -> int:
         return len(self.settings)
 
 
-def plan_element(
-    e: int, f: int, g: int, h: int, dim: int, tp_shortcut: bool = False
-) -> MeasurementPlan:
+def _term_weights(input_exp, observable_exp) -> list[complex]:
+    # input slot outer, observable slot inner: the order of every term list
+    return [r * s for r in input_exp.weights for s in observable_exp.weights]
+
+
+def plan_element(e: int, f: int, g: int, h: int, dim: int) -> MeasurementPlan:
     """Plan the measurements that determine chi[e*D+f, g*D+h].
 
     The target element equals the data-matrix entry lambda_{fh;eg}, so the
@@ -211,25 +214,17 @@ def plan_element(
             raise ValueError(f"index {idx} out of range for dimension {dim}")
     input_exp = expand_choi_four(f, h, dim)
     observable_exp = expand_choi_four(g, e, dim)
-    settings: list[MeasurementSetting] = []
-    by_key: dict[bytes, int] = {}
-    terms: list[tuple[complex, int]] = []
-    for r, psi in zip(input_exp.weights, input_exp.states):
-        for s, phi in zip(observable_exp.weights, observable_exp.states):
-            setting = MeasurementSetting(psi, phi)
-            key = setting.canonical_key()
-            idx = by_key.get(key)
-            if idx is None:
-                idx = len(settings)
-                by_key[key] = idx
-                settings.append(setting)
-            terms.append((r * s, idx))
+    settings = tuple(
+        MeasurementSetting(psi, phi)
+        for psi in input_exp.states
+        for phi in observable_exp.states
+    )
+    weights = _term_weights(input_exp, observable_exp)
     return MeasurementPlan(
         dim=dim,
         target=(e, f, g, h),
-        settings=tuple(settings),
-        terms=tuple(terms),
-        tp_shortcut=tp_shortcut,
+        settings=settings,
+        terms=tuple((w, idx) for idx, w in enumerate(weights)),
     )
 
 
@@ -243,17 +238,14 @@ class ChiElementEstimate:
     backend: str
 
 
-def _combine_terms(
-    plan: MeasurementPlan, outcomes: list[MeasurementOutcome]
-) -> tuple[complex, float]:
-    weights = np.zeros(len(plan.settings), dtype=complex)
-    for w, idx in plan.terms:
-        weights[idx] += w
-    value = complex(sum(w * outcomes[i].value for i, w in enumerate(weights)))
+def _combine_terms(weights, outcomes: list[MeasurementOutcome]) -> tuple[complex, float]:
+    """Weighted sum of expectation values and its quadrature variance."""
+    weights = np.asarray(weights, dtype=complex)
+    value = complex(sum(w * o.value for w, o in zip(weights, outcomes)))
     variance = float(
-        sum(abs(w) ** 2 * outcomes[i].std_error ** 2 for i, w in enumerate(weights))
+        sum(abs(w) ** 2 * o.std_error**2 for w, o in zip(weights, outcomes))
     )
-    return value, float(np.sqrt(variance))
+    return value, variance
 
 
 def reconstruct_element(
@@ -265,8 +257,12 @@ def reconstruct_element(
             f"plan dimension {plan.dim} does not match channel dimension {channel.dim}"
         )
     outcomes = [measure_setting(channel, s, config) for s in plan.settings]
-    value, std_error = _combine_terms(plan, outcomes)
-    return ChiElementEstimate(value, std_error, len(plan.settings), config.descriptor)
+    value, variance = _combine_terms(
+        [w for w, _ in plan.terms], [outcomes[idx] for _, idx in plan.terms]
+    )
+    return ChiElementEstimate(
+        value, float(np.sqrt(variance)), len(plan.settings), config.descriptor
+    )
 
 
 # --- full reconstruction -------------------------------------------------------
@@ -302,12 +298,15 @@ def full_sqpt(
 ) -> SqptResult:
     """Reconstruct the complete D^2 x D^2 process matrix.
 
-    strategy "choi-four" runs the per-element plans for every target with a
-    global outcome cache, so each distinct (input state, projector) pair is
-    measured once (D^4 distinct settings).  strategy "product-hermitian"
-    measures all pairs of product input states and tensor products of SU(d)
-    generators, solves for the data matrix and relabels; for a multi-qudit
-    system pass local_dim and n_sites with local_dim**n_sites == dim.
+    Both strategies measure a D^2 x D^2 table T[m, k] =
+    Tr[O_k eps(|psi_m><psi_m|)] once per cell, combine it into the data
+    matrix lambda and its variance, and relabel both to chi.  "choi-four"
+    pairs the kets of input_state_set(D) with projectors onto the same
+    kets, and combines each lambda entry from the cells of its element's
+    plan exactly as reconstruct_element does.  "product-hermitian" pairs
+    product states with tensor products of SU(d) generators and solves
+    lambda = R^T T S; for a multi-qudit system pass local_dim and n_sites
+    with local_dim**n_sites == dim.
 
     With tp_shortcut (choi-four only) the computational-basis projector for
     the highest level is never measured: its expectation for each input
@@ -329,62 +328,73 @@ def full_sqpt(
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
+def _measure_table(
+    channel: QuantumChannel, config: BackendConfig, states, observables
+) -> list[list[MeasurementOutcome]]:
+    """Outcome of every (input state, observable) cell, row by input state."""
+    return [
+        [measure_setting(channel, MeasurementSetting(psi, o), config) for o in observables]
+        for psi in states
+    ]
+
+
+def _sqpt_result(
+    lam: np.ndarray, lam_var: np.ndarray, strategy: str, inferred: int
+) -> SqptResult:
+    total = lam.size
+    return SqptResult(
+        chi=chi_from_lambda(lam),
+        std_errors=np.sqrt(chi_from_lambda(lam_var).real),
+        strategy=strategy,
+        settings_total=total,
+        settings_measured=total - inferred,
+        settings_inferred=inferred,
+    )
+
+
+def _state_slots(a: int, b: int, dim: int) -> tuple[int, ...]:
+    """Positions in input_state_set(dim) of expand_choi_four(a, b, dim).states."""
+    # D basis kets first, then a (plus, minus) pair per lo < hi, row-major
+    if a == b:
+        return (a,)
+    lo, hi = min(a, b), max(a, b)
+    plus = dim + 2 * (lo * (2 * dim - lo - 1) // 2 + hi - lo - 1)
+    return (plus, plus + 1, lo, hi)
+
+
 def _full_choi_four(
     channel: QuantumChannel, config: BackendConfig, tp_shortcut: bool
 ) -> SqptResult:
     dim = channel.dim
-    plans = [
-        plan_element(e, f, g, h, dim, tp_shortcut=tp_shortcut)
-        for e in range(dim)
-        for f in range(dim)
-        for g in range(dim)
-        for h in range(dim)
-    ]
-    distinct: dict[bytes, MeasurementSetting] = {}
-    for plan in plans:
-        for setting in plan.settings:
-            distinct.setdefault(setting.canonical_key(), setting)
-
-    inferred_keys: set[bytes] = set()
+    n = dim * dim
+    kets = input_state_set(dim)
+    last = dim - 1  # the projector |D-1><D-1| sits at column D-1
+    observables = kets[:last] + kets[last + 1 :] if tp_shortcut else kets
+    table = _measure_table(channel, config, kets, observables)
     if tp_shortcut:
-        last = basis_state(dim - 1, dim)
-        for key, setting in distinct.items():
-            if setting.is_projector and np.array_equal(setting.observable, last):
-                inferred_keys.add(key)
+        for row in table:
+            # the inferred cell's variance sums the partials' variances; its
+            # correlation with them is not propagated
+            partials = row[:last]
+            variance = 0.0
+            for measured in partials:
+                variance += measured.std_error**2
+            value = tp_complete({lvl: o.value for lvl, o in enumerate(partials)}, dim)
+            row.insert(last, MeasurementOutcome(value, float(np.sqrt(variance)), 0))
 
-    outcomes: dict[bytes, MeasurementOutcome] = {}
-    for key, setting in distinct.items():
-        if key not in inferred_keys:
-            outcomes[key] = measure_setting(channel, setting, config)
-    for key in inferred_keys:
-        setting = distinct[key]
-        partials = {}
-        variance = 0.0
-        for level in range(dim - 1):
-            probe = MeasurementSetting(setting.input_state, basis_state(level, dim))
-            measured = outcomes[probe.canonical_key()]
-            partials[level] = measured.value
-            variance += measured.std_error**2
-        outcomes[key] = MeasurementOutcome(
-            tp_complete(partials, dim), float(np.sqrt(variance)), 0
-        )
-
-    chi = np.zeros((dim * dim, dim * dim), dtype=complex)
-    errs = np.zeros((dim * dim, dim * dim))
-    for plan in plans:
-        plan_outcomes = [outcomes[s.canonical_key()] for s in plan.settings]
-        value, std_error = _combine_terms(plan, plan_outcomes)
-        e, f, g, h = plan.target
-        chi[e * dim + f, g * dim + h] = value
-        errs[e * dim + f, g * dim + h] = std_error
-    return SqptResult(
-        chi=chi,
-        std_errors=errs,
-        strategy="choi-four",
-        settings_total=len(distinct),
-        settings_measured=len(distinct) - len(inferred_keys),
-        settings_inferred=len(inferred_keys),
-    )
+    # unit x*D+y is the matrix unit |x><y| with its expansion and table slots
+    units = [expand_choi_four(x, y, dim) for x in range(dim) for y in range(dim)]
+    slots = [_state_slots(x, y, dim) for x in range(dim) for y in range(dim)]
+    lam = np.zeros((n, n), dtype=complex)
+    lam_var = np.zeros((n, n))
+    for fh in range(n):
+        for e, g in np.ndindex(dim, dim):
+            # lambda_{fh;eg}: input |f><h|, observable |g><e|
+            eg, ge = e * dim + g, g * dim + e
+            cells = [table[i][j] for i in slots[fh] for j in slots[ge]]
+            weights = _term_weights(units[fh], units[ge])
+            lam[fh, eg], lam_var[fh, eg] = _combine_terms(weights, cells)
+    return _sqpt_result(lam, lam_var, "choi-four", n if tp_shortcut else 0)
 
 
 def _tensor_products(factors: list[np.ndarray], n_sites: int) -> list[np.ndarray]:
@@ -414,13 +424,9 @@ def _full_product_hermitian(
     observables = _tensor_products(list(sud_generators(local_dim).operators), n_sites)
     n = dim * dim
 
-    data = np.empty((n, n))
-    errs = np.empty((n, n))
-    for m, psi in enumerate(states):
-        for k, obs in enumerate(observables):
-            outcome = measure_setting(channel, MeasurementSetting(psi, obs), config)
-            data[m, k] = outcome.value
-            errs[m, k] = outcome.std_error
+    table = _measure_table(channel, config, states, observables)
+    data = np.array([[o.value for o in row] for row in table])
+    errs = np.array([[o.std_error for o in row] for row in table])
 
     # input weights: columns of P are the vectorized state projectors, and
     # the vectorized matrix unit |a><b| is the (a*D+b)-th unit vector
@@ -437,14 +443,7 @@ def _full_product_hermitian(
 
     lam = r_mat.T @ data @ s_mat
     lam_var = (np.abs(r_mat.T) ** 2) @ np.square(errs) @ (np.abs(s_mat) ** 2)
-    return SqptResult(
-        chi=chi_from_lambda(lam),
-        std_errors=np.sqrt(chi_from_lambda(lam_var).real),
-        strategy="product-hermitian",
-        settings_total=n * n,
-        settings_measured=n * n,
-        settings_inferred=0,
-    )
+    return _sqpt_result(lam, lam_var, "product-hermitian", 0)
 
 
 # --- multi-qudit index utilities ----------------------------------------------
@@ -566,7 +565,7 @@ def chi_to_json(chi: np.ndarray, convention: str = CHI_CONVENTION) -> dict:
     d = math.isqrt(math.isqrt(chi.size))
     if chi.shape != (d * d, d * d):
         raise ValueError(f"chi must be D^2 x D^2, got shape {chi.shape}")
-    entries = [[float(z.real), float(z.imag)] for z in chi.reshape(-1)]
+    entries = [_complex_to_pair(z) for z in chi.reshape(-1)]
     return {"dim": d, "convention": convention, "entries": entries}
 
 

@@ -273,20 +273,66 @@ def test_reports_are_byte_identical_modulo_duration(tmp_path):
     assert blob1 == blob2
 
 
+_SAMPLED = ["--backend", "sampled", "--shots", "10000", "--seed", "7"]
+
+# (golden file, argv, whether chi.std_errors is pinned).  The tp-shortcut
+# goldens leave chi.std_errors out and pin the rest of the report.
+SAMPLED_GOLDENS = [
+    ("golden_full_sampled_d2.json",
+     ["full", "--preset", "random-cptp", "--param", "31", "--dim", "2", *_SAMPLED],
+     True),
+    ("golden_full_sampled_d2_tp_shortcut.json",
+     ["full", "--preset", "random-cptp", "--param", "31", "--dim", "2",
+      "--tp-shortcut", *_SAMPLED],
+     False),
+    ("golden_full_sampled_d3.json",
+     ["full", "--preset", "random-cptp", "--param", "32", "--dim", "3", *_SAMPLED],
+     True),
+    ("golden_full_sampled_d3_tp_shortcut.json",
+     ["full", "--preset", "random-cptp", "--param", "32", "--dim", "3",
+      "--tp-shortcut", *_SAMPLED],
+     False),
+    ("golden_full_sampled_product_hermitian.json",
+     ["full", "--preset", "random-cptp", "--param", "33", "--dim", "4",
+      "--strategy", "product-hermitian", "--local-dim", "2", "--sites", "2",
+      *_SAMPLED],
+     True),
+    ("golden_element_sampled_off_diagonal.json",
+     ["element", "--preset", "random-cptp", "--param", "34", "--dim", "3",
+      "--target", "0,1,2,0", *_SAMPLED],
+     True),
+]
+
+
+def golden_report_text(argv, pin_std_errors, capsys) -> str:
+    """The CLI report for argv as a golden file stores it."""
+    assert main(list(argv)) == 0
+    report = json.loads(capsys.readouterr().out)
+    report["duration_seconds"] = 0.0
+    if not pin_std_errors:
+        del report["results"]["chi"]["std_errors"]
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
 def test_golden_report_regenerates_identically(capsys):
     golden_path = Path(__file__).parent / "data" / "golden_full_bit_flip.json"
     golden = golden_path.read_text(encoding="utf-8")
-    code = main(["full", "--preset", "bit-flip", "--param", "0.25",
-                 "--backend", "exact", "--seed", "0"])
-    assert code == 0
-    regenerated = json.loads(capsys.readouterr().out)
-    regenerated["duration_seconds"] = 0.0
-    assert json.dumps(regenerated, sort_keys=True, indent=2) + "\n" == golden
+    argv = ["full", "--preset", "bit-flip", "--param", "0.25",
+            "--backend", "exact", "--seed", "0"]
+    assert golden_report_text(argv, True, capsys) == golden
     # and the frozen numbers still agree with the oracle
     chi = chi_oracle(preset_channel("bit-flip", [0.25]))
     entries = np.array(json.loads(golden)["results"]["chi"]["entries"])
     loaded = (entries[:, 0] + 1j * entries[:, 1]).reshape(4, 4)
     assert np.max(np.abs(loaded - chi)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "name, argv, pin_std_errors", SAMPLED_GOLDENS, ids=[g[0] for g in SAMPLED_GOLDENS]
+)
+def test_sampled_golden_reports_regenerate_identically(name, argv, pin_std_errors, capsys):
+    golden = (Path(__file__).parent / "data" / name).read_text(encoding="utf-8")
+    assert golden_report_text(argv, pin_std_errors, capsys) == golden
 
 
 def test_stdout_json_when_no_output(capsys):

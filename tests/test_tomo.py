@@ -3,6 +3,7 @@ import pytest
 
 from choi_sqpt import (
     BackendConfig,
+    MeasurementSetting,
     PhysicalityError,
     QuantumChannel,
     QuditIndexMap,
@@ -21,6 +22,7 @@ from choi_sqpt import (
     preset_channel,
     reconstruct_element,
 )
+from choi_sqpt import tomo
 
 EXACT = BackendConfig()
 
@@ -364,15 +366,60 @@ def test_full_product_hermitian_dimension_mismatch():
         full_sqpt(ch, EXACT, strategy="product-hermitian", local_dim=2)
 
 
-def test_full_sampled_matches_per_element_reconstruction():
-    # the global cache must not change any value: same seed, same streams
-    ch = preset_channel("random-cptp", [73, 2], 2)
+@pytest.mark.parametrize("dim", [2, 3])
+def test_full_sampled_matches_per_element_reconstruction(dim):
+    # every table-derived entry is its own plan's estimate: same seed, same
+    # streams, same combine rule, so the values agree bit for bit
+    ch = preset_channel("random-cptp", [73, 2], dim)
     cfg = BackendConfig("sampled", 4096, 11)
     result = full_sqpt(ch, cfg)
-    for e, f, g, h in _all_targets(2):
-        est = reconstruct_element(plan_element(e, f, g, h, 2), ch, cfg)
-        assert result.chi[e * 2 + f, g * 2 + h] == est.value
-        assert result.std_errors[e * 2 + f, g * 2 + h] == pytest.approx(est.std_error)
+    for e, f, g, h in _all_targets(dim):
+        est = reconstruct_element(plan_element(e, f, g, h, dim), ch, cfg)
+        assert result.chi[e * dim + f, g * dim + h] == est.value
+        assert result.std_errors[e * dim + f, g * dim + h] == est.std_error
+
+
+def _count_canonical_keys(monkeypatch) -> list[int]:
+    calls = [0]
+    original = MeasurementSetting.canonical_key
+
+    def counted(self):
+        calls[0] += 1
+        return original(self)
+
+    monkeypatch.setattr(MeasurementSetting, "canonical_key", counted)
+    return calls
+
+
+@pytest.mark.parametrize("strategy, tp_shortcut", [
+    ("choi-four", False), ("choi-four", True), ("product-hermitian", False),
+])
+def test_full_canonical_key_budget(monkeypatch, strategy, tp_shortcut):
+    # the exact backend builds no key at all and full reconstruction plans
+    # no element; the sampled one builds one key per measured cell, for its
+    # random stream
+    def no_plans(*args):
+        raise AssertionError("full_sqpt must not plan single elements")
+
+    monkeypatch.setattr(tomo, "plan_element", no_plans)
+    calls = _count_canonical_keys(monkeypatch)
+    ch = preset_channel("random-cptp", [76, 2], 3)
+    full_sqpt(ch, EXACT, strategy, tp_shortcut)
+    assert calls[0] == 0
+    result = full_sqpt(ch, BackendConfig("sampled", 100, 1), strategy, tp_shortcut)
+    assert calls[0] == result.settings_measured
+
+
+def test_element_canonical_key_budget(monkeypatch):
+    calls = _count_canonical_keys(monkeypatch)
+    for target in _all_targets(3):
+        plan_element(*target, 3)
+    assert calls[0] == 0
+    plan = plan_element(0, 1, 2, 0, 3)
+    assert plan.settings_count == 16
+    ch = preset_channel("random-cptp", [77, 2], 3)
+    reconstruct_element(plan, ch, BackendConfig("sampled", 100, 1))
+    assert calls[0] == plan.settings_count
 
 
 def test_full_sampled_tracks_uncertainty():
