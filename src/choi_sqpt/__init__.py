@@ -50,6 +50,7 @@ from .measure import (
     PhysicalityError,
     exact_expectation,
     input_state_set,
+    measure_row,
     measure_setting,
     sampled_expectation,
     tp_complete,

@@ -331,13 +331,14 @@ def channel_to_json(channel: QuantumChannel) -> dict:
     }
 
 
-def _entry_from_pair(entry) -> complex:
+def _complex_from_pair(entry) -> complex:
+    """Decode a JSON [re, im] pair; anything but two real numbers is a ValueError."""
     if (
         not isinstance(entry, (list, tuple))
         or len(entry) != 2
-        or not all(isinstance(v, (int, float)) for v in entry)
+        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
     ):
-        raise ChannelFormatError(f"matrix entry must be a [re, im] pair, got {entry!r}")
+        raise ValueError(f"matrix entry must be a [re, im] pair of numbers, got {entry!r}")
     return complex(entry[0], entry[1])
 
 
@@ -363,7 +364,10 @@ def channel_from_json(obj) -> QuantumChannel:
                 raise ChannelFormatError(
                     f"Kraus operator {idx} must be square with dimension {dim}"
                 )
-            rows.append([_entry_from_pair(e) for e in row])
+            try:
+                rows.append([_complex_from_pair(e) for e in row])
+            except ValueError as exc:
+                raise ChannelFormatError(f"Kraus operator {idx}: {exc}") from None
         kraus.append(np.array(rows, dtype=complex))
     return QuantumChannel(dim, tuple(kraus))
 

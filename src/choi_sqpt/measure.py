@@ -1,5 +1,10 @@
 """Measurement backends: exact expectation values and shot-noise sampling.
 
+Applying the channel and reading an outcome off its output are separate
+steps: measure_row pushes one input state through the channel once and
+reads every observable of that input off the same output state, so a
+tomography table of D^2 input states costs D^2 channel applications.
+
 Every sampled setting derives its own random stream by hashing a canonical
 byte encoding of the setting together with the master seed, so results are
 reproducible and independent of evaluation order or concurrent scheduling.
@@ -9,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -23,6 +28,7 @@ __all__ = [
     "PhysicalityError",
     "exact_expectation",
     "input_state_set",
+    "measure_row",
     "measure_setting",
     "sampled_expectation",
     "tp_complete",
@@ -151,11 +157,7 @@ def _output_state(channel: QuantumChannel, setting: MeasurementSetting) -> np.nd
     return apply_channel(channel, np.outer(psi, psi.conj()))
 
 
-def exact_expectation(
-    channel: QuantumChannel, setting: MeasurementSetting
-) -> MeasurementOutcome:
-    """Tr[O eps(|psi><psi|)] evaluated without statistical noise."""
-    out = _output_state(channel, setting)
+def _exact_outcome(setting: MeasurementSetting, out: np.ndarray) -> MeasurementOutcome:
     if setting.is_projector:
         phi = setting.observable
         value = (phi.conj() @ out @ phi).real
@@ -173,19 +175,9 @@ def _clamp_probability(p: float) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def sampled_expectation(
-    channel: QuantumChannel, setting: MeasurementSetting, config: BackendConfig
+def _sampled_outcome(
+    setting: MeasurementSetting, out: np.ndarray, config: BackendConfig
 ) -> MeasurementOutcome:
-    """Finite-shot estimate of Tr[O eps(|psi><psi|)].
-
-    Projector observables draw a binomial count at the exact success
-    probability; Hermitian observables are eigendecomposed and eigenvalues
-    sampled from the corresponding outcome distribution.  Deterministic for
-    a fixed (master_seed, setting) pair.
-    """
-    if config.mode != "sampled":
-        raise ValueError("sampled_expectation needs a sampled-mode config")
-    out = _output_state(channel, setting)
     rng = _setting_rng(setting, config.master_seed)
     shots = config.shots
     if setting.is_projector:
@@ -213,13 +205,56 @@ def sampled_expectation(
     return MeasurementOutcome(est, se, shots)
 
 
+def measure_row(
+    channel: QuantumChannel,
+    input_state: np.ndarray,
+    observables: Sequence[np.ndarray],
+    config: BackendConfig,
+) -> list[MeasurementOutcome]:
+    """Outcomes of the settings (input_state, O) for every O in observables.
+
+    The channel is applied to |psi><psi| once; every observable is then
+    read off that one output state.  Each setting is still validated, and
+    on the sampled backend draws from its own random stream, so every
+    outcome equals the one measure_setting returns for that setting.
+    """
+    settings = [MeasurementSetting(input_state, o) for o in observables]
+    if not settings:
+        return []
+    out = _output_state(channel, settings[0])
+    if config.mode == "exact":
+        return [_exact_outcome(s, out) for s in settings]
+    return [_sampled_outcome(s, out, config) for s in settings]
+
+
+def exact_expectation(
+    channel: QuantumChannel, setting: MeasurementSetting
+) -> MeasurementOutcome:
+    """Tr[O eps(|psi><psi|)] evaluated without statistical noise."""
+    exact = BackendConfig()
+    return measure_row(channel, setting.input_state, [setting.observable], exact)[0]
+
+
+def sampled_expectation(
+    channel: QuantumChannel, setting: MeasurementSetting, config: BackendConfig
+) -> MeasurementOutcome:
+    """Finite-shot estimate of Tr[O eps(|psi><psi|)].
+
+    Projector observables draw a binomial count at the exact success
+    probability; Hermitian observables are eigendecomposed and eigenvalues
+    sampled from the corresponding outcome distribution.  Deterministic for
+    a fixed (master_seed, setting) pair.
+    """
+    if config.mode != "sampled":
+        raise ValueError("sampled_expectation needs a sampled-mode config")
+    return measure_row(channel, setting.input_state, [setting.observable], config)[0]
+
+
 def measure_setting(
     channel: QuantumChannel, setting: MeasurementSetting, config: BackendConfig
 ) -> MeasurementOutcome:
     """Dispatch to the backend selected by the config."""
-    if config.mode == "exact":
-        return exact_expectation(channel, setting)
-    return sampled_expectation(channel, setting, config)
+    return measure_row(channel, setting.input_state, [setting.observable], config)[0]
 
 
 def input_state_set(dim: int) -> list[np.ndarray]:

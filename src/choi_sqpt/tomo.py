@@ -20,14 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import basis_state, expand_choi_four, _solve_expansion, sud_generators
-from .channels import QuantumChannel, _complex_to_pair
+from .channels import QuantumChannel, _complex_from_pair, _complex_to_pair
 from .measure import (
     BackendConfig,
     MeasurementOutcome,
     MeasurementSetting,
     PhysicalityError,
     input_state_set,
-    measure_setting,
+    measure_row,
     tp_complete,
 )
 
@@ -256,7 +256,21 @@ def reconstruct_element(
         raise ValueError(
             f"plan dimension {plan.dim} does not match channel dimension {channel.dim}"
         )
-    outcomes = [measure_setting(channel, s, config) for s in plan.settings]
+    # one channel application per run of settings sharing an input state;
+    # plans are built input-outer, so that is one per distinct input state
+    runs: list[list[MeasurementSetting]] = []
+    for setting in plan.settings:
+        if runs and np.array_equal(setting.input_state, runs[-1][0].input_state):
+            runs[-1].append(setting)
+        else:
+            runs.append([setting])
+    outcomes = [
+        outcome
+        for run in runs
+        for outcome in measure_row(
+            channel, run[0].input_state, [s.observable for s in run], config
+        )
+    ]
     value, variance = _combine_terms(
         [w for w, _ in plan.terms], [outcomes[idx] for _, idx in plan.terms]
     )
@@ -299,7 +313,8 @@ def full_sqpt(
     """Reconstruct the complete D^2 x D^2 process matrix.
 
     Both strategies measure a D^2 x D^2 table T[m, k] =
-    Tr[O_k eps(|psi_m><psi_m|)] once per cell, combine it into the data
+    Tr[O_k eps(|psi_m><psi_m|)] once per cell, applying the channel once
+    per input state (one row of the table), combine it into the data
     matrix lambda and its variance, and relabel both to chi.  "choi-four"
     pairs the kets of input_state_set(D) with projectors onto the same
     kets, and combines each lambda entry from the cells of its element's
@@ -311,7 +326,8 @@ def full_sqpt(
     With tp_shortcut (choi-four only) the computational-basis projector for
     the highest level is never measured: its expectation for each input
     state is inferred from normalization, leaving D^2 (D^2 - 1) measured
-    values.  The channel must be trace preserving.
+    values; the standard errors treat it as 1 minus its partials, not as an
+    independent measurement.  The channel must be trace preserving.
     """
     if tp_shortcut:
         if strategy != "choi-four":
@@ -332,10 +348,7 @@ def _measure_table(
     channel: QuantumChannel, config: BackendConfig, states, observables
 ) -> list[list[MeasurementOutcome]]:
     """Outcome of every (input state, observable) cell, row by input state."""
-    return [
-        [measure_setting(channel, MeasurementSetting(psi, o), config) for o in observables]
-        for psi in states
-    ]
+    return [measure_row(channel, psi, observables, config) for psi in states]
 
 
 def _sqpt_result(
@@ -373,14 +386,10 @@ def _full_choi_four(
     table = _measure_table(channel, config, kets, observables)
     if tp_shortcut:
         for row in table:
-            # the inferred cell's variance sums the partials' variances; its
-            # correlation with them is not propagated
-            partials = row[:last]
-            variance = 0.0
-            for measured in partials:
-                variance += measured.std_error**2
-            value = tp_complete({lvl: o.value for lvl, o in enumerate(partials)}, dim)
-            row.insert(last, MeasurementOutcome(value, float(np.sqrt(variance)), 0))
+            # the inferred cell is a function of the row's partials, not a
+            # measurement: its variance enters through _inferred_substituted
+            value = tp_complete({lvl: o.value for lvl, o in enumerate(row[:last])}, dim)
+            row.insert(last, MeasurementOutcome(value, 0.0, 0))
 
     # unit x*D+y is the matrix unit |x><y| with its expansion and table slots
     units = [expand_choi_four(x, y, dim) for x in range(dim) for y in range(dim)]
@@ -391,10 +400,33 @@ def _full_choi_four(
         for e, g in np.ndindex(dim, dim):
             # lambda_{fh;eg}: input |f><h|, observable |g><e|
             eg, ge = e * dim + g, g * dim + e
-            cells = [table[i][j] for i in slots[fh] for j in slots[ge]]
+            cells = [(i, j) for i in slots[fh] for j in slots[ge]]
             weights = _term_weights(units[fh], units[ge])
-            lam[fh, eg], lam_var[fh, eg] = _combine_terms(weights, cells)
+            lam[fh, eg], lam_var[fh, eg] = _combine_terms(
+                weights, [table[i][j] for i, j in cells]
+            )
+            if tp_shortcut:
+                cells, weights = _inferred_substituted(cells, weights, last)
+                outcomes = [table[i][j] for i, j in cells]
+                lam_var[fh, eg] = _combine_terms(weights, outcomes)[1]
     return _sqpt_result(lam, lam_var, "choi-four", n if tp_shortcut else 0)
+
+
+def _inferred_substituted(cells, weights, last: int):
+    """Cells and weights with every inferred cell expanded into its partials.
+
+    The cell (i, last) is 1 - sum_{l < last} (i, l), so its weight w moves
+    onto each measured partial as -w.  The terms then share no outcome, and
+    the quadrature sum over them is the variance of the weighted sum.
+    """
+    merged: dict[tuple[int, int], complex] = {}
+    for (i, j), w in zip(cells, weights):
+        if j == last:
+            for lvl in range(last):
+                merged[i, lvl] = merged.get((i, lvl), 0.0) - w
+        else:
+            merged[i, j] = merged.get((i, j), 0.0) + w
+    return list(merged), list(merged.values())
 
 
 def _tensor_products(factors: list[np.ndarray], n_sites: int) -> list[np.ndarray]:
@@ -582,10 +614,6 @@ def chi_from_json(obj) -> tuple[np.ndarray, str]:
     entries = obj.get("entries")
     if not isinstance(entries, list) or len(entries) != dim**4:
         raise ValueError(f"'entries' must list {dim**4} [re, im] pairs")
-    values = []
-    for entry in entries:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise ValueError(f"chi entry must be a [re, im] pair, got {entry!r}")
-        values.append(complex(entry[0], entry[1]))
+    values = [_complex_from_pair(entry) for entry in entries]
     chi = np.array(values, dtype=complex).reshape(dim * dim, dim * dim)
     return chi, convention

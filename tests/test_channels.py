@@ -254,6 +254,11 @@ def test_channel_json_rejects_bad_entries():
         channel_from_json({"dim": "two", "kraus": []})
     with pytest.raises(ChannelFormatError):
         channel_from_json([1, 2, 3])
+    for bad in (None, "1", True):
+        doc = channel_to_json(preset_channel("identity", dim=2))
+        doc["kraus"][0][0][0] = [bad, 0.0]
+        with pytest.raises(ChannelFormatError, match="pair"):
+            channel_from_json(doc)
 
 
 def test_load_channel_rejects_invalid_json(tmp_path):

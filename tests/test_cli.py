@@ -6,6 +6,7 @@ import pytest
 
 from choi_sqpt import (
     BackendConfig,
+    channel_to_json,
     chi_oracle,
     plan_element,
     preset_channel,
@@ -243,6 +244,27 @@ def test_convert_rejects_wrong_convention(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("bad", [None, "0.5", True], ids=["null", "string", "bool"])
+def test_exit_3_on_malformed_chi_entry(tmp_path, bad):
+    doc = {"dim": 2, "convention": "choi-row-ef", "entries": [[bad, 0]] + [[0, 0]] * 15}
+    chi_path = tmp_path / "chi.json"
+    chi_path.write_text(json.dumps(doc), encoding="utf-8")
+    code, report = _run(tmp_path, "convert", "--chi", str(chi_path), "--to", "pauli")
+    assert code == 3
+    assert report is None
+
+
+@pytest.mark.parametrize("bad", [None, "1", False], ids=["null", "string", "bool"])
+def test_exit_3_on_malformed_channel_entry(tmp_path, bad):
+    doc = channel_to_json(preset_channel("identity", dim=2))
+    doc["kraus"][0][1][1] = [bad, 0.0]
+    ch_path = tmp_path / "ch.json"
+    ch_path.write_text(json.dumps(doc), encoding="utf-8")
+    code, report = _run(tmp_path, "full", "--channel", str(ch_path))
+    assert code == 3
+    assert report is None
+
+
 def test_seed_env_var(tmp_path, monkeypatch):
     argv = [
         "element", "--preset", "bit-flip", "--param", "0.25",
@@ -333,6 +355,29 @@ def test_golden_report_regenerates_identically(capsys):
 def test_sampled_golden_reports_regenerate_identically(name, argv, pin_std_errors, capsys):
     golden = (Path(__file__).parent / "data" / name).read_text(encoding="utf-8")
     assert golden_report_text(argv, pin_std_errors, capsys) == golden
+
+
+_EXACT = ["--backend", "exact", "--seed", "0"]
+_D3 = ["full", "--preset", "random-cptp", "--param", "35", "--dim", "3"]
+
+# exact goldens at D = 3 pin the last bits of every chi entry, where the
+# summation order of the table and of the lambda combine shows
+EXACT_GOLDENS = [
+    ("golden_full_exact_d3.json", [*_D3, *_EXACT]),
+    ("golden_full_exact_d3_tp_shortcut.json", [*_D3, "--tp-shortcut", *_EXACT]),
+    ("golden_full_exact_d3_product_hermitian.json",
+     [*_D3, "--strategy", "product-hermitian", *_EXACT]),
+]
+
+
+@pytest.mark.parametrize("name, argv", EXACT_GOLDENS, ids=[g[0] for g in EXACT_GOLDENS])
+def test_exact_golden_reports_regenerate_identically(name, argv, capsys):
+    golden = (Path(__file__).parent / "data" / name).read_text(encoding="utf-8")
+    assert golden_report_text(argv, True, capsys) == golden
+    chi = chi_oracle(preset_channel("random-cptp", [35], 3))
+    entries = np.array(json.loads(golden)["results"]["chi"]["entries"])
+    loaded = (entries[:, 0] + 1j * entries[:, 1]).reshape(9, 9)
+    assert np.max(np.abs(loaded - chi)) < 1e-12
 
 
 def test_stdout_json_when_no_output(capsys):

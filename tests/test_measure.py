@@ -3,6 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from choi_sqpt import measure
 from choi_sqpt import (
     BackendConfig,
     MeasurementSetting,
@@ -12,6 +13,7 @@ from choi_sqpt import (
     exact_expectation,
     haar_isometry,
     input_state_set,
+    measure_row,
     measure_setting,
     preset_channel,
     sampled_expectation,
@@ -183,6 +185,38 @@ def test_sampled_safe_under_concurrent_evaluation():
     with ThreadPoolExecutor(max_workers=8) as pool:
         threaded = list(pool.map(lambda s: measure_setting(ch, s, cfg), settings))
     assert sequential == threaded
+
+
+@pytest.mark.parametrize("config", [BackendConfig(), BackendConfig("sampled", 500, 9)],
+                         ids=["exact", "sampled"])
+def test_measure_row_equals_per_setting_measurement(monkeypatch, config):
+    # one channel application for the whole row, and every outcome bit for
+    # bit the one the single-setting call returns
+    rng = np.random.default_rng(12)
+    ch = preset_channel("random-cptp", [14], 3)
+    psi = _random_state(3, rng)
+    herm = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    observables = [_random_state(3, rng), herm + herm.conj().T, basis_state(2, 3)]
+    expected = [measure_setting(ch, MeasurementSetting(psi, o), config) for o in observables]
+    calls = [0]
+    original = measure.apply_channel
+
+    def counted(channel, rho):
+        calls[0] += 1
+        return original(channel, rho)
+
+    monkeypatch.setattr(measure, "apply_channel", counted)
+    assert measure_row(ch, psi, observables, config) == expected
+    assert calls[0] == 1
+
+
+def test_measure_row_validates_every_setting():
+    ch = preset_channel("identity", dim=2)
+    with pytest.raises(ValueError, match="Hermitian"):
+        measure_row(ch, PLUS, [PLUS, np.array([[0, 1], [0, 0]], dtype=complex)],
+                    BackendConfig())
+    with pytest.raises(ValueError, match="dimension"):
+        measure_row(preset_channel("identity", dim=3), PLUS, [PLUS], BackendConfig())
 
 
 @pytest.mark.parametrize("dim", range(2, 9))

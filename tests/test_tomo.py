@@ -1,3 +1,5 @@
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from choi_sqpt import (
     preset_channel,
     reconstruct_element,
 )
-from choi_sqpt import tomo
+from choi_sqpt import measure, tomo
 
 EXACT = BackendConfig()
 
@@ -422,6 +424,85 @@ def test_element_canonical_key_budget(monkeypatch):
     assert calls[0] == plan.settings_count
 
 
+def _count_channel_applications(monkeypatch) -> list[int]:
+    calls = [0]
+    original = measure.apply_channel
+
+    def counted(channel, rho):
+        calls[0] += 1
+        return original(channel, rho)
+
+    monkeypatch.setattr(measure, "apply_channel", counted)
+    return calls
+
+
+@pytest.mark.parametrize("strategy, tp_shortcut", [
+    ("choi-four", False), ("choi-four", True), ("product-hermitian", False),
+])
+@pytest.mark.parametrize("config", [EXACT, BackendConfig("sampled", 100, 1)],
+                         ids=["exact", "sampled"])
+def test_full_channel_application_budget(monkeypatch, strategy, tp_shortcut, config):
+    # one channel application per input state: D^2, not one per table cell
+    calls = _count_channel_applications(monkeypatch)
+    full_sqpt(preset_channel("random-cptp", [78, 2], 3), config, strategy, tp_shortcut)
+    assert calls[0] == 3**2
+
+
+@pytest.mark.parametrize("target, settings, applications", [
+    ((1, 2, 1, 2), 1, 1),    # diagonal
+    ((0, 2, 1, 2), 4, 1),    # input |2><2| diagonal, four observables
+    ((1, 0, 1, 2), 4, 4),    # observable |1><1| diagonal, four inputs
+    ((0, 1, 2, 0), 16, 4),   # four inputs x four observables
+])
+@pytest.mark.parametrize("config", [EXACT, BackendConfig("sampled", 100, 1)],
+                         ids=["exact", "sampled"])
+def test_element_channel_application_budget(monkeypatch, target, settings,
+                                            applications, config):
+    calls = _count_channel_applications(monkeypatch)
+    plan = plan_element(*target, 3)
+    est = reconstruct_element(plan, preset_channel("random-cptp", [79, 2], 3), config)
+    assert plan.settings_count == est.settings_used == settings
+    assert calls[0] == applications
+
+
+# (strategy, tp_shortcut) cases whose reported std_errors are calibrated
+CALIBRATION_CASES = [
+    ("choi-four", False), ("choi-four", True), ("product-hermitian", False),
+]
+
+
+def test_full_sampled_std_errors_are_calibrated():
+    # Over N seeds the empirical spread of each chi entry is compared with
+    # the RMS of its reported std_error.  A sample std from N draws has a
+    # relative error of about 1/sqrt(2N); the band is that times the normal
+    # quantile for a two-sided 1% family-wise level over every compared
+    # entry (Bonferroni).  Trials reporting sigma = 0 stay in the RMS.
+    n_trials, shots, dim = 200, 2000, 2
+    ch = preset_channel("random-cptp", [3], dim)
+    n_compared = len(CALIBRATION_CASES) * dim**4
+    z = NormalDist().inv_cdf(1 - 0.01 / (2 * n_compared))
+    band = z / np.sqrt(2 * n_trials)
+    report = []
+    for strategy, tp_shortcut in CALIBRATION_CASES:
+        runs = [
+            full_sqpt(ch, BackendConfig("sampled", shots, seed), strategy, tp_shortcut)
+            for seed in range(n_trials)
+        ]
+        chis = np.array([r.chi for r in runs])
+        errs = np.array([r.std_errors for r in runs])
+        empirical = np.sqrt(
+            np.sum(np.abs(chis - chis.mean(axis=0)) ** 2, axis=0) / (n_trials - 1)
+        )
+        ratio = np.sqrt(np.mean(errs**2, axis=0)) / empirical
+        sigma_zero = int(np.sum(errs == 0.0))
+        report.append((strategy, tp_shortcut, round(float(ratio.min()), 3),
+                       round(float(ratio.max()), 3), sigma_zero))
+    print(f"calibration band 1 +- {band:.3f}; (strategy, tp_shortcut, "
+          f"min ratio, max ratio, sigma=0 count): {report}")
+    for strategy, tp_shortcut, low, high, _ in report:
+        assert 1 - band <= low and high <= 1 + band, (strategy, tp_shortcut, low, high)
+
+
 def test_full_sampled_tracks_uncertainty():
     ch = preset_channel("random-cptp", [74, 2], 2)
     cfg = BackendConfig("sampled", 10**5, 21)
@@ -512,3 +593,7 @@ def test_chi_json_validation():
         chi_from_json({"dim": 2, "convention": "choi-row-ef", "entries": [[0, 0]] * 15})
     with pytest.raises(ValueError, match="dim"):
         chi_from_json({"dim": 1.5, "convention": "choi-row-ef", "entries": []})
+    for bad in (None, "1.0", True, [1.0], 1j):
+        with pytest.raises(ValueError, match="pair"):
+            chi_from_json({"dim": 2, "convention": "choi-row-ef",
+                           "entries": [[0, 0]] * 15 + [[0.0, bad]]})
