@@ -66,10 +66,12 @@ from .tomo import (
     beta_permutation,
     chi_from_json,
     chi_from_lambda,
+    chi_index,
     chi_to_json,
     full_sqpt,
     ghz_profile,
     lambda_from_chi,
+    lambda_index,
     lambda_oracle,
     plan_element,
     reconstruct_element,

@@ -321,16 +321,9 @@ def _site_major_unit_order(n_qubits: int) -> np.ndarray:
     of pauli_choi_unitary; the global order interleaves all a digits before
     all b digits instead.
     """
-    big_d = 2**n_qubits
-    perm = np.empty(big_d * big_d, dtype=np.intp)
-    for j in range(big_d * big_d):
-        a = b = 0
-        for k in range(n_qubits):
-            c = (j >> (2 * (n_qubits - 1 - k))) & 3
-            a = (a << 1) | (c >> 1)
-            b = (b << 1) | (c & 1)
-        perm[j] = a * big_d + b
-    return perm
+    # the global index's bits are a_1..a_N b_1..b_N; interleave them per site
+    axes = [ax for k in range(n_qubits) for ax in (k, n_qubits + k)]
+    return np.arange(4**n_qubits).reshape((2,) * 2 * n_qubits).transpose(axes).ravel()
 
 
 def _check_chi_shape(chi: np.ndarray, n_qubits: int) -> np.ndarray:

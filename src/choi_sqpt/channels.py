@@ -20,6 +20,7 @@ operations that explicitly demand a trace-preserving channel.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -332,13 +333,19 @@ def channel_to_json(channel: QuantumChannel) -> dict:
 
 
 def _complex_from_pair(entry) -> complex:
-    """Decode a JSON [re, im] pair; anything but two real numbers is a ValueError."""
+    """Decode a JSON [re, im] pair; anything but two finite reals is a ValueError."""
     if (
         not isinstance(entry, (list, tuple))
         or len(entry) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
+        or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max  # False for NaN, inf and too-large ints
+            for v in entry
+        )
     ):
-        raise ValueError(f"matrix entry must be a [re, im] pair of numbers, got {entry!r}")
+        raise ValueError(
+            f"matrix entry must be a [re, im] pair of finite numbers, got {entry!r:.60}"
+        )
     return complex(entry[0], entry[1])
 
 
@@ -376,7 +383,7 @@ def load_channel(path) -> QuantumChannel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ChannelFormatError(f"invalid JSON in {path}: {exc}") from exc
     return channel_from_json(obj)
 

@@ -34,8 +34,10 @@ from .tomo import (
     CHI_CONVENTION,
     PAULI_CONVENTION,
     chi_from_json,
+    chi_index,
     chi_to_json,
     full_sqpt,
+    lambda_index,
     plan_element,
     reconstruct_element,
 )
@@ -76,6 +78,16 @@ def _add_backend_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_target_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--target", required=True, metavar="e,f,g,h")
+    parser.add_argument(
+        "--lambda",
+        dest="lambda_indices",
+        action="store_true",
+        help="interpret --target as data-matrix (lambda) indices a,b,c,d",
+    )
+
+
 def _add_output_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", metavar="PATH", help="write the JSON report here")
     parser.add_argument(
@@ -100,13 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_channel_args(p_element)
     _add_backend_args(p_element)
     _add_output_args(p_element)
-    p_element.add_argument("--target", required=True, metavar="e,f,g,h")
-    p_element.add_argument(
-        "--lambda",
-        dest="lambda_indices",
-        action="store_true",
-        help="interpret --target as data-matrix (lambda) indices a,b,c,d",
-    )
+    _add_target_args(p_element)
 
     p_full = sub.add_parser("full", help="reconstruct the complete chi matrix")
     _add_channel_args(p_full)
@@ -131,11 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_channel_args(p_plan, required=False)
     _add_output_args(p_plan)
-    p_plan.add_argument("--target", required=True, metavar="e,f,g,h")
-    p_plan.add_argument(
-        "--lambda", dest="lambda_indices", action="store_true",
-        help="interpret --target as data-matrix (lambda) indices a,b,c,d",
-    )
+    _add_target_args(p_plan)
 
     p_convert = sub.add_parser(
         "convert", help="convert a chi matrix between Choi and Pauli bases"
@@ -208,10 +210,7 @@ def _parse_target(text: str, dim: int, as_lambda: bool) -> tuple[int, int, int, 
     for idx in indices:
         if not 0 <= idx < dim:
             raise _UsageError(f"target index {idx} out of range for dimension {dim}")
-    if as_lambda:
-        a, b, c, d = indices
-        return (c, a, d, b)
-    return indices
+    return chi_index(indices) if as_lambda else indices
 
 
 def _chi_payload(chi: np.ndarray, std_errors: np.ndarray, convention: str) -> dict:
@@ -251,7 +250,7 @@ def _cmd_element(args, report: dict) -> tuple[int, list[str]]:
         channel=descriptor,
         backend=backend_echo,
         results={
-            "target": {"chi": list(target), "lambda": [f, h, e, g]},
+            "target": {"chi": list(target), "lambda": list(lambda_index(target))},
             "value": _complex_to_pair(estimate.value),
             "std_error": estimate.std_error,
             "settings_used": estimate.settings_used,
@@ -351,22 +350,20 @@ def _cmd_plan(args, report: dict) -> tuple[int, list[str]]:
     started = time.perf_counter()
     plan = plan_element(*target, dim)
     duration = time.perf_counter() - started
-    settings_json = []
-    for setting in plan.settings:
-        obs: dict = {"kind": "projector" if setting.is_projector else "hermitian"}
-        data = np.asarray(setting.observable).reshape(-1)
-        obs["data"] = [_complex_to_pair(z) for z in data]
-        settings_json.append(
-            {
-                "input": [_complex_to_pair(z) for z in setting.input_state],
-                "observable": obs,
-            }
-        )
-    e, f, g, h = target
+    # a plan's observables are projectors |phi><phi|, listed by phi
+    settings_json = [
+        {
+            "input": [_complex_to_pair(z) for z in psi],
+            "observable": {"kind": "projector", "data": [_complex_to_pair(z) for z in phi]},
+        }
+        for psi in plan.inputs.states
+        for phi in plan.observables.states
+    ]
+    lam = lambda_index(target)
     report.update(
         channel=descriptor,
         results={
-            "target": {"chi": list(target), "lambda": [f, h, e, g]},
+            "target": {"chi": list(target), "lambda": list(lam)},
             "settings": settings_json,
             "terms": [
                 {"weight": _complex_to_pair(w), "setting": idx} for w, idx in plan.terms
@@ -376,7 +373,7 @@ def _cmd_plan(args, report: dict) -> tuple[int, list[str]]:
         duration_seconds=duration,
     )
     lines = [
-        f"target chi[{e},{f};{g},{h}]  (lambda[{f},{h};{e},{g}])",
+        "target chi[{},{};{},{}]  (lambda[{},{};{},{}])".format(*target, *lam),
         f"settings: {plan.settings_count}, terms: {len(plan.terms)}",
     ]
     return EXIT_OK, lines
@@ -386,10 +383,11 @@ def _cmd_convert(args, report: dict) -> tuple[int, list[str]]:
     if args.chi and (args.channel or args.preset):
         raise _UsageError("pass either --chi or a channel source, not both")
     if args.chi:
+        # a ValueError here is a JSONDecodeError or a UnicodeDecodeError
         try:
             with open(args.chi, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ChannelFormatError(f"cannot read chi file {args.chi}: {exc}") from exc
         try:
             chi, convention = chi_from_json(obj)

@@ -10,16 +10,22 @@ lambda[a*D+b, c*D+d] = Tr[(|c><d|)^dagger eps(|a><b|)].  It is related to
 the process matrix entrywise by lambda_{ab;cd} = chi_{ca;db}; the linear
 map between the two flattened matrices is a permutation whose inverse is
 its transpose, so reconstruction is index relabeling, never a dense solve.
+lambda_index and chi_index state that relabeling once, as a map of index
+slots; the matrix relabelings, the beta permutation and the element plans
+are all derived from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
-from .basis import basis_state, expand_choi_four, _solve_expansion, sud_generators
+from .basis import (
+    PureStateExpansion, _solve_expansion, basis_state, expand_choi_four, sud_generators
+)
 from .channels import QuantumChannel, _complex_from_pair, _complex_to_pair
 from .measure import (
     BackendConfig,
@@ -42,10 +48,12 @@ __all__ = [
     "beta_permutation",
     "chi_from_json",
     "chi_from_lambda",
+    "chi_index",
     "chi_to_json",
     "full_sqpt",
     "ghz_profile",
     "lambda_from_chi",
+    "lambda_index",
     "lambda_oracle",
     "plan_element",
     "reconstruct_element",
@@ -56,6 +64,22 @@ PAULI_CONVENTION = "pauli-row-ixyz"
 
 
 # --- lambda/chi index algebra -------------------------------------------------
+
+# lambda_{ab;cd} = chi_{ca;db}: a lambda index tuple (a, b, c, d) takes the
+# chi slots (1, 3, 0, 2) of (e, f, g, h), i.e. (a, b, c, d) = (f, h, e, g).
+# Every relabeling between the two matrices is derived from this one map.
+_LAMBDA_SLOTS = (1, 3, 0, 2)
+_CHI_SLOTS = tuple(_LAMBDA_SLOTS.index(k) for k in range(4))
+
+
+def lambda_index(target: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """Data-matrix indices (a, b, c, d) of the chi element (e, f, g, h)."""
+    return tuple(target[k] for k in _LAMBDA_SLOTS)
+
+
+def chi_index(target: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """Process-matrix indices (e, f, g, h) of the lambda entry (a, b, c, d)."""
+    return tuple(target[k] for k in _CHI_SLOTS)
 
 
 def beta_entry(
@@ -80,10 +104,10 @@ def beta_entry(
 class BetaPermutation:
     """The chi -> lambda map stored as an index bijection on D^4 entries.
 
-    forward[flat(e,f,g,h)] = flat(f,h,e,g) is the row of the single 1 in
-    that column of the dense matrix.  Applying forward and then the
-    transpose is the identity; the dense form is materialized only for
-    small dimensions (it is D^4 x D^4).
+    forward[flat(e,f,g,h)] = flat(lambda_index((e,f,g,h))) is the row of the
+    single 1 in that column of the dense matrix, whose inverse is its
+    transpose; the dense form is materialized only for small dimensions
+    (it is D^4 x D^4).
     """
 
     dim: int
@@ -94,17 +118,6 @@ class BetaPermutation:
         fwd.setflags(write=False)
         object.__setattr__(self, "forward", fwd)
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Forward map on a flattened chi vector: returns the lambda vector."""
-        vec = np.asarray(vec)
-        out = np.empty_like(vec)
-        out[self.forward] = vec
-        return out
-
-    def apply_transpose(self, vec: np.ndarray) -> np.ndarray:
-        """Transpose (= inverse) map on a flattened lambda vector."""
-        return np.asarray(vec)[self.forward]
-
     def dense(self) -> np.ndarray:
         if self.dim > 3:
             raise ValueError("dense beta is only materialized for dim <= 3")
@@ -114,29 +127,23 @@ class BetaPermutation:
         return mat
 
     def parity(self) -> int:
-        """Exact sign of the permutation via cycle counting."""
+        """Exact sign of the permutation, (-1)**(entries - cycles)."""
         seen = np.zeros(self.forward.shape[0], dtype=bool)
-        sign = 1
+        cycles = 0
         for start in range(self.forward.shape[0]):
-            if seen[start]:
-                continue
-            length = 0
+            cycles += not seen[start]
             j = start
             while not seen[j]:
                 seen[j] = True
                 j = int(self.forward[j])
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return sign
+        return -1 if (seen.size - cycles) % 2 else 1
 
 
 def beta_permutation(dim: int) -> BetaPermutation:
     if dim < 2:
         raise ValueError("beta permutation needs dim >= 2")
-    e, f, g, h = np.indices((dim,) * 4)
-    rows = ((f * dim + h) * dim + e) * dim + g
-    return BetaPermutation(dim, rows.reshape(-1))
+    flat = np.arange(dim**4).reshape(dim * dim, dim * dim)
+    return BetaPermutation(dim, chi_from_lambda(flat).ravel())
 
 
 def lambda_oracle(channel: QuantumChannel) -> np.ndarray:
@@ -151,24 +158,23 @@ def lambda_oracle(channel: QuantumChannel) -> np.ndarray:
     return lam4.reshape(d * d, d * d)
 
 
+def _relabel(mat: np.ndarray, slots: tuple[int, ...], name: str) -> np.ndarray:
+    # out[i] = in[j] for the index tuples i = (j[s] for s in slots)
+    mat = np.asarray(mat)
+    d = math.isqrt(math.isqrt(mat.size))
+    if mat.shape != (d * d, d * d):
+        raise ValueError(f"{name} must be D^2 x D^2, got shape {mat.shape}")
+    return mat.reshape(d, d, d, d).transpose(slots).reshape(d * d, d * d)
+
+
 def chi_from_lambda(lam: np.ndarray) -> np.ndarray:
     """Process matrix from the data matrix: chi_{ca;db} = lambda_{ab;cd}."""
-    lam = np.asarray(lam)
-    d = math.isqrt(math.isqrt(lam.size))
-    if lam.shape != (d * d, d * d):
-        raise ValueError(f"lambda must be D^2 x D^2, got shape {lam.shape}")
-    chi4 = np.einsum("fheg->efgh", lam.reshape(d, d, d, d))
-    return chi4.reshape(d * d, d * d)
+    return _relabel(lam, _CHI_SLOTS, "lambda")
 
 
 def lambda_from_chi(chi: np.ndarray) -> np.ndarray:
     """Inverse relabeling of chi_from_lambda."""
-    chi = np.asarray(chi)
-    d = math.isqrt(math.isqrt(chi.size))
-    if chi.shape != (d * d, d * d):
-        raise ValueError(f"chi must be D^2 x D^2, got shape {chi.shape}")
-    lam4 = np.einsum("cadb->abcd", chi.reshape(d, d, d, d))
-    return lam4.reshape(d * d, d * d)
+    return _relabel(chi, _LAMBDA_SLOTS, "chi")
 
 
 # --- single-element planning and reconstruction -------------------------------
@@ -178,20 +184,30 @@ def lambda_from_chi(chi: np.ndarray) -> np.ndarray:
 class MeasurementPlan:
     """Measurement settings realizing one chi matrix element.
 
-    Each term attaches a complex weight (a product of one input-expansion
-    and one observable-expansion coefficient) to a setting index; the
-    element value is the weighted sum of the settings' expectation values.
-    Settings and terms correspond one to one.
+    The element is sum_ij r_i s_j Tr[|phi_j><phi_j| eps(|psi_i><psi_i|)]
+    over the input expansion sum_i r_i |psi_i><psi_i| and the observable
+    expansion sum_j s_j |phi_j><phi_j|.  Settings and terms list the
+    (psi_i, phi_j) pairs input-outer, one term (r_i s_j, index) per setting.
     """
 
     dim: int
     target: tuple[int, int, int, int]
-    settings: tuple[MeasurementSetting, ...]
-    terms: tuple[tuple[complex, int], ...]
+    inputs: PureStateExpansion
+    observables: PureStateExpansion
+
+    @property
+    def settings(self) -> tuple[MeasurementSetting, ...]:
+        pairs = product(self.inputs.states, self.observables.states)
+        return tuple(MeasurementSetting(psi, phi) for psi, phi in pairs)
+
+    @property
+    def terms(self) -> tuple[tuple[complex, int], ...]:
+        weights = _term_weights(self.inputs, self.observables)
+        return tuple((w, idx) for idx, w in enumerate(weights))
 
     @property
     def settings_count(self) -> int:
-        return len(self.settings)
+        return len(self.inputs.states) * len(self.observables.states)
 
 
 def _term_weights(input_exp, observable_exp) -> list[complex]:
@@ -202,29 +218,23 @@ def _term_weights(input_exp, observable_exp) -> list[complex]:
 def plan_element(e: int, f: int, g: int, h: int, dim: int) -> MeasurementPlan:
     """Plan the measurements that determine chi[e*D+f, g*D+h].
 
-    The target element equals the data-matrix entry lambda_{fh;eg}, so the
-    channel input is the matrix unit |f><h| (expanded over at most four
-    pure states with weights r) and the observable is |g><e| (expanded over
-    at most four projectors with weights s).  Settings count 1 for a
-    diagonal target (e = g and f = h), 4 when exactly one of the two
-    expansions is a single projector, 16 otherwise.
+    The target element equals the data-matrix entry lambda_{ab;cd} with
+    (a, b, c, d) = lambda_index((e, f, g, h)), so the channel input is the
+    matrix unit |a><b| (expanded over at most four pure states with
+    weights r) and the observable is |d><c| (expanded over at most four
+    projectors with weights s).  Settings count 1 for a diagonal target
+    (e = g and f = h), 4 when exactly one of the two expansions is a
+    single projector, 16 otherwise.
     """
     for idx in (e, f, g, h):
         if not 0 <= idx < dim:
             raise ValueError(f"index {idx} out of range for dimension {dim}")
-    input_exp = expand_choi_four(f, h, dim)
-    observable_exp = expand_choi_four(g, e, dim)
-    settings = tuple(
-        MeasurementSetting(psi, phi)
-        for psi in input_exp.states
-        for phi in observable_exp.states
-    )
-    weights = _term_weights(input_exp, observable_exp)
+    a, b, c, d = lambda_index((e, f, g, h))
     return MeasurementPlan(
         dim=dim,
         target=(e, f, g, h),
-        settings=settings,
-        terms=tuple((w, idx) for idx, w in enumerate(weights)),
+        inputs=expand_choi_four(a, b, dim),
+        observables=expand_choi_four(d, c, dim),
     )
 
 
@@ -251,31 +261,21 @@ def _combine_terms(weights, outcomes: list[MeasurementOutcome]) -> tuple[complex
 def reconstruct_element(
     plan: MeasurementPlan, channel: QuantumChannel, config: BackendConfig
 ) -> ChiElementEstimate:
-    """Measure a plan's settings and combine them into the chi element."""
+    """Measure a plan's <= 4 x 4 table and combine it into the chi element.
+
+    The channel is applied once per input state of the plan (1 or 4 times).
+    """
     if channel.dim != plan.dim:
         raise ValueError(
             f"plan dimension {plan.dim} does not match channel dimension {channel.dim}"
         )
-    # one channel application per run of settings sharing an input state;
-    # plans are built input-outer, so that is one per distinct input state
-    runs: list[list[MeasurementSetting]] = []
-    for setting in plan.settings:
-        if runs and np.array_equal(setting.input_state, runs[-1][0].input_state):
-            runs[-1].append(setting)
-        else:
-            runs.append([setting])
-    outcomes = [
-        outcome
-        for run in runs
-        for outcome in measure_row(
-            channel, run[0].input_state, [s.observable for s in run], config
-        )
-    ]
+    table = _measure_table(channel, config, plan.inputs.states, plan.observables.states)
     value, variance = _combine_terms(
-        [w for w, _ in plan.terms], [outcomes[idx] for _, idx in plan.terms]
+        _term_weights(plan.inputs, plan.observables),
+        [outcome for row in table for outcome in row],
     )
     return ChiElementEstimate(
-        value, float(np.sqrt(variance)), len(plan.settings), config.descriptor
+        value, float(np.sqrt(variance)), plan.settings_count, config.descriptor
     )
 
 
@@ -396,19 +396,19 @@ def _full_choi_four(
     slots = [_state_slots(x, y, dim) for x in range(dim) for y in range(dim)]
     lam = np.zeros((n, n), dtype=complex)
     lam_var = np.zeros((n, n))
-    for fh in range(n):
-        for e, g in np.ndindex(dim, dim):
-            # lambda_{fh;eg}: input |f><h|, observable |g><e|
-            eg, ge = e * dim + g, g * dim + e
-            cells = [(i, j) for i in slots[fh] for j in slots[ge]]
-            weights = _term_weights(units[fh], units[ge])
-            lam[fh, eg], lam_var[fh, eg] = _combine_terms(
+    for ab in range(n):
+        for c, d in np.ndindex(dim, dim):
+            # lambda_{ab;cd}: input |a><b|, observable |d><c|
+            cd, dc = c * dim + d, d * dim + c
+            cells = [(i, j) for i in slots[ab] for j in slots[dc]]
+            weights = _term_weights(units[ab], units[dc])
+            lam[ab, cd], lam_var[ab, cd] = _combine_terms(
                 weights, [table[i][j] for i, j in cells]
             )
             if tp_shortcut:
                 cells, weights = _inferred_substituted(cells, weights, last)
                 outcomes = [table[i][j] for i, j in cells]
-                lam_var[fh, eg] = _combine_terms(weights, outcomes)[1]
+                lam_var[ab, cd] = _combine_terms(weights, outcomes)[1]
     return _sqpt_result(lam, lam_var, "choi-four", n if tp_shortcut else 0)
 
 
@@ -468,9 +468,7 @@ def _full_product_hermitian(
     r_mat = _solve_expansion(proj_cols, np.eye(n, dtype=complex), "state projectors")
     # observable weights: targets are the adjoint units |d><c| at column c*D+d
     obs_cols = np.stack([o.reshape(-1) for o in observables], axis=1)
-    cc, dd = np.indices((dim, dim))
-    targets = np.zeros((n, n), dtype=complex)
-    targets[(dd * dim + cc).reshape(-1), (cc * dim + dd).reshape(-1)] = 1.0
+    targets = np.eye(n, dtype=complex).reshape(dim, dim, n).transpose(1, 0, 2).reshape(n, n)
     s_mat = _solve_expansion(obs_cols, targets, "basis operators")
 
     lam = r_mat.T @ data @ s_mat

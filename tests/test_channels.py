@@ -254,7 +254,7 @@ def test_channel_json_rejects_bad_entries():
         channel_from_json({"dim": "two", "kraus": []})
     with pytest.raises(ChannelFormatError):
         channel_from_json([1, 2, 3])
-    for bad in (None, "1", True):
+    for bad in (None, "1", True, float("nan"), float("inf"), 10**400):
         doc = channel_to_json(preset_channel("identity", dim=2))
         doc["kraus"][0][0][0] = [bad, 0.0]
         with pytest.raises(ChannelFormatError, match="pair"):

@@ -113,6 +113,10 @@ def test_exit_3_on_unparseable_channel(tmp_path):
     code, _ = _run(tmp_path, "element", "--channel", str(tmp_path / "missing.json"),
                    "--target", "0,0,0,0")
     assert code == 3
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe{}")
+    code, _ = _run(tmp_path, "validate", "--channel", str(not_utf8))
+    assert code == 3
 
 
 def test_exit_4_on_tp_shortcut_for_non_tp(tmp_path):
@@ -236,6 +240,14 @@ def test_convert_rejects_odd_dimension(tmp_path):
     assert code == 2
 
 
+def test_convert_exit_3_on_non_utf8_chi_file(tmp_path):
+    chi_path = tmp_path / "chi.json"
+    chi_path.write_bytes(b"\xff\xfe{}")
+    code, report = _run(tmp_path, "convert", "--chi", str(chi_path), "--to", "pauli")
+    assert code == 3
+    assert report is None
+
+
 def test_convert_rejects_wrong_convention(tmp_path):
     code, report = _run(tmp_path, "convert", "--preset", "identity", "--dim", "2")
     pauli_path = tmp_path / "pauli.json"
@@ -244,7 +256,13 @@ def test_convert_rejects_wrong_convention(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("bad", [None, "0.5", True], ids=["null", "string", "bool"])
+# json reads NaN, Infinity and integers of any size; none is a float entry
+NON_FLOAT_ENTRIES = [float("nan"), float("inf"), 10**400]
+NON_FLOAT_IDS = ["nan", "inf", "huge-int"]
+
+
+@pytest.mark.parametrize("bad", [None, "0.5", True] + NON_FLOAT_ENTRIES,
+                         ids=["null", "string", "bool"] + NON_FLOAT_IDS)
 def test_exit_3_on_malformed_chi_entry(tmp_path, bad):
     doc = {"dim": 2, "convention": "choi-row-ef", "entries": [[bad, 0]] + [[0, 0]] * 15}
     chi_path = tmp_path / "chi.json"
@@ -254,7 +272,8 @@ def test_exit_3_on_malformed_chi_entry(tmp_path, bad):
     assert report is None
 
 
-@pytest.mark.parametrize("bad", [None, "1", False], ids=["null", "string", "bool"])
+@pytest.mark.parametrize("bad", [None, "1", False] + NON_FLOAT_ENTRIES,
+                         ids=["null", "string", "bool"] + NON_FLOAT_IDS)
 def test_exit_3_on_malformed_channel_entry(tmp_path, bad):
     doc = channel_to_json(preset_channel("identity", dim=2))
     doc["kraus"][0][1][1] = [bad, 0.0]

@@ -14,11 +14,14 @@ from choi_sqpt import (
     beta_permutation,
     chi_from_json,
     chi_from_lambda,
+    chi_index,
     chi_oracle,
     chi_to_json,
+    choi_op,
     full_sqpt,
     ghz_profile,
     lambda_from_chi,
+    lambda_index,
     lambda_oracle,
     plan_element,
     preset_channel,
@@ -90,19 +93,18 @@ def test_beta_dense_guard():
 
 
 def test_beta_forward_then_transpose_is_identity_d4():
-    perm = beta_permutation(4)
-    vec = np.arange(4**4, dtype=float)
-    np.testing.assert_array_equal(perm.apply_transpose(perm.apply(vec)), vec)
-    np.testing.assert_array_equal(perm.apply(perm.apply_transpose(vec)), vec)
+    rng = np.random.default_rng(5)
+    mat = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    np.testing.assert_array_equal(lambda_from_chi(chi_from_lambda(mat)), mat)
+    np.testing.assert_array_equal(chi_from_lambda(lambda_from_chi(mat)), mat)
 
 
 def test_beta_apply_matches_dense():
-    perm = beta_permutation(2)
-    dense = perm.dense()
+    dense = beta_permutation(2).dense()
     rng = np.random.default_rng(0)
-    vec = rng.normal(size=16)
-    np.testing.assert_allclose(perm.apply(vec), dense @ vec, atol=1e-14)
-    np.testing.assert_allclose(perm.apply_transpose(vec), dense.T @ vec, atol=1e-14)
+    mat = rng.normal(size=(4, 4))
+    np.testing.assert_array_equal(dense @ mat.ravel(), lambda_from_chi(mat).ravel())
+    np.testing.assert_array_equal(dense.T @ mat.ravel(), chi_from_lambda(mat).ravel())
 
 
 # --- lambda oracle and the chi mapping ------------------------------------------
@@ -151,10 +153,25 @@ def test_chi_from_lambda_equals_oracle(dim):
 def test_chi_from_lambda_matches_beta_transpose_path():
     rng = np.random.default_rng(3)
     lam = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    perm = beta_permutation(2)
-    via_perm = chi_from_lambda(lam)
-    via_beta = perm.apply_transpose(lam.reshape(-1)).reshape(4, 4)
-    np.testing.assert_allclose(via_perm, via_beta, atol=1e-14)
+    forward = beta_permutation(2).forward
+    np.testing.assert_array_equal(chi_from_lambda(lam).ravel(), lam.ravel()[forward])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_slot_map_is_the_one_relabeling(dim):
+    # lambda_index / chi_index against the written-out delta product of
+    # beta_entry, and against the matrix units plan_element expands
+    for target in _all_targets(dim):
+        e, f, g, h = target
+        a, b, c, d = lambda_index(target)
+        assert chi_index((a, b, c, d)) == target
+        for ab in np.ndindex(dim, dim):
+            for cd in np.ndindex(dim, dim):
+                expected = int((ab + cd) == (a, b, c, d))
+                assert beta_entry((e, f), (g, h), ab, cd) == expected
+        plan = plan_element(*target, dim)
+        np.testing.assert_array_equal(plan.inputs.target, choi_op(a, b, dim))
+        np.testing.assert_array_equal(plan.observables.target, choi_op(d, c, dim))
 
 
 def test_lambda_from_chi_round_trip():
