@@ -379,13 +379,16 @@ def channel_from_json(obj) -> QuantumChannel:
     return QuantumChannel(dim, tuple(kraus))
 
 
-def load_channel(path) -> QuantumChannel:
+def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
         raise ChannelFormatError(f"invalid JSON in {path}: {exc}") from exc
-    return channel_from_json(obj)
+
+
+def load_channel(path) -> QuantumChannel:
+    return channel_from_json(_read_json(path))
 
 
 def save_channel(channel: QuantumChannel, path) -> None:

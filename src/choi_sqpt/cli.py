@@ -24,6 +24,7 @@ from .channels import (
     ChannelFormatError,
     QuantumChannel,
     _complex_to_pair,
+    _read_json,
     chi_oracle,
     load_channel,
     preset_channel,
@@ -383,15 +384,11 @@ def _cmd_convert(args, report: dict) -> tuple[int, list[str]]:
     if args.chi and (args.channel or args.preset):
         raise _UsageError("pass either --chi or a channel source, not both")
     if args.chi:
-        # a ValueError here is a JSONDecodeError or a UnicodeDecodeError
         try:
-            with open(args.chi, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except (OSError, ValueError) as exc:
+            chi, convention = chi_from_json(_read_json(args.chi))
+        except OSError as exc:
             raise ChannelFormatError(f"cannot read chi file {args.chi}: {exc}") from exc
-        try:
-            chi, convention = chi_from_json(obj)
-        except ValueError as exc:
+        except ValueError as exc:  # a malformed document, or _read_json's invalid JSON
             raise ChannelFormatError(str(exc)) from exc
         descriptor = {"source": "chi-file", "path": args.chi}
         expected = CHI_CONVENTION if args.to == "pauli" else PAULI_CONVENTION

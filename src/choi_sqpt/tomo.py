@@ -12,7 +12,9 @@ map between the two flattened matrices is a permutation whose inverse is
 its transpose, so reconstruction is index relabeling, never a dense solve.
 lambda_index and chi_index state that relabeling once, as a map of index
 slots; the matrix relabelings, the beta permutation and the element plans
-are all derived from it.
+are all derived from it.  A choi-four estimate, one element or all D^4,
+is one call of _combine, which adds each entry's weighted table cells
+input-outer, left to right.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .basis import (
 from .channels import QuantumChannel, _complex_from_pair, _complex_to_pair
 from .measure import (
     BackendConfig,
-    MeasurementOutcome,
     MeasurementSetting,
     PhysicalityError,
     input_state_set,
@@ -202,17 +203,12 @@ class MeasurementPlan:
 
     @property
     def terms(self) -> tuple[tuple[complex, int], ...]:
-        weights = _term_weights(self.inputs, self.observables)
+        weights = [r * s for r in self.inputs.weights for s in self.observables.weights]
         return tuple((w, idx) for idx, w in enumerate(weights))
 
     @property
     def settings_count(self) -> int:
         return len(self.inputs.states) * len(self.observables.states)
-
-
-def _term_weights(input_exp, observable_exp) -> list[complex]:
-    # input slot outer, observable slot inner: the order of every term list
-    return [r * s for r in input_exp.weights for s in observable_exp.weights]
 
 
 def plan_element(e: int, f: int, g: int, h: int, dim: int) -> MeasurementPlan:
@@ -248,14 +244,35 @@ class ChiElementEstimate:
     backend: str
 
 
-def _combine_terms(weights, outcomes: list[MeasurementOutcome]) -> tuple[complex, float]:
-    """Weighted sum of expectation values and its quadrature variance."""
-    weights = np.asarray(weights, dtype=complex)
-    value = complex(sum(w * o.value for w, o in zip(weights, outcomes)))
-    variance = float(
-        sum(abs(w) ** 2 * o.std_error**2 for w, o in zip(weights, outcomes))
-    )
-    return value, variance
+def _padded(expansions) -> tuple[np.ndarray, np.ndarray]:
+    # (table slots, weights) per expansion, padded with slot 0 and weight 0
+    width = max(len(w) for _, w in expansions)
+    slots = np.array([list(i) + [0] * (width - len(i)) for i, _ in expansions], dtype=np.intp)
+    weights = np.array([list(w) + [0] * (width - len(w)) for _, w in expansions], dtype=complex)
+    return slots, weights
+
+
+def _combine(values, errs, rows, cols) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted sums of table cells and their quadrature variances.
+
+    rows[x] and cols[y] are the (table slots, weights) of an input and an
+    observable expansion.  Entry (x, y) is sum_pq r_p s_q T[i_p, j_q], its
+    variance sum_pq |r_p s_q|**2 se[i_p, j_q]**2, both added input-outer,
+    left to right, starting from 0.  The weights are dyadic, so every
+    product is exact and only that order decides the bits; a padding term
+    adds an exact zero.
+    """
+    i, r = _padded(rows)
+    j, s = _padded(cols)
+    # libm pow (float ** 2) and x * x round some near-tie squares apart: keep pow
+    sq_errs = np.array([[e**2 for e in row] for row in errs.tolist()])
+    lam = var = 0  # as sum() starts; the first += makes len(rows) x len(cols) arrays
+    for p, q in product(range(i.shape[1]), range(j.shape[1])):
+        w = r[:, p, None] * s[:, q]
+        cells = i[:, p, None], j[:, q]
+        lam += w * values[cells]
+        var += np.abs(w) ** 2 * sq_errs[cells]
+    return lam, var
 
 
 def reconstruct_element(
@@ -263,19 +280,19 @@ def reconstruct_element(
 ) -> ChiElementEstimate:
     """Measure a plan's <= 4 x 4 table and combine it into the chi element.
 
-    The channel is applied once per input state of the plan (1 or 4 times).
+    The channel is applied once per input state of the plan (1 or 4 times),
+    and the table is combined as the 1 x 1 case of _combine, input-outer.
     """
     if channel.dim != plan.dim:
         raise ValueError(
             f"plan dimension {plan.dim} does not match channel dimension {channel.dim}"
         )
-    table = _measure_table(channel, config, plan.inputs.states, plan.observables.states)
-    value, variance = _combine_terms(
-        _term_weights(plan.inputs, plan.observables),
-        [outcome for row in table for outcome in row],
-    )
+    values, errs = _measure_table(channel, config, plan.inputs.states, plan.observables.states)
+    rows = [(range(len(plan.inputs.weights)), plan.inputs.weights)]
+    cols = [(range(len(plan.observables.weights)), plan.observables.weights)]
+    lam, var = _combine(values, errs, rows, cols)
     return ChiElementEstimate(
-        value, float(np.sqrt(variance)), plan.settings_count, config.descriptor
+        complex(lam[0, 0]), float(np.sqrt(var[0, 0])), plan.settings_count, config.descriptor
     )
 
 
@@ -317,11 +334,11 @@ def full_sqpt(
     per input state (one row of the table), combine it into the data
     matrix lambda and its variance, and relabel both to chi.  "choi-four"
     pairs the kets of input_state_set(D) with projectors onto the same
-    kets, and combines each lambda entry from the cells of its element's
-    plan exactly as reconstruct_element does.  "product-hermitian" pairs
-    product states with tensor products of SU(d) generators and solves
-    lambda = R^T T S; for a multi-qudit system pass local_dim and n_sites
-    with local_dim**n_sites == dim.
+    kets, and adds up all D^4 lambda entries in one _combine call, each
+    over its element's plan input-outer, as reconstruct_element does.
+    "product-hermitian" pairs product states with tensor products of SU(d)
+    generators and solves lambda = R^T T S; pass it local_dim and n_sites,
+    with local_dim**n_sites == dim, for a multi-qudit system.
 
     With tp_shortcut (choi-four only) the computational-basis projector for
     the highest level is never measured: its expectation for each input
@@ -338,6 +355,8 @@ def full_sqpt(
                 f"(deviation {channel.tp_deviation():.3e})"
             )
     if strategy == "choi-four":
+        if local_dim is not None or n_sites is not None:
+            raise ValueError("local_dim and n_sites are defined only for product-hermitian")
         return _full_choi_four(channel, config, tp_shortcut)
     if strategy == "product-hermitian":
         return _full_product_hermitian(channel, config, local_dim, n_sites)
@@ -346,9 +365,12 @@ def full_sqpt(
 
 def _measure_table(
     channel: QuantumChannel, config: BackendConfig, states, observables
-) -> list[list[MeasurementOutcome]]:
-    """Outcome of every (input state, observable) cell, row by input state."""
-    return [measure_row(channel, psi, observables, config) for psi in states]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Values and standard errors of every (input state, observable) cell."""
+    rows = [measure_row(channel, psi, observables, config) for psi in states]
+    values = np.array([[o.value for o in row] for row in rows])
+    errs = np.array([[o.std_error for o in row] for row in rows])
+    return values, errs
 
 
 def _sqpt_result(
@@ -365,67 +387,46 @@ def _sqpt_result(
     )
 
 
-def _state_slots(a: int, b: int, dim: int) -> tuple[int, ...]:
-    """Positions in input_state_set(dim) of expand_choi_four(a, b, dim).states."""
-    # D basis kets first, then a (plus, minus) pair per lo < hi, row-major
-    if a == b:
-        return (a,)
-    lo, hi = min(a, b), max(a, b)
-    plus = dim + 2 * (lo * (2 * dim - lo - 1) // 2 + hi - lo - 1)
-    return (plus, plus + 1, lo, hi)
-
-
 def _full_choi_four(
     channel: QuantumChannel, config: BackendConfig, tp_shortcut: bool
 ) -> SqptResult:
     dim = channel.dim
-    n = dim * dim
     kets = input_state_set(dim)
     last = dim - 1  # the projector |D-1><D-1| sits at column D-1
     observables = kets[:last] + kets[last + 1 :] if tp_shortcut else kets
-    table = _measure_table(channel, config, kets, observables)
+    values, errs = _measure_table(channel, config, kets, observables)
     if tp_shortcut:
-        for row in table:
-            # the inferred cell is a function of the row's partials, not a
-            # measurement: its variance enters through _inferred_substituted
-            value = tp_complete({lvl: o.value for lvl, o in enumerate(row[:last])}, dim)
-            row.insert(last, MeasurementOutcome(value, 0.0, 0))
+        # the inferred cell is a function of the row's partials, not a
+        # measurement: its variance enters through _inferred_substituted
+        inferred = [tp_complete(dict(enumerate(row[:last])), dim) for row in values]
+        values = np.insert(values, last, inferred, axis=1)
+        errs = np.insert(errs, last, 0.0, axis=1)
 
-    # unit x*D+y is the matrix unit |x><y| with its expansion and table slots
-    units = [expand_choi_four(x, y, dim) for x in range(dim) for y in range(dim)]
-    slots = [_state_slots(x, y, dim) for x in range(dim) for y in range(dim)]
-    lam = np.zeros((n, n), dtype=complex)
-    lam_var = np.zeros((n, n))
-    for ab in range(n):
-        for c, d in np.ndindex(dim, dim):
-            # lambda_{ab;cd}: input |a><b|, observable |d><c|
-            cd, dc = c * dim + d, d * dim + c
-            cells = [(i, j) for i in slots[ab] for j in slots[dc]]
-            weights = _term_weights(units[ab], units[dc])
-            lam[ab, cd], lam_var[ab, cd] = _combine_terms(
-                weights, [table[i][j] for i, j in cells]
-            )
-            if tp_shortcut:
-                cells, weights = _inferred_substituted(cells, weights, last)
-                outcomes = [table[i][j] for i, j in cells]
-                lam_var[ab, cd] = _combine_terms(weights, outcomes)[1]
-    return _sqpt_result(lam, lam_var, "choi-four", n if tp_shortcut else 0)
+    # unit x*D+y is the matrix unit |x><y| with its expansion's table slots
+    slot = {ket.tobytes(): m for m, ket in enumerate(kets)}
+    units = [expand_choi_four(x, y, dim) for x, y in np.ndindex(dim, dim)]
+    units = [([slot[k.tobytes()] for k in u.states], u.weights) for u in units]
+    # lambda_{ab;cd}: input |a><b| (row ab), observable |d><c| (column cd)
+    adjoint = [d * dim + c for c, d in np.ndindex(dim, dim)]
+    lam, lam_var = _combine(values, errs, units, [units[dc] for dc in adjoint])
+    if tp_shortcut:
+        substituted = [_inferred_substituted(*unit, last) for unit in units]
+        lam_var = _combine(values, errs, units, [substituted[dc] for dc in adjoint])[1]
+    return _sqpt_result(lam, lam_var, "choi-four", len(kets) if tp_shortcut else 0)
 
 
-def _inferred_substituted(cells, weights, last: int):
-    """Cells and weights with every inferred cell expanded into its partials.
+def _inferred_substituted(slots, weights, last: int):
+    """An observable expansion with the inferred projector expanded into its partials.
 
     The cell (i, last) is 1 - sum_{l < last} (i, l), so its weight w moves
     onto each measured partial as -w.  The terms then share no outcome, and
     the quadrature sum over them is the variance of the weighted sum.
     """
-    merged: dict[tuple[int, int], complex] = {}
-    for (i, j), w in zip(cells, weights):
-        if j == last:
-            for lvl in range(last):
-                merged[i, lvl] = merged.get((i, lvl), 0.0) - w
-        else:
-            merged[i, j] = merged.get((i, j), 0.0) + w
+    merged = dict(zip(slots, weights))
+    if last in merged:
+        w = merged.pop(last)
+        for lvl in range(last):
+            merged[lvl] = merged.get(lvl, 0.0) - w
     return list(merged), list(merged.values())
 
 
@@ -456,9 +457,7 @@ def _full_product_hermitian(
     observables = _tensor_products(list(sud_generators(local_dim).operators), n_sites)
     n = dim * dim
 
-    table = _measure_table(channel, config, states, observables)
-    data = np.array([[o.value for o in row] for row in table])
-    errs = np.array([[o.std_error for o in row] for row in table])
+    data, errs = _measure_table(channel, config, states, observables)
 
     # input weights: columns of P are the vectorized state projectors, and
     # the vectorized matrix unit |a><b| is the (a*D+b)-th unit vector

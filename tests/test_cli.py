@@ -105,6 +105,10 @@ def test_exit_2_on_bad_flag():
     assert main(["element", "--nonsense"]) == 2
 
 
+# nested deeper than the interpreter's recursion limit
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
 def test_exit_3_on_unparseable_channel(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{", encoding="utf-8")
@@ -117,6 +121,18 @@ def test_exit_3_on_unparseable_channel(tmp_path):
     not_utf8.write_bytes(b"\xff\xfe{}")
     code, _ = _run(tmp_path, "validate", "--channel", str(not_utf8))
     assert code == 3
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON, encoding="utf-8")
+    code, _ = _run(tmp_path, "validate", "--channel", str(deep))
+    assert code == 3
+
+
+def test_exit_2_on_product_args_for_choi_four(tmp_path, capsys):
+    code, report = _run(tmp_path, "full", "--preset", "identity", "--dim", "4",
+                        "--local-dim", "3", "--sites", "2")
+    assert code == 2
+    assert report is None
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_exit_4_on_tp_shortcut_for_non_tp(tmp_path):
@@ -240,9 +256,11 @@ def test_convert_rejects_odd_dimension(tmp_path):
     assert code == 2
 
 
-def test_convert_exit_3_on_non_utf8_chi_file(tmp_path):
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", DEEP_JSON.encode()],
+                         ids=["non-utf8", "deep-nesting"])
+def test_convert_exit_3_on_non_utf8_chi_file(tmp_path, content):
     chi_path = tmp_path / "chi.json"
-    chi_path.write_bytes(b"\xff\xfe{}")
+    chi_path.write_bytes(content)
     code, report = _run(tmp_path, "convert", "--chi", str(chi_path), "--to", "pauli")
     assert code == 3
     assert report is None
@@ -316,8 +334,9 @@ def test_reports_are_byte_identical_modulo_duration(tmp_path):
 
 _SAMPLED = ["--backend", "sampled", "--shots", "10000", "--seed", "7"]
 
-# (golden file, argv, whether chi.std_errors is pinned).  The tp-shortcut
-# goldens leave chi.std_errors out and pin the rest of the report.
+# (golden file, argv, whether chi.std_errors is pinned).  The D = 2 and 3
+# tp-shortcut goldens leave chi.std_errors out and pin the rest of the
+# report; the D = 4 one pins the shortcut's sampled error bars too.
 SAMPLED_GOLDENS = [
     ("golden_full_sampled_d2.json",
      ["full", "--preset", "random-cptp", "--param", "31", "--dim", "2", *_SAMPLED],
@@ -333,6 +352,10 @@ SAMPLED_GOLDENS = [
      ["full", "--preset", "random-cptp", "--param", "32", "--dim", "3",
       "--tp-shortcut", *_SAMPLED],
      False),
+    ("golden_full_sampled_d4_tp_shortcut.json",
+     ["full", "--preset", "random-cptp", "--param", "36", "--dim", "4",
+      "--tp-shortcut", *_SAMPLED],
+     True),
     ("golden_full_sampled_product_hermitian.json",
      ["full", "--preset", "random-cptp", "--param", "33", "--dim", "4",
       "--strategy", "product-hermitian", "--local-dim", "2", "--sites", "2",

@@ -18,6 +18,7 @@ from choi_sqpt import (
     chi_oracle,
     chi_to_json,
     choi_op,
+    expand_choi_four,
     full_sqpt,
     ghz_profile,
     lambda_from_chi,
@@ -383,9 +384,14 @@ def test_full_product_hermitian_dimension_mismatch():
         full_sqpt(ch, EXACT, strategy="product-hermitian", local_dim=3, n_sites=2)
     with pytest.raises(ValueError, match="together"):
         full_sqpt(ch, EXACT, strategy="product-hermitian", local_dim=2)
+    # the product arguments mean nothing to choi-four, so it refuses them too
+    with pytest.raises(ValueError, match="only for product-hermitian"):
+        full_sqpt(ch, EXACT, strategy="choi-four", local_dim=3, n_sites=2)
+    with pytest.raises(ValueError, match="only for product-hermitian"):
+        full_sqpt(ch, EXACT, n_sites=1)
 
 
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dim", [2, 3, 4])
 def test_full_sampled_matches_per_element_reconstruction(dim):
     # every table-derived entry is its own plan's estimate: same seed, same
     # streams, same combine rule, so the values agree bit for bit
@@ -396,6 +402,34 @@ def test_full_sampled_matches_per_element_reconstruction(dim):
         est = reconstruct_element(plan_element(e, f, g, h, dim), ch, cfg)
         assert result.chi[e * dim + f, g * dim + h] == est.value
         assert result.std_errors[e * dim + f, g * dim + h] == est.std_error
+
+
+def _combine_reference(values, errs, row, col) -> tuple[complex, float]:
+    # the per-entry term loop _combine replaced: Python's sum from 0,
+    # input-outer, every standard error squared as a float by ** 2
+    terms = [(np.complex128(r * s), values[i, j], float(errs[i, j]))
+             for i, r in zip(*row) for j, s in zip(*col)]
+    value = complex(sum(w * v for w, v, _ in terms))
+    variance = float(sum(abs(w) ** 2 * e**2 for w, _, e in terms))
+    return value, variance
+
+
+def test_combine_matches_the_per_term_sum():
+    # every (input, observable) pair of D = 3 expansions, with and without
+    # the shortcut's substitution, over a sampled-like table whose errors
+    # include 10^4-shot values that libm pow and x * x square differently
+    dim, shots = 3, 10**4
+    rng = np.random.default_rng(5)
+    values = rng.integers(0, shots + 1, (9, 9)) / shots
+    errs = np.sqrt(values * (1.0 - values) / shots)
+    errs[:, :3] = [0.0016439939172636863, 0.0032809253267942567, 0.0033542116808573668]
+    units = [expand_choi_four(a, b, dim) for a, b in np.ndindex(dim, dim)]
+    rows = [(list(rng.permutation(9)[: len(u.weights)]), u.weights) for u in units]
+    cols = rows + [tomo._inferred_substituted(*row, dim - 1) for row in rows]
+    lam, var = tomo._combine(values, errs, rows, cols)
+    for x, y in np.ndindex(len(rows), len(cols)):
+        value, variance = _combine_reference(values, errs, rows[x], cols[y])
+        assert lam[x, y] == value and var[x, y] == variance, (x, y)
 
 
 def _count_canonical_keys(monkeypatch) -> list[int]:
