@@ -52,6 +52,7 @@ from .measure import (
     input_state_set,
     measure_row,
     measure_setting,
+    measure_table,
     sampled_expectation,
     tp_complete,
 )

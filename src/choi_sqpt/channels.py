@@ -58,6 +58,11 @@ PRESET_NAMES = (
 )
 
 
+# apply_channel stacks at most this many Kraus-operator entries at once
+# (256 KiB of complex128), which bounds its working memory at any rank
+_KRAUS_BLOCK_ENTRIES = 1 << 14
+
+
 class ChannelFormatError(ValueError):
     """Raised when a channel JSON document does not match the schema."""
 
@@ -111,9 +116,15 @@ def apply_channel(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"state has shape {rho.shape}, channel dimension is {channel.dim}"
         )
+    # the terms K rho K^dagger are formed a stacked block at a time and
+    # added to the running sum in Kraus order, starting from zeros, so the
+    # sum rounds as a term-by-term loop would
+    step = max(1, _KRAUS_BLOCK_ENTRIES // rho.size)
     out = np.zeros_like(rho)
-    for k in channel.kraus:
-        out += k @ rho @ k.conj().T
+    for start in range(0, len(channel.kraus), step):
+        block = np.stack(channel.kraus[start : start + step])
+        terms = block @ rho @ block.conj().transpose(0, 2, 1)
+        out = np.add.reduce(np.concatenate((out[None], terms)))
     return out
 
 
@@ -164,8 +175,8 @@ def validate_cptp(channel: QuantumChannel, tol: float = 1e-10) -> ValidationRepo
     Never raises on an unphysical channel: failures are carried in the
     report so callers can decide what to do with them.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tolerance must be a finite positive number")
     dev = channel.tp_deviation()
     chi = chi_oracle(channel)
     eigs = np.linalg.eigvalsh(chi)

@@ -223,8 +223,11 @@ def _chi_payload(chi: np.ndarray, std_errors: np.ndarray, convention: str) -> di
 def _emit(report: dict, args, pretty_lines: list[str]) -> None:
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write --output {args.output}: {exc.strerror}") from exc
     if args.pretty:
         print("\n".join(pretty_lines))
     elif not args.output:
@@ -308,8 +311,8 @@ def _cmd_full(args, report: dict) -> tuple[int, list[str]]:
 
 def _cmd_validate(args, report: dict) -> tuple[int, list[str]]:
     channel, descriptor = _resolve_channel(args)
-    if args.tol <= 0:
-        raise _UsageError("--tol must be positive")
+    if not (np.isfinite(args.tol) and args.tol > 0):
+        raise _UsageError(f"--tol must be a finite positive number, got {args.tol}")
     started = time.perf_counter()
     verdict = validate_cptp(channel, args.tol)
     duration = time.perf_counter() - started
@@ -457,6 +460,7 @@ def main(argv=None) -> int:
     report = _base_report(list(argv))
     try:
         exit_code, pretty_lines = _COMMANDS[args.command](args, report)
+        _emit(report, args, pretty_lines)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -469,7 +473,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(report, args, pretty_lines)
     return exit_code
 
 

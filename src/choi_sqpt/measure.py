@@ -1,9 +1,14 @@
 """Measurement backends: exact expectation values and shot-noise sampling.
 
-Applying the channel and reading an outcome off its output are separate
-steps: measure_row pushes one input state through the channel once and
-reads every observable of that input off the same output state, so a
-tomography table of D^2 input states costs D^2 channel applications.
+Every measurement is a table of (input state, observable) cells, read by
+measure_table.  Work that depends on one vector is done once per table:
+each input state and each observable is validated once, the channel is
+applied once per input state (so a table of D^2 input states costs D^2
+channel applications), and on the sampled backend each vector is encoded
+once for the stream keys and each Hermitian observable eigendecomposed
+once.  Per cell there remains only the readout off the row's output
+state and, on the sampled backend, the cell's key, random stream and
+draw.  measure_row is the one-row table and measure_setting the 1 x 1 one.
 
 Every sampled setting derives its own random stream by hashing a canonical
 byte encoding of the setting together with the master seed, so results are
@@ -30,6 +35,7 @@ __all__ = [
     "input_state_set",
     "measure_row",
     "measure_setting",
+    "measure_table",
     "sampled_expectation",
     "tp_complete",
 ]
@@ -56,6 +62,40 @@ def _canon_complex(arr: np.ndarray) -> str:
     return _canon_floats(np.concatenate([flat.real, flat.imag]))
 
 
+def _setting_key(dim: int, state_code: str, projector: bool, obs_code: str) -> bytes:
+    # the one key format; state_code and obs_code are _canon_complex encodings
+    kind = "p" if projector else "h"
+    return f"d={dim};in={state_code};obs={kind}:{obs_code}".encode("ascii")
+
+
+def _checked_state(state) -> np.ndarray:
+    state = np.array(state, dtype=complex)
+    if state.ndim != 1:
+        raise ValueError("input state must be a vector")
+    if abs(np.linalg.norm(state) - 1.0) > 1e-12:
+        raise ValueError("input state must be a unit vector")
+    state.setflags(write=False)
+    return state
+
+
+def _checked_observable(obs, dim: int) -> np.ndarray:
+    obs = np.array(obs, dtype=complex)
+    if obs.ndim == 1:
+        if obs.shape[0] != dim:
+            raise ValueError("projector vector dimension mismatch")
+        if abs(np.linalg.norm(obs) - 1.0) > 1e-12:
+            raise ValueError("projector vector must be a unit vector")
+    elif obs.ndim == 2:
+        if obs.shape != (dim, dim):
+            raise ValueError("observable dimension mismatch")
+        if np.max(np.abs(obs - obs.conj().T)) > 1e-12:
+            raise ValueError("observable must be Hermitian")
+    else:
+        raise ValueError("observable must be a vector or a matrix")
+    obs.setflags(write=False)
+    return obs
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurementSetting:
     """One (input pure state, observable) measurement configuration.
@@ -69,27 +109,8 @@ class MeasurementSetting:
     observable: np.ndarray
 
     def __post_init__(self):
-        state = np.array(self.input_state, dtype=complex)
-        obs = np.array(self.observable, dtype=complex)
-        if state.ndim != 1:
-            raise ValueError("input state must be a vector")
-        if abs(np.linalg.norm(state) - 1.0) > 1e-12:
-            raise ValueError("input state must be a unit vector")
-        dim = state.shape[0]
-        if obs.ndim == 1:
-            if obs.shape[0] != dim:
-                raise ValueError("projector vector dimension mismatch")
-            if abs(np.linalg.norm(obs) - 1.0) > 1e-12:
-                raise ValueError("projector vector must be a unit vector")
-        elif obs.ndim == 2:
-            if obs.shape != (dim, dim):
-                raise ValueError("observable dimension mismatch")
-            if np.max(np.abs(obs - obs.conj().T)) > 1e-12:
-                raise ValueError("observable must be Hermitian")
-        else:
-            raise ValueError("observable must be a vector or a matrix")
-        state.setflags(write=False)
-        obs.setflags(write=False)
+        state = _checked_state(self.input_state)
+        obs = _checked_observable(self.observable, state.shape[0])
         object.__setattr__(self, "input_state", state)
         object.__setattr__(self, "observable", obs)
 
@@ -102,11 +123,12 @@ class MeasurementSetting:
         return self.observable.ndim == 1
 
     def canonical_key(self) -> bytes:
-        kind = "p" if self.is_projector else "h"
-        return (
-            f"d={self.dim};in={_canon_complex(self.input_state)};"
-            f"obs={kind}:{_canon_complex(self.observable)}"
-        ).encode("ascii")
+        return _setting_key(
+            self.dim,
+            _canon_complex(self.input_state),
+            self.is_projector,
+            _canon_complex(self.observable),
+        )
 
 
 @dataclass(frozen=True)
@@ -141,29 +163,27 @@ class BackendConfig:
         return f"sampled(shots={self.shots},seed={self.master_seed})"
 
 
-def _setting_rng(setting: MeasurementSetting, master_seed: int) -> np.random.Generator:
-    digest = hashlib.sha256(setting.canonical_key()).digest()
+def _key_rng(key: bytes, master_seed: int) -> np.random.Generator:
+    digest = hashlib.sha256(key).digest()
     words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
     return np.random.default_rng(np.random.SeedSequence([master_seed, *words]))
 
 
-def _output_state(channel: QuantumChannel, setting: MeasurementSetting) -> np.ndarray:
-    if setting.dim != channel.dim:
+def _output_state(channel: QuantumChannel, psi: np.ndarray) -> np.ndarray:
+    if psi.shape[0] != channel.dim:
         raise ValueError(
-            f"setting dimension {setting.dim} does not match channel "
+            f"setting dimension {psi.shape[0]} does not match channel "
             f"dimension {channel.dim}"
         )
-    psi = setting.input_state
     return apply_channel(channel, np.outer(psi, psi.conj()))
 
 
-def _exact_outcome(setting: MeasurementSetting, out: np.ndarray) -> MeasurementOutcome:
-    if setting.is_projector:
-        phi = setting.observable
-        value = (phi.conj() @ out @ phi).real
+def _exact_value(obs: np.ndarray, out: np.ndarray) -> float:
+    if obs.ndim == 1:
+        value = (obs.conj() @ out @ obs).real
     else:
-        value = np.trace(setting.observable @ out).real
-    return MeasurementOutcome(float(value), 0.0, 0)
+        value = np.trace(obs @ out).real
+    return float(value)
 
 
 def _clamp_probability(p: float) -> float:
@@ -175,19 +195,21 @@ def _clamp_probability(p: float) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def _sampled_outcome(
-    setting: MeasurementSetting, out: np.ndarray, config: BackendConfig
-) -> MeasurementOutcome:
-    rng = _setting_rng(setting, config.master_seed)
-    shots = config.shots
-    if setting.is_projector:
-        phi = setting.observable
-        p = _clamp_probability(float((phi.conj() @ out @ phi).real))
+def _sampled_value(
+    obs: np.ndarray, eig, out: np.ndarray, rng: np.random.Generator, shots: int
+) -> tuple[float, float]:
+    """(estimate, standard error) of one cell from shots draws of rng.
+
+    A projector draws a binomial count at its exact success probability; a
+    Hermitian observable, given its eigendecomposition eig, draws a
+    multinomial over its eigenvalues.
+    """
+    if eig is None:
+        p = _clamp_probability(float((obs.conj() @ out @ obs).real))
         hits = rng.binomial(shots, p)
         est = hits / shots
-        se = float(np.sqrt(est * (1.0 - est) / shots))
-        return MeasurementOutcome(float(est), se, shots)
-    evals, evecs = np.linalg.eigh(setting.observable)
+        return float(est), float(np.sqrt(est * (1.0 - est) / shots))
+    evals, evecs = eig
     probs = np.array(
         [_clamp_probability(float(p.real)) for p in np.diag(evecs.conj().T @ out @ evecs)]
     )
@@ -201,8 +223,47 @@ def _sampled_outcome(
     freq = counts / shots
     est = float(evals @ freq)
     var = float(np.square(evals) @ freq - est * est)
-    se = float(np.sqrt(max(var, 0.0) / shots))
-    return MeasurementOutcome(est, se, shots)
+    return est, float(np.sqrt(max(var, 0.0) / shots))
+
+
+def measure_table(
+    channel: QuantumChannel,
+    states: Sequence[np.ndarray],
+    observables: Sequence[np.ndarray],
+    config: BackendConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Values and standard errors of every (input state, observable) cell.
+
+    Cell (m, k) is the setting (states[m], observables[k]) and equals what
+    measure_setting returns for it, bit for bit.  Each vector is validated
+    once, as MeasurementSetting does, and the channel applied once per
+    input state.  On the sampled backend each vector is also encoded once
+    and each Hermitian observable eigendecomposed once; a cell's key,
+    assembled from those encodings, is the setting's canonical_key, so
+    every cell draws from its own stream.
+    """
+    states = [_checked_state(s) for s in states]
+    dim = states[0].shape[0] if states else channel.dim
+    observables = [_checked_observable(o, dim) for o in observables]
+    values = np.zeros((len(states), len(observables)))
+    errs = np.zeros_like(values)
+    if not observables:
+        return values, errs
+    sampled = config.mode == "sampled"
+    if sampled:
+        state_codes = [_canon_complex(s) for s in states]
+        obs_codes = [_canon_complex(o) for o in observables]
+        eigs = [None if o.ndim == 1 else np.linalg.eigh(o) for o in observables]
+    for m, psi in enumerate(states):
+        out = _output_state(channel, psi)
+        for k, obs in enumerate(observables):
+            if not sampled:
+                values[m, k] = _exact_value(obs, out)
+                continue
+            key = _setting_key(dim, state_codes[m], obs.ndim == 1, obs_codes[k])
+            rng = _key_rng(key, config.master_seed)
+            values[m, k], errs[m, k] = _sampled_value(obs, eigs[k], out, rng, config.shots)
+    return values, errs
 
 
 def measure_row(
@@ -213,18 +274,13 @@ def measure_row(
 ) -> list[MeasurementOutcome]:
     """Outcomes of the settings (input_state, O) for every O in observables.
 
-    The channel is applied to |psi><psi| once; every observable is then
-    read off that one output state.  Each setting is still validated, and
-    on the sampled backend draws from its own random stream, so every
-    outcome equals the one measure_setting returns for that setting.
+    The one-row case of measure_table: the channel is applied to
+    |psi><psi| once and every observable is read off that one output
+    state.
     """
-    settings = [MeasurementSetting(input_state, o) for o in observables]
-    if not settings:
-        return []
-    out = _output_state(channel, settings[0])
-    if config.mode == "exact":
-        return [_exact_outcome(s, out) for s in settings]
-    return [_sampled_outcome(s, out, config) for s in settings]
+    values, errs = measure_table(channel, [input_state], observables, config)
+    shots = config.shots if config.mode == "sampled" else 0
+    return [MeasurementOutcome(float(v), float(e), shots) for v, e in zip(values[0], errs[0])]
 
 
 def exact_expectation(

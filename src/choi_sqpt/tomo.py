@@ -34,7 +34,7 @@ from .measure import (
     MeasurementSetting,
     PhysicalityError,
     input_state_set,
-    measure_row,
+    measure_table,
     tp_complete,
 )
 
@@ -287,7 +287,7 @@ def reconstruct_element(
         raise ValueError(
             f"plan dimension {plan.dim} does not match channel dimension {channel.dim}"
         )
-    values, errs = _measure_table(channel, config, plan.inputs.states, plan.observables.states)
+    values, errs = measure_table(channel, plan.inputs.states, plan.observables.states, config)
     rows = [(range(len(plan.inputs.weights)), plan.inputs.weights)]
     cols = [(range(len(plan.observables.weights)), plan.observables.weights)]
     lam, var = _combine(values, errs, rows, cols)
@@ -363,16 +363,6 @@ def full_sqpt(
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _measure_table(
-    channel: QuantumChannel, config: BackendConfig, states, observables
-) -> tuple[np.ndarray, np.ndarray]:
-    """Values and standard errors of every (input state, observable) cell."""
-    rows = [measure_row(channel, psi, observables, config) for psi in states]
-    values = np.array([[o.value for o in row] for row in rows])
-    errs = np.array([[o.std_error for o in row] for row in rows])
-    return values, errs
-
-
 def _sqpt_result(
     lam: np.ndarray, lam_var: np.ndarray, strategy: str, inferred: int
 ) -> SqptResult:
@@ -394,7 +384,7 @@ def _full_choi_four(
     kets = input_state_set(dim)
     last = dim - 1  # the projector |D-1><D-1| sits at column D-1
     observables = kets[:last] + kets[last + 1 :] if tp_shortcut else kets
-    values, errs = _measure_table(channel, config, kets, observables)
+    values, errs = measure_table(channel, kets, observables, config)
     if tp_shortcut:
         # the inferred cell is a function of the row's partials, not a
         # measurement: its variance enters through _inferred_substituted
@@ -457,7 +447,7 @@ def _full_product_hermitian(
     observables = _tensor_products(list(sud_generators(local_dim).operators), n_sites)
     n = dim * dim
 
-    data, errs = _measure_table(channel, config, states, observables)
+    data, errs = measure_table(channel, states, observables, config)
 
     # input weights: columns of P are the vectorized state projectors, and
     # the vectorized matrix unit |a><b| is the (a*D+b)-th unit vector

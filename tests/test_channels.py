@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,51 @@ from choi_sqpt import (
 
 KET0 = np.array([[1, 0], [0, 0]], dtype=complex)
 KET1 = np.array([[0, 0], [0, 1]], dtype=complex)
+
+
+def _kraus_loop(channel, rho):
+    # the term-by-term Kraus sum apply_channel must reproduce bit for bit
+    out = np.zeros_like(rho)
+    for k in channel.kraus:
+        out += k @ rho @ k.conj().T
+    return out
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 8, 16])
+def test_apply_channel_matches_the_kraus_loop(dim):
+    rng = np.random.default_rng(dim)
+    rho = random_density_matrix(dim, rng)
+    other = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    for rank in sorted({1, 2, dim, dim * dim}):
+        ch = preset_channel("random-cptp", [dim, rank], dim)
+        for op in (rho, other):
+            assert apply_channel(ch, op).tobytes() == _kraus_loop(ch, op).tobytes(), rank
+
+
+@pytest.mark.parametrize("name, param", [
+    ("bit-flip", 0.0), ("amplitude-damping", 0.0), ("amplitude-damping", 1.0),
+])
+def test_apply_channel_with_zero_kraus_entries(name, param):
+    # a zero Kraus operator (p = 0, gamma = 0), or one with a zeroed
+    # entry (gamma = 1), adds exact zeros whose signs the sum must keep
+    ch = preset_channel(name, [param])
+    rng = np.random.default_rng(4)
+    for op in (KET0, KET1, rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))):
+        assert apply_channel(ch, op).tobytes() == _kraus_loop(ch, op).tobytes()
+
+
+def test_apply_channel_memory_is_bounded_at_full_rank():
+    # D = 16 at rank D^2: all 256 Kraus operators stacked would be 1 MiB,
+    # and their products with rho several times that
+    ch = preset_channel("random-cptp", [16, 256], 16)
+    rho = random_density_matrix(16, np.random.default_rng(16))
+    tracemalloc.start()
+    try:
+        apply_channel(ch, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_apply_identity_channel():
@@ -142,6 +188,14 @@ def test_validate_flags_non_tp():
     assert report.tp_deviation == pytest.approx(0.75)
     assert not report.trace_preserving
     assert not report.cptp
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("inf"), float("nan")])
+def test_validate_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    # an infinite tolerance would pass 0.5 I as trace preserving
+    ch = QuantumChannel(2, (0.5 * np.eye(2, dtype=complex),))
+    with pytest.raises(ValueError, match="finite positive"):
+        validate_cptp(ch, tol)
 
 
 def test_validate_random_stinespring():

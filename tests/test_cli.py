@@ -212,6 +212,30 @@ def test_validate_truncated_kraus_fails(tmp_path):
     assert "min_chi_eigenvalue" in report["results"]
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_validate_rejects_non_finite_tol(tmp_path, tol, capsys):
+    # 2 I is not trace preserving: an infinite tolerance would call it CPTP
+    ch_path = tmp_path / "double.json"
+    doc = {"dim": 2, "kraus": [[[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]]}
+    ch_path.write_text(json.dumps(doc), encoding="utf-8")
+    code, report = _run(tmp_path, "validate", "--channel", str(ch_path), "--tol", tol)
+    assert (code, report) == (2, None)
+    assert capsys.readouterr().err.startswith("error: --tol")
+
+
+@pytest.mark.parametrize("argv", [
+    ["full", "--preset", "identity", "--dim", "2"],
+    ["plan", "--dim", "2", "--target", "0,0,0,0"],
+])
+def test_unwritable_output_exits_2(tmp_path, argv, capsys):
+    out = tmp_path / "missing" / "r.json"
+    assert main(argv + ["--output", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write --output")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_plan_counts(tmp_path):
     code, report = _run(tmp_path, "plan", "--dim", "3", "--target", "0,0,0,0")
     assert code == 0

@@ -15,6 +15,7 @@ from choi_sqpt import (
     input_state_set,
     measure_row,
     measure_setting,
+    measure_table,
     preset_channel,
     sampled_expectation,
     tp_complete,
@@ -217,6 +218,60 @@ def test_measure_row_validates_every_setting():
                     BackendConfig())
     with pytest.raises(ValueError, match="dimension"):
         measure_row(preset_channel("identity", dim=3), PLUS, [PLUS], BackendConfig())
+
+
+def _recorded(monkeypatch, name) -> list:
+    # the results of every call of the private measure helper `name`
+    results = []
+    original = getattr(measure, name)
+
+    def recorded(*args):
+        results.append(original(*args))
+        return results[-1]
+
+    monkeypatch.setattr(measure, name, recorded)
+    return results
+
+
+@pytest.mark.parametrize("config", [BackendConfig(), BackendConfig("sampled", 500, 9)],
+                         ids=["exact", "sampled"])
+def test_measure_table_equals_per_setting_measurement(monkeypatch, config):
+    # every cell bit for bit the single-setting outcome, projector and
+    # Hermitian observables alike, and on the sampled backend every cell's
+    # key the setting's canonical_key
+    rng = np.random.default_rng(13)
+    ch = preset_channel("random-cptp", [15], 3)
+    states = [_random_state(3, rng), basis_state(1, 3), _random_state(3, rng)]
+    herm = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    observables = [_random_state(3, rng), herm + herm.conj().T, basis_state(2, 3),
+                   np.diag([1.0, -1.0, 0.5])]
+    keys = _recorded(monkeypatch, "_setting_key")
+    checked = _recorded(monkeypatch, "_checked_state"), _recorded(monkeypatch, "_checked_observable")
+    values, errs = measure_table(ch, states, observables, config)
+    assert [len(c) for c in checked] == [len(states), len(observables)]
+    table_keys = list(keys)
+    settings = [MeasurementSetting(psi, o) for psi in states for o in observables]
+    expected_keys = [s.canonical_key() for s in settings] if config.mode == "sampled" else []
+    assert table_keys == expected_keys
+    for (m, k), setting in zip(np.ndindex(values.shape), settings):
+        outcome = measure_setting(ch, setting, config)
+        assert (values[m, k], errs[m, k]) == (outcome.value, outcome.std_error), (m, k)
+
+
+def test_measure_table_validates_like_a_setting():
+    ch = preset_channel("identity", dim=2)
+    cases = [
+        ([np.array([1.0, 1.0])], [PLUS], "input state must be a unit vector"),
+        ([PLUS], [np.array([[0, 1], [0, 0]], dtype=complex)], "observable must be Hermitian"),
+        ([PLUS], [basis_state(0, 3)], "projector vector dimension mismatch"),
+    ]
+    for states, observables, message in cases:
+        with pytest.raises(ValueError, match=message):
+            MeasurementSetting(states[0], observables[0])
+        with pytest.raises(ValueError, match=message):
+            measure_table(ch, states, observables, BackendConfig())
+    with pytest.raises(ValueError, match="does not match channel dimension 2"):
+        measure_table(ch, [basis_state(0, 3)], [basis_state(0, 3)], BackendConfig())
 
 
 @pytest.mark.parametrize("dim", range(2, 9))

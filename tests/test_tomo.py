@@ -5,7 +5,6 @@ import pytest
 
 from choi_sqpt import (
     BackendConfig,
-    MeasurementSetting,
     PhysicalityError,
     QuantumChannel,
     QuditIndexMap,
@@ -432,16 +431,24 @@ def test_combine_matches_the_per_term_sum():
         assert lam[x, y] == value and var[x, y] == variance, (x, y)
 
 
-def _count_canonical_keys(monkeypatch) -> list[int]:
+def _count_calls(monkeypatch, owner, name) -> list[int]:
     calls = [0]
-    original = MeasurementSetting.canonical_key
+    original = getattr(owner, name)
 
-    def counted(self):
+    def counted(*args):
         calls[0] += 1
-        return original(self)
+        return original(*args)
 
-    monkeypatch.setattr(MeasurementSetting, "canonical_key", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def _count_canonical_keys(monkeypatch) -> tuple[list[int], list[int]]:
+    # (setting keys, vector encodings): every key, a table cell's or
+    # canonical_key's, is built by measure._setting_key from the
+    # measure._canon_complex encodings of its two vectors
+    keys = _count_calls(monkeypatch, measure, "_setting_key")
+    return keys, _count_calls(monkeypatch, measure, "_canon_complex")
 
 
 @pytest.mark.parametrize("strategy, tp_shortcut", [
@@ -450,21 +457,23 @@ def _count_canonical_keys(monkeypatch) -> list[int]:
 def test_full_canonical_key_budget(monkeypatch, strategy, tp_shortcut):
     # the exact backend builds no key at all and full reconstruction plans
     # no element; the sampled one builds one key per measured cell, for its
-    # random stream
+    # random stream, from one encoding per input state and per observable
     def no_plans(*args):
         raise AssertionError("full_sqpt must not plan single elements")
 
     monkeypatch.setattr(tomo, "plan_element", no_plans)
-    calls = _count_canonical_keys(monkeypatch)
+    calls, encodings = _count_canonical_keys(monkeypatch)
     ch = preset_channel("random-cptp", [76, 2], 3)
     full_sqpt(ch, EXACT, strategy, tp_shortcut)
-    assert calls[0] == 0
+    assert calls[0] == 0 and encodings[0] == 0
     result = full_sqpt(ch, BackendConfig("sampled", 100, 1), strategy, tp_shortcut)
     assert calls[0] == result.settings_measured
+    n_observables = 3**2 - 1 if tp_shortcut else 3**2
+    assert encodings[0] == 3**2 + n_observables
 
 
 def test_element_canonical_key_budget(monkeypatch):
-    calls = _count_canonical_keys(monkeypatch)
+    calls, encodings = _count_canonical_keys(monkeypatch)
     for target in _all_targets(3):
         plan_element(*target, 3)
     assert calls[0] == 0
@@ -473,6 +482,18 @@ def test_element_canonical_key_budget(monkeypatch):
     ch = preset_channel("random-cptp", [77, 2], 3)
     reconstruct_element(plan, ch, BackendConfig("sampled", 100, 1))
     assert calls[0] == plan.settings_count
+    assert encodings[0] == len(plan.inputs.states) + len(plan.observables.states) == 8
+
+
+@pytest.mark.parametrize("config, decompositions", [
+    (EXACT, 0), (BackendConfig("sampled", 100, 1), 3**2),
+], ids=["exact", "sampled"])
+def test_full_eigendecomposition_budget(monkeypatch, config, decompositions):
+    # the sampled backend eigendecomposes each Hermitian observable once per
+    # table, not once per cell; the exact backend never does
+    calls = _count_calls(monkeypatch, np.linalg, "eigh")
+    full_sqpt(preset_channel("random-cptp", [80, 2], 3), config, "product-hermitian")
+    assert calls[0] == decompositions
 
 
 def _count_channel_applications(monkeypatch) -> list[int]:
