@@ -26,8 +26,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import _frozen
-
 __all__ = [
     "ChannelFormatError",
     "QuantumChannel",
@@ -87,12 +85,16 @@ class QuantumChannel:
                     f"Kraus operator has shape {arr.shape}, expected "
                     f"({self.dim}, {self.dim})"
                 )
-            ops.append(_frozen(arr))
-        object.__setattr__(self, "kraus", tuple(ops))
+            ops.append(arr)
+        # one read-only copy of the operators; kraus holds views into it
+        stack = np.stack(ops)
+        stack.setflags(write=False)
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "kraus", tuple(stack))
 
     def kraus_stack(self) -> np.ndarray:
-        """All Kraus operators as one (rank, D, D) array."""
-        return np.stack(self.kraus)
+        """All Kraus operators as one read-only (rank, D, D) array."""
+        return self._stack
 
     def tp_deviation(self) -> float:
         """Max-norm distance of sum_m E_m^dagger E_m from the identity."""
@@ -121,8 +123,9 @@ def apply_channel(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
     # sum rounds as a term-by-term loop would
     step = max(1, _KRAUS_BLOCK_ENTRIES // rho.size)
     out = np.zeros_like(rho)
-    for start in range(0, len(channel.kraus), step):
-        block = np.stack(channel.kraus[start : start + step])
+    stack = channel.kraus_stack()
+    for start in range(0, len(stack), step):
+        block = stack[start : start + step]
         terms = block @ rho @ block.conj().transpose(0, 2, 1)
         out = np.add.reduce(np.concatenate((out[None], terms)))
     return out
@@ -257,6 +260,8 @@ def preset_channel(
     (seed,) or (seed, kraus_rank), rank defaulting to dim**2, and is CPTP
     by construction (stacked blocks of a Haar-random isometry).
     """
+    if dim < 1:
+        raise ValueError(f"dimension must be positive, got {dim}")
     if name == "identity":
         if params:
             raise ValueError("identity takes no parameters")

@@ -6,13 +6,16 @@ each input state and each observable is validated once, the channel is
 applied once per input state (so a table of D^2 input states costs D^2
 channel applications), and on the sampled backend each vector is encoded
 once for the stream keys and each Hermitian observable eigendecomposed
-once.  Per cell there remains only the readout off the row's output
-state and, on the sampled backend, the cell's key, random stream and
-draw.  measure_row is the one-row table and measure_setting the 1 x 1 one.
+once.  Rows are read in blocks with stacked products, one per observable
+kind, that make the same BLAS call per cell as a single read.
+measure_row is the one-row table and measure_setting the 1 x 1 one.
 
 Every sampled setting derives its own random stream by hashing a canonical
 byte encoding of the setting together with the master seed, so results are
 reproducible and independent of evaluation order or concurrent scheduling.
+The streams of a block of cells are derived in one vectorized pass that
+mirrors numpy's SeedSequence, so they are the streams a cell-by-cell
+derivation gives; only the draws are made cell by cell.
 """
 
 from __future__ import annotations
@@ -45,6 +48,10 @@ __all__ = [
 PROB_BAND = 1e-9
 
 _MASK64 = (1 << 64) - 1
+
+# measure_table stacks at most this many readout entries at once (256 KiB
+# of complex128), which bounds its working memory at any table size
+_TABLE_BLOCK_ENTRIES = 1 << 14
 
 
 class PhysicalityError(ValueError):
@@ -153,6 +160,8 @@ class BackendConfig:
             raise ValueError(f"unknown backend mode {self.mode!r}")
         if self.mode == "sampled" and self.shots < 1:
             raise ValueError("sampled mode needs shots >= 1")
+        if self.shots > _MASK64 >> 1:  # numpy draws take the shot count as an int64
+            raise ValueError(f"shots must be at most {_MASK64 >> 1}, numpy's draw limit")
         if not 0 <= self.master_seed <= _MASK64:
             raise ValueError("master seed must fit in an unsigned 64-bit integer")
 
@@ -163,10 +172,84 @@ class BackendConfig:
         return f"sampled(shots={self.shots},seed={self.master_seed})"
 
 
-def _key_rng(key: bytes, master_seed: int) -> np.random.Generator:
-    digest = hashlib.sha256(key).digest()
-    words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
-    return np.random.default_rng(np.random.SeedSequence([master_seed, *words]))
+# numpy's SeedSequence mixing (O'Neill's seed_seq, as in numpy's
+# bit_generator) in uint32 arithmetic over many entropy rows at once.  Hashmix
+# step t of a chain uses init * mult**t mod 2**32: one chain mixes the pool,
+# the other reads it out.
+def _hash_chain(init: int, mult: int, steps: int) -> np.ndarray:
+    chain = [init * pow(mult, t, 1 << 32) % (1 << 32) for t in range(steps + 1)]
+    return np.array(chain, dtype=np.uint32)[:, None]
+
+
+_MIX_CHAIN = _hash_chain(0x43B0D7E5, 0x931E8875, 24)
+_OUT_CHAIN = _hash_chain(0x8B51F9DD, 0x58F38DED, 8)
+_POOL_OTHERS = [np.array([i for i in range(4) if i != src]) for src in range(4)]
+
+
+def _hashmix(values: np.ndarray, chain: np.ndarray) -> np.ndarray:
+    values = (values ^ chain[:-1]) * chain[1:]
+    return values ^ (values >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
+    return out ^ (out >> np.uint32(16))
+
+
+def _seed_states(master_seed: int, words: np.ndarray) -> np.ndarray:
+    """SeedSequence([master_seed, *w]).generate_state(4, np.uint64) per column w of words.
+
+    A seed of 2**32 or more enters as two entropy words, low word first, as in numpy.
+    """
+    seed_words = [master_seed & 0xFFFFFFFF] + ([master_seed >> 32] if master_seed >> 32 else [])
+    seed_rows = np.array(seed_words, dtype=np.uint32)[:, None].repeat(words.shape[1], 1)
+    entropy = np.concatenate((seed_rows, words))
+    pool = _hashmix(entropy[:4], _MIX_CHAIN[:5])
+    step = 4
+    for src, others in enumerate(_POOL_OTHERS):
+        pool[others] = _mix(pool[others], _hashmix(pool[src], _MIX_CHAIN[step : step + 4]))
+        step += 3
+    for word in entropy[4:]:
+        pool = _mix(pool, _hashmix(word, _MIX_CHAIN[step : step + 5]))
+        step += 4
+    state = _hashmix(np.concatenate((pool, pool)), _OUT_CHAIN)
+    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+class _Stream:
+    """A seed sequence whose generate_state(4, np.uint64), all PCG64 asks, is known.
+
+    _cell_streams registers it as a numpy ISeedSequence, so that importing
+    this module does not import numpy.random: exact runs never need it.
+    """
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def _rng(state: np.ndarray) -> np.random.Generator:
+    # the generator default_rng(seq) gives for the SeedSequence seq with this state
+    return np.random.Generator(np.random.PCG64(_Stream(state)))
+
+
+def _cell_streams(dim, state_codes, obs_codes, master_seed) -> np.ndarray:
+    """Every cell's stream state, (len(state_codes), len(obs_codes), 4).
+
+    A cell draws from default_rng(SeedSequence([master_seed, *words])), the
+    words being the first 16 bytes of the sha256 of its key as 4
+    little-endian uint32; obs_codes holds (is_projector, encoding) pairs.
+    """
+    digests = b"".join(
+        hashlib.sha256(_setting_key(dim, s, projector, o)).digest()[:16]
+        for s in state_codes
+        for projector, o in obs_codes
+    )
+    words = np.frombuffer(digests, dtype="<u4").reshape(-1, 4).T.astype(np.uint32)
+    np.random.bit_generator.ISeedSequence.register(_Stream)
+    return _seed_states(master_seed, words).reshape(len(state_codes), len(obs_codes), 4)
 
 
 def _output_state(channel: QuantumChannel, psi: np.ndarray) -> np.ndarray:
@@ -178,52 +261,49 @@ def _output_state(channel: QuantumChannel, psi: np.ndarray) -> np.ndarray:
     return apply_channel(channel, np.outer(psi, psi.conj()))
 
 
-def _exact_value(obs: np.ndarray, out: np.ndarray) -> float:
-    if obs.ndim == 1:
-        value = (obs.conj() @ out @ obs).real
-    else:
-        value = np.trace(obs @ out).real
-    return float(value)
+def _check_cell(raw) -> None:
+    """Raise PhysicalityError if one cell's outcome probabilities are not probabilities.
 
-
-def _clamp_probability(p: float) -> float:
-    if p < -PROB_BAND or p > 1.0 + PROB_BAND:
-        raise PhysicalityError(
-            f"outcome probability {p} lies outside [0, 1]; the channel is "
-            "not completely positive / trace preserving"
-        )
-    return min(max(p, 0.0), 1.0)
-
-
-def _sampled_value(
-    obs: np.ndarray, eig, out: np.ndarray, rng: np.random.Generator, shots: int
-) -> tuple[float, float]:
-    """(estimate, standard error) of one cell from shots draws of rng.
-
-    A projector draws a binomial count at its exact success probability; a
-    Hermitian observable, given its eigendecomposition eig, draws a
-    multinomial over its eigenvalues.
+    raw is a projector's success probability or a Hermitian observable's
+    outcome distribution; its entries are checked in order, then its sum.
     """
-    if eig is None:
-        p = _clamp_probability(float((obs.conj() @ out @ obs).real))
-        hits = rng.binomial(shots, p)
-        est = hits / shots
-        return float(est), float(np.sqrt(est * (1.0 - est) / shots))
-    evals, evecs = eig
-    probs = np.array(
-        [_clamp_probability(float(p.real)) for p in np.diag(evecs.conj().T @ out @ evecs)]
-    )
-    total = probs.sum()
-    if abs(total - 1.0) > PROB_BAND:
+    for p in np.atleast_1d(raw).tolist():
+        if p < -PROB_BAND or p > 1.0 + PROB_BAND:
+            raise PhysicalityError(
+                f"outcome probability {p} lies outside [0, 1]; the channel is "
+                "not completely positive / trace preserving"
+            )
+    total = _clamped(raw).sum()
+    if np.ndim(raw) and abs(total - 1.0) > PROB_BAND:
         raise PhysicalityError(
             f"outcome probabilities sum to {total}; the channel is not "
             "trace preserving"
         )
-    counts = rng.multinomial(shots, probs / total)
-    freq = counts / shots
-    est = float(evals @ freq)
-    var = float(np.square(evals) @ freq - est * est)
-    return est, float(np.sqrt(max(var, 0.0) / shots))
+
+
+def _clamped(p: np.ndarray) -> np.ndarray:
+    # min(max(p, 0.0), 1.0) per entry, signed zeros included
+    return np.where(p < 0.0, 0.0, np.where(p > 1.0, 1.0, p))
+
+
+def _probabilities(p, q, proj, herm) -> tuple[np.ndarray, np.ndarray | None]:
+    """A block's outcome probabilities, clamped into [0, 1], q's normalized.
+
+    p holds the projector cells' success probabilities and q the Hermitian
+    cells' outcome distributions.  The block's first unphysical cell, in
+    row-major order, raises what checking it alone raises.
+    """
+    unphysical = np.zeros((len(p), len(proj) + len(herm)), dtype=bool)
+    unphysical[:, proj] = (p < -PROB_BAND) | (p > 1.0 + PROB_BAND)
+    if herm:
+        probs = _clamped(q)
+        totals = probs.sum(axis=2, keepdims=True)
+        outside = ((q < -PROB_BAND) | (q > 1.0 + PROB_BAND)).any(axis=2)
+        unphysical[:, herm] = outside | (np.abs(totals[..., 0] - 1.0) > PROB_BAND)
+    if unphysical.any():
+        m, k = np.unravel_index(unphysical.argmax(), unphysical.shape)
+        _check_cell(p[m, proj.index(k)] if k in proj else q[m, herm.index(k)])
+    return _clamped(p), (probs / totals if herm else None)
 
 
 def measure_table(
@@ -237,10 +317,13 @@ def measure_table(
     Cell (m, k) is the setting (states[m], observables[k]) and equals what
     measure_setting returns for it, bit for bit.  Each vector is validated
     once, as MeasurementSetting does, and the channel applied once per
-    input state.  On the sampled backend each vector is also encoded once
-    and each Hermitian observable eigendecomposed once; a cell's key,
-    assembled from those encodings, is the setting's canonical_key, so
-    every cell draws from its own stream.
+    input state.  Rows are read in blocks of at most _TABLE_BLOCK_ENTRIES
+    stacked entries, one stacked product per observable kind, which makes
+    the same BLAS call per cell as reading the cell alone.  On the sampled
+    backend each vector is also encoded once and each Hermitian observable
+    eigendecomposed once; every cell's key, assembled from those encodings,
+    is the setting's canonical_key, and a block's streams are derived from
+    its keys in one vectorized pass.  Only the draws are made cell by cell.
     """
     states = [_checked_state(s) for s in states]
     dim = states[0].shape[0] if states else channel.dim
@@ -249,20 +332,51 @@ def measure_table(
     errs = np.zeros_like(values)
     if not observables:
         return values, errs
+    proj = [k for k, o in enumerate(observables) if o.ndim == 1]
+    herm = [k for k, o in enumerate(observables) if o.ndim == 2]
+    kets = np.array([observables[k] for k in proj]).reshape(len(proj), dim, 1)
+    bras = kets.conj().transpose(0, 2, 1)
+    ops = np.array([observables[k] for k in herm]).reshape(len(herm), dim, dim)
     sampled = config.mode == "sampled"
     if sampled:
+        shots = config.shots
+        eigs = [np.linalg.eigh(o) for o in ops]
+        evals = np.array([e for e, _ in eigs]).reshape(len(herm), 1, dim)
+        evecs = np.array([v for _, v in eigs]).reshape(ops.shape)
+        evecs_h = evecs.conj().transpose(0, 2, 1)
         state_codes = [_canon_complex(s) for s in states]
-        obs_codes = [_canon_complex(o) for o in observables]
-        eigs = [None if o.ndim == 1 else np.linalg.eigh(o) for o in observables]
-    for m, psi in enumerate(states):
-        out = _output_state(channel, psi)
-        for k, obs in enumerate(observables):
-            if not sampled:
-                values[m, k] = _exact_value(obs, out)
-                continue
-            key = _setting_key(dim, state_codes[m], obs.ndim == 1, obs_codes[k])
-            rng = _key_rng(key, config.master_seed)
-            values[m, k], errs[m, k] = _sampled_value(obs, eigs[k], out, rng, config.shots)
+        obs_codes = [(o.ndim == 1, _canon_complex(o)) for o in observables]
+    # per row: its output state, and a D-vector per projector or a D x D
+    # matrix per Hermitian observable in the stacked products
+    rows = max(1, _TABLE_BLOCK_ENTRIES // ((1 + len(herm)) * dim * dim + len(proj) * dim))
+    for start in range(0, len(states), rows):
+        block = slice(start, start + rows)
+        outs = np.array([_output_state(channel, psi) for psi in states[block]])[:, None]
+        p = ((bras @ outs) @ kets)[..., 0, 0].real
+        if not sampled:
+            values[block, proj] = p
+            values[block, herm] = np.trace(ops @ outs, axis1=2, axis2=3).real
+            continue
+        q = np.diagonal(evecs_h @ outs @ evecs, axis1=2, axis2=3).real if herm else None
+        p, pvals = _probabilities(p, q, proj, herm)
+        streams = _cell_streams(dim, state_codes[block], obs_codes, config.master_seed)
+        if proj:
+            est = np.array([
+                [_rng(row[k]).binomial(shots, pk) / shots for k, pk in zip(proj, row_p)]
+                for row, row_p in zip(streams, p.tolist())
+            ])
+            values[block, proj] = est
+            errs[block, proj] = np.sqrt(est * (1.0 - est) / shots)
+        if herm:
+            counts = [
+                [_rng(row[k]).multinomial(shots, pv) for k, pv in zip(herm, row_p)]
+                for row, row_p in zip(streams, pvals)
+            ]
+            freq = (np.array(counts) / shots)[..., None]
+            est = (evals @ freq)[..., 0, 0]
+            var = (np.square(evals) @ freq)[..., 0, 0] - est * est
+            values[block, herm] = est
+            errs[block, herm] = np.sqrt(np.maximum(var, 0.0) / shots)
     return values, errs
 
 

@@ -278,6 +278,21 @@ def test_channel_is_immutable():
         ch.kraus[0][0, 0] = 5.0
 
 
+def test_kraus_operators_are_read_only_views_of_one_stack():
+    ops = [np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex)]
+    ch = QuantumChannel(2, tuple(ops))
+    stack = ch.kraus_stack()
+    assert stack.shape == (2, 2, 2) and not stack.flags.writeable
+    assert ch.kraus_stack() is stack
+    for k, op in zip(ch.kraus, ops):
+        assert k.base is stack and not k.flags.writeable
+        np.testing.assert_array_equal(k, op)
+    ops[0][0, 0] = 5.0  # the channel keeps its own copy
+    assert stack[0, 0, 0] == 1.0
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 5.0
+
+
 def test_channel_json_round_trip(tmp_path):
     ch = preset_channel("random-cptp", [13, 2], 3)
     path = tmp_path / "ch.json"

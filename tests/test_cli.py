@@ -135,6 +135,25 @@ def test_exit_2_on_product_args_for_choi_four(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("shots, code", [("9223372036854775807", 0), ("9223372036854775808", 2)])
+def test_exit_2_on_shots_past_int64(tmp_path, capsys, shots, code):
+    # numpy's binomial and multinomial draws take the shot count as an int64
+    assert _run(tmp_path, "full", "--preset", "bit-flip", "--param", "0.1",
+                "--backend", "sampled", "--shots", shots)[0] == code
+    if code:
+        assert capsys.readouterr().err.startswith("error: shots must be at most")
+
+
+@pytest.mark.parametrize("dim", ["0", "-2"])
+@pytest.mark.parametrize("preset", [["identity"], ["depolarizing", "--param", "0.1"],
+                                    ["random-cptp", "--param", "5"]], ids=lambda p: p[0])
+def test_exit_2_on_non_positive_preset_dim(tmp_path, capsys, preset, dim):
+    code, report = _run(tmp_path, "full", "--preset", *preset, "--dim", dim)
+    assert code == 2
+    assert report is None
+    assert capsys.readouterr().err == f"error: dimension must be positive, got {dim}\n"
+
+
 def test_exit_4_on_tp_shortcut_for_non_tp(tmp_path):
     ch_path = tmp_path / "nontp.json"
     doc = {
@@ -388,6 +407,16 @@ SAMPLED_GOLDENS = [
     ("golden_element_sampled_off_diagonal.json",
      ["element", "--preset", "random-cptp", "--param", "34", "--dim", "3",
       "--target", "0,1,2,0", *_SAMPLED],
+     True),
+    # a master seed of 2**32 or more enters the streams as two entropy words
+    ("golden_full_sampled_d3_seed_2_40_plus_11.json",
+     ["full", "--preset", "random-cptp", "--param", "37", "--dim", "3",
+      "--backend", "sampled", "--shots", "10000", "--seed", "1099511627787"],
+     True),
+    ("golden_full_sampled_d2_product_hermitian_seed_2_64_minus_1.json",
+     ["full", "--preset", "random-cptp", "--param", "38", "--dim", "2",
+      "--strategy", "product-hermitian",
+      "--backend", "sampled", "--shots", "10000", "--seed", "18446744073709551615"],
      True),
 ]
 

@@ -1,3 +1,4 @@
+import hashlib
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -9,6 +10,7 @@ from choi_sqpt import (
     MeasurementSetting,
     PhysicalityError,
     QuantumChannel,
+    apply_channel,
     basis_state,
     exact_expectation,
     haar_isometry,
@@ -126,6 +128,10 @@ def test_backend_config_validation():
         BackendConfig("sampled", 0)
     with pytest.raises(ValueError, match="seed"):
         BackendConfig("sampled", 10, -1)
+    # numpy draws take the shot count as an int64
+    assert BackendConfig("sampled", 2**63 - 1).shots == 2**63 - 1
+    with pytest.raises(ValueError, match="shots"):
+        BackendConfig("sampled", 2**63)
 
 
 @pytest.mark.parametrize("dim", [2, 4])
@@ -272,6 +278,161 @@ def test_measure_table_validates_like_a_setting():
             measure_table(ch, states, observables, BackendConfig())
     with pytest.raises(ValueError, match="does not match channel dimension 2"):
         measure_table(ch, [basis_state(0, 3)], [basis_state(0, 3)], BackendConfig())
+
+
+_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**40 + 11, 2**64 - 1]
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_seed_states_match_seed_sequence(seed):
+    rng = np.random.default_rng(seed % 1000)
+    words = rng.integers(0, 2**32, size=(1000, 4), dtype=np.uint32)
+    words[:3] = [[0, 0, 0, 0], [2**32 - 1] * 4, [1, 2, 3, 4]]
+    states = measure._seed_states(seed, words.T)
+    expected = [np.random.SeedSequence([seed, *map(int, w)]).generate_state(4, np.uint64)
+                for w in words]
+    assert states.tobytes() == np.array(expected).tobytes()
+
+
+def _reference_rng(key: bytes, master_seed: int) -> np.random.Generator:
+    # the stream a cell with this key draws from: sha256 words into a SeedSequence
+    digest = hashlib.sha256(key).digest()
+    words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
+    return np.random.default_rng(np.random.SeedSequence([master_seed, *words]))
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_cell_streams_draw_as_default_rng(seed):
+    rng = np.random.default_rng(3)
+    state_codes = [measure._canon_complex(_random_state(3, rng)) for _ in range(3)]
+    obs_codes = [(True, measure._canon_complex(_random_state(3, rng))),
+                 (False, measure._canon_complex(np.diag([1.0, 2.0, 3.0])))]
+    streams = measure._cell_streams(3, state_codes, obs_codes, seed)
+    for row, state_code in zip(streams, state_codes):
+        for stream, (projector, obs_code) in zip(row, obs_codes):
+            gen = measure._rng(stream)
+            ref = _reference_rng(measure._setting_key(3, state_code, projector, obs_code), seed)
+            assert gen.binomial(1000, 0.3) == ref.binomial(1000, 0.3)
+            assert gen.binomial(2**62, 0.7) == ref.binomial(2**62, 0.7)
+            draws = gen.multinomial(4096, [0.1, 0.2, 0.3, 0.4])
+            assert draws.tobytes() == ref.multinomial(4096, [0.1, 0.2, 0.3, 0.4]).tobytes()
+
+
+def _reference_cell(channel, psi, obs, config) -> tuple[float, float]:
+    # one cell read alone: its own stream, then a binomial draw for a
+    # projector or a multinomial one over a Hermitian observable's eigenvalues
+    rng = _reference_rng(MeasurementSetting(psi, obs).canonical_key(), config.master_seed)
+    out = apply_channel(channel, np.outer(psi, psi.conj()))
+    shots = config.shots
+    if obs.ndim == 1:
+        p = min(max(float((obs.conj() @ out @ obs).real), 0.0), 1.0)
+        est = rng.binomial(shots, p) / shots
+        return est, float(np.sqrt(est * (1.0 - est) / shots))
+    evals, evecs = np.linalg.eigh(obs)
+    probs = np.array([min(max(float(x.real), 0.0), 1.0)
+                      for x in np.diag(evecs.conj().T @ out @ evecs)])
+    freq = rng.multinomial(shots, probs / probs.sum()) / shots
+    est = float(evals @ freq)
+    var = float(np.square(evals) @ freq - est * est)
+    return est, float(np.sqrt(max(var, 0.0) / shots))
+
+
+@pytest.mark.parametrize("shots, seed", [(997, 3), (10**4, 2**40 + 11), (2**62 + 1, 2**64 - 1)])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_sampled_table_matches_cells_read_alone(dim, shots, seed):
+    rng = np.random.default_rng(dim + 40)
+    ch = preset_channel("random-cptp", [dim, 2], dim)
+    config = BackendConfig("sampled", shots, seed)
+    states = [_random_state(dim, rng) for _ in range(3)] + [basis_state(0, dim)]
+    herm = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    observables = [_random_state(dim, rng), herm + herm.conj().T, basis_state(1, dim),
+                   np.diag(np.arange(dim, dtype=float))]
+    values, errs = measure_table(ch, states, observables, config)
+    for m, k in np.ndindex(values.shape):
+        expected = _reference_cell(ch, states[m], observables[k], config)
+        assert (values[m, k], errs[m, k]) == expected, (m, k)
+
+
+def _recorded_args(monkeypatch, name) -> list:
+    # the arguments of every call of the private measure helper `name`
+    calls = []
+    original = getattr(measure, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(measure, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("block", [None, 1], ids=["one-block", "row-blocks"])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 8, 16])
+def test_stacked_readout_matches_per_cell_reads(monkeypatch, dim, block):
+    # the stacked products read every cell with the bits of reading it alone
+    if block is not None:
+        monkeypatch.setattr(measure, "_TABLE_BLOCK_ENTRIES", block)
+    rng = np.random.default_rng(dim)
+    ch = preset_channel("random-cptp", [dim, 3], dim)
+    states = [_random_state(dim, rng) for _ in range(3)]
+    kets = [_random_state(dim, rng) for _ in range(3)]
+    herms = [g + g.conj().T for g in
+             (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(3))]
+    observables = [kets[0], herms[0], herms[1], kets[1], kets[2], herms[2]]
+    proj, herm = [0, 3, 4], [1, 2, 5]
+    outs = [apply_channel(ch, np.outer(psi, psi.conj())) for psi in states]
+
+    exact, _ = measure_table(ch, states, observables, BackendConfig())
+    expected = np.array([[(phi.conj() @ out @ phi).real if phi.ndim == 1
+                          else np.trace(phi @ out).real for phi in observables] for out in outs])
+    assert exact.tobytes() == expected.tobytes()
+
+    checked = _recorded_args(monkeypatch, "_probabilities")
+    # the channel is CPTP, so every block passes the physicality checks
+    measure_table(ch, states, observables, BackendConfig("sampled", 100, 1))
+    p = np.concatenate([args[0] for args in checked])
+    q = np.concatenate([args[1] for args in checked])
+    assert len(checked) == (1 if block is None else len(states))
+    eigs = [np.linalg.eigh(h) for h in herms]
+    assert p.tobytes() == np.array(
+        [[(observables[k].conj() @ out @ observables[k]).real for k in proj] for out in outs]
+    ).tobytes()
+    assert q.tobytes() == np.array(
+        [[np.diag(v.conj().T @ out @ v).real for _, v in eigs] for out in outs]
+    ).tobytes()
+
+
+def test_table_raises_what_its_first_unphysical_cell_raises():
+    # a channel that inflates |1> only, projector and Hermitian cells mixed
+    # in a row: the table reports its first unphysical cell in row-major
+    # order, with the message that measuring that cell alone gives
+    ch = QuantumChannel(2, (np.diag([1.0, np.sqrt(1.5)]).astype(complex),))
+    config = BackendConfig("sampled", 100, 0)
+    steep = np.array([0.5, np.sqrt(0.75)], dtype=complex)
+    cells = {
+        "plus": PLUS,  # p = 0.75 from |1>
+        "ket0": basis_state(0, 2),  # p = 0
+        "ket1": basis_state(1, 2),  # p = 1.5: outside
+        "steep": steep,  # p = 1.125: outside
+        "steep-op": np.outer(steep, steep.conj()),  # outcomes (0.375, 1.125): outside
+        "x": SX,  # outcomes (0.75, 0.75): sum 1.5
+    }
+    psi = basis_state(1, 2)
+
+    def first_error(names):
+        for name in names:
+            try:
+                measure_setting(ch, MeasurementSetting(psi, cells[name]), config)
+            except PhysicalityError as exc:
+                return str(exc)
+
+    for names in (["plus", "x", "ket1"], ["ket0", "ket1", "steep-op"], ["steep-op", "x"],
+                  ["x", "steep-op", "ket1"], ["plus", "steep", "x"], ["ket0", "steep-op", "steep"]):
+        observables = [cells[n] for n in names]
+        measure_table(ch, [basis_state(0, 2)], observables, config)  # |0> stays physical
+        with pytest.raises(PhysicalityError) as raised:
+            measure_table(ch, [basis_state(0, 2), psi, PLUS], observables, config)
+        assert str(raised.value) == first_error(names), names
 
 
 @pytest.mark.parametrize("dim", range(2, 9))
