@@ -20,6 +20,8 @@ operations that explicitly demand a trace-preserving channel.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -236,6 +238,11 @@ def _one_probability(params: Sequence[float], name: str) -> float:
     return p
 
 
+def _whole(value) -> bool:
+    # an integer, or a float without a fraction; inf and nan have no int()
+    return isinstance(value, numbers.Integral) or (math.isfinite(value) and int(value) == value)
+
+
 def _require_qubit(name: str, dim: int) -> None:
     if dim != 2:
         raise ValueError(f"preset '{name}' is defined for dim=2, got dim={dim}")
@@ -304,12 +311,12 @@ def preset_channel(
     if name == "random-cptp":
         if len(params) not in (1, 2):
             raise ValueError("random-cptp takes (seed,) or (seed, kraus_rank)")
-        seed = int(params[0])
-        if seed != params[0] or seed < 0:
-            raise ValueError(f"random-cptp seed must be a non-negative integer, got {params[0]}")
-        rank = int(params[1]) if len(params) == 2 else dim * dim
-        if len(params) == 2 and (rank != params[1] or rank < 1):
-            raise ValueError(f"random-cptp rank must be a positive integer, got {params[1]}")
+        seed, rank = params[0], (params[1] if len(params) == 2 else dim * dim)
+        if not _whole(seed) or seed < 0:
+            raise ValueError(f"random-cptp seed must be a non-negative integer, got {seed}")
+        if not _whole(rank) or rank < 1:
+            raise ValueError(f"random-cptp rank must be a positive integer, got {rank}")
+        seed, rank = int(seed), int(rank)
         rng = np.random.default_rng(seed)
         iso = haar_isometry(rank * dim, dim, rng)
         kraus = tuple(iso[m * dim : (m + 1) * dim] for m in range(rank))

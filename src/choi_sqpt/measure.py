@@ -6,7 +6,11 @@ each input state and each observable is validated once, the channel is
 applied once per input state (so a table of D^2 input states costs D^2
 channel applications), and on the sampled backend each vector is encoded
 once for the stream keys and each Hermitian observable eigendecomposed
-once.  Rows are read in blocks with stacked products, one per observable
+once.  The channel acts on the input ket, not on its density matrix:
+eps(|psi><psi|) = A^T A* for the rank x D array A of kets E_m psi, which
+costs O(rank D^2) per input state where the Kraus sum on |psi><psi| costs
+O(rank D^3).  channels.apply_channel stays the path for a general
+operator.  Rows are read in blocks with stacked products, one per observable
 kind, that make the same BLAS call per cell as a single read.
 measure_row is the one-row table and measure_setting the 1 x 1 one.
 
@@ -27,7 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .basis import basis_state, superposition_states
-from .channels import QuantumChannel, apply_channel
+from .channels import QuantumChannel
 
 __all__ = [
     "BackendConfig",
@@ -253,12 +257,19 @@ def _cell_streams(dim, state_codes, obs_codes, master_seed) -> np.ndarray:
 
 
 def _output_state(channel: QuantumChannel, psi: np.ndarray) -> np.ndarray:
-    if psi.shape[0] != channel.dim:
+    """eps(|psi><psi|) = sum_m (E_m psi)(E_m psi)^dagger = A^T A*, A's rows E_m psi.
+
+    One gemv over the stacked Kraus operators and one D x rank x D gemm:
+    O(rank D^2), where sum_m E_m rho E_m^dagger on rho = |psi><psi| is O(rank D^3).
+    """
+    dim = channel.dim
+    if psi.shape[0] != dim:
         raise ValueError(
             f"setting dimension {psi.shape[0]} does not match channel "
-            f"dimension {channel.dim}"
+            f"dimension {dim}"
         )
-    return apply_channel(channel, np.outer(psi, psi.conj()))
+    amps = (channel.kraus_stack().reshape(-1, dim) @ psi).reshape(-1, dim)
+    return amps.T @ amps.conj()
 
 
 def _check_cell(raw) -> None:
@@ -388,9 +399,8 @@ def measure_row(
 ) -> list[MeasurementOutcome]:
     """Outcomes of the settings (input_state, O) for every O in observables.
 
-    The one-row case of measure_table: the channel is applied to
-    |psi><psi| once and every observable is read off that one output
-    state.
+    The one-row case of measure_table: the channel is applied to psi
+    once and every observable is read off that one output state.
     """
     values, errs = measure_table(channel, [input_state], observables, config)
     shots = config.shots if config.mode == "sampled" else 0

@@ -247,6 +247,25 @@ def test_preset_errors():
         preset_channel("bit-flip", [])
 
 
+@pytest.mark.parametrize("params", [
+    [np.inf], [-np.inf], [np.nan], [2.5], [-1],
+    [3, np.inf], [3, -np.inf], [3, np.nan], [3, 1.5], [3, 0],
+], ids=str)
+def test_random_cptp_rejects_a_bad_seed_or_rank(params):
+    # inf has no int() (OverflowError) and neither has nan (ValueError); they
+    # are refused with the parameter's own message, as fractions are
+    slot, kind = ("seed", "a non-negative") if len(params) == 1 else ("rank", "a positive")
+    with pytest.raises(ValueError) as err:
+        preset_channel("random-cptp", params, 2)
+    assert str(err.value) == f"random-cptp {slot} must be {kind} integer, got {params[-1]}"
+
+
+def test_random_cptp_takes_whole_floats_and_large_integers():
+    assert preset_channel("random-cptp", [5.0, 2.0], 2).kraus_stack().tobytes() == \
+        preset_channel("random-cptp", [5, 2], 2).kraus_stack().tobytes()
+    assert len(preset_channel("random-cptp", [10**400, np.int64(2)], 2).kraus) == 2
+
+
 def test_kron_identity_is_identity():
     ch = kron_channel(preset_channel("identity", dim=2), preset_channel("identity", dim=3))
     assert ch.dim == 6

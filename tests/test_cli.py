@@ -154,6 +154,20 @@ def test_exit_2_on_non_positive_preset_dim(tmp_path, capsys, preset, dim):
     assert capsys.readouterr().err == f"error: dimension must be positive, got {dim}\n"
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("slot", ["seed", "rank"])
+def test_exit_2_on_non_finite_random_cptp_parameter(tmp_path, capsys, slot, value):
+    # --param=-inf, as argparse reads a lone "-inf" as an option
+    params = [f"--param={value}"] if slot == "seed" else ["--param", "3", f"--param={value}"]
+    code, report = _run(tmp_path, "full", "--preset", "random-cptp", *params)
+    assert code == 2
+    assert report is None
+    kind = "a non-negative" if slot == "seed" else "a positive"
+    assert capsys.readouterr().err == (
+        f"error: random-cptp {slot} must be {kind} integer, got {float(value)}\n"
+    )
+
+
 def test_exit_4_on_tp_shortcut_for_non_tp(tmp_path):
     ch_path = tmp_path / "nontp.json"
     doc = {

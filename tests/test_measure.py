@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -18,6 +19,7 @@ from choi_sqpt import (
     measure_row,
     measure_setting,
     measure_table,
+    plan_element,
     preset_channel,
     sampled_expectation,
     tp_complete,
@@ -206,13 +208,13 @@ def test_measure_row_equals_per_setting_measurement(monkeypatch, config):
     observables = [_random_state(3, rng), herm + herm.conj().T, basis_state(2, 3)]
     expected = [measure_setting(ch, MeasurementSetting(psi, o), config) for o in observables]
     calls = [0]
-    original = measure.apply_channel
+    original = measure._output_state
 
-    def counted(channel, rho):
+    def counted(channel, psi):
         calls[0] += 1
-        return original(channel, rho)
+        return original(channel, psi)
 
-    monkeypatch.setattr(measure, "apply_channel", counted)
+    monkeypatch.setattr(measure, "_output_state", counted)
     assert measure_row(ch, psi, observables, config) == expected
     assert calls[0] == 1
 
@@ -224,6 +226,59 @@ def test_measure_row_validates_every_setting():
                     BackendConfig())
     with pytest.raises(ValueError, match="dimension"):
         measure_row(preset_channel("identity", dim=3), PLUS, [PLUS], BackendConfig())
+
+
+def _kraus_loop(channel, rho):
+    # the term-by-term Kraus sum, sum_m E_m rho E_m^dagger
+    out = np.zeros_like(rho)
+    for k in channel.kraus:
+        out += k @ rho @ k.conj().T
+    return out
+
+
+# (preset, params, dim): random channels at ranks 1, 2, D and D^2, and
+# channels with a zero Kraus operator (p = 0, gamma = 0) or a zeroed entry
+# (gamma = 1)
+KERNEL_CHANNELS = [
+    ("random-cptp", [dim, rank], dim)
+    for dim in (2, 3, 4, 5, 8, 16)
+    for rank in sorted({1, 2, dim, dim * dim})
+] + [("bit-flip", [0.0], 2), ("amplitude-damping", [0.0], 2), ("amplitude-damping", [1.0], 2)]
+
+
+@pytest.mark.parametrize("name, params, dim", KERNEL_CHANNELS,
+                         ids=[f"{n}-{p}-{d}" for n, p, d in KERNEL_CHANNELS])
+def test_output_state_matches_the_kraus_loop(name, params, dim):
+    # the output state built from the kets E_m psi is the Kraus sum on
+    # |psi><psi|, and apply_channel's, up to rounding
+    ch = preset_channel(name, params, dim)
+    rng = np.random.default_rng(dim + 60)
+    for psi in (_random_state(dim, rng), basis_state(0, dim), basis_state(dim - 1, dim)):
+        rho = np.outer(psi, psi.conj())
+        out = measure._output_state(ch, psi)
+        assert out.shape == (dim, dim) and out.dtype == complex
+        np.testing.assert_allclose(out, _kraus_loop(ch, rho), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(out, apply_channel(ch, rho), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("config", [BackendConfig(), BackendConfig("sampled", 1000, 3)],
+                         ids=["exact", "sampled"])
+def test_element_table_memory_is_bounded_at_full_rank(config):
+    # a four-inputs x four-observables element at D = 16, rank D^2: each
+    # input ket meets the Kraus stack as a rank x D array of kets, and no
+    # rank x D x D intermediate (1 MiB a block) is formed
+    ch = preset_channel("random-cptp", [16, 256], 16)
+    plan = plan_element(0, 1, 2, 0, 16)
+    assert plan.settings_count == 16
+    table = (ch, plan.inputs.states, plan.observables.states, config)
+    measure_table(*table)  # first-use imports stay out of the peak
+    tracemalloc.start()
+    try:
+        measure_table(*table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19
 
 
 def _recorded(monkeypatch, name) -> list:
@@ -322,7 +377,7 @@ def _reference_cell(channel, psi, obs, config) -> tuple[float, float]:
     # one cell read alone: its own stream, then a binomial draw for a
     # projector or a multinomial one over a Hermitian observable's eigenvalues
     rng = _reference_rng(MeasurementSetting(psi, obs).canonical_key(), config.master_seed)
-    out = apply_channel(channel, np.outer(psi, psi.conj()))
+    out = measure._output_state(channel, psi)
     shots = config.shots
     if obs.ndim == 1:
         p = min(max(float((obs.conj() @ out @ obs).real), 0.0), 1.0)
@@ -380,7 +435,7 @@ def test_stacked_readout_matches_per_cell_reads(monkeypatch, dim, block):
              (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(3))]
     observables = [kets[0], herms[0], herms[1], kets[1], kets[2], herms[2]]
     proj, herm = [0, 3, 4], [1, 2, 5]
-    outs = [apply_channel(ch, np.outer(psi, psi.conj())) for psi in states]
+    outs = [measure._output_state(ch, psi) for psi in states]
 
     exact, _ = measure_table(ch, states, observables, BackendConfig())
     expected = np.array([[(phi.conj() @ out @ phi).real if phi.ndim == 1

@@ -497,14 +497,15 @@ def test_full_eigendecomposition_budget(monkeypatch, config, decompositions):
 
 
 def _count_channel_applications(monkeypatch) -> list[int]:
+    # measurement applies the channel to an input ket through _output_state
     calls = [0]
-    original = measure.apply_channel
+    original = measure._output_state
 
-    def counted(channel, rho):
+    def counted(channel, psi):
         calls[0] += 1
-        return original(channel, rho)
+        return original(channel, psi)
 
-    monkeypatch.setattr(measure, "apply_channel", counted)
+    monkeypatch.setattr(measure, "_output_state", counted)
     return calls
 
 
