@@ -40,8 +40,8 @@ __all__ = [
 COND_CAP = 1e8
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=complex)
+def _frozen(arr: np.ndarray, dtype=complex) -> np.ndarray:
+    out = np.array(arr, dtype=dtype)
     out.setflags(write=False)
     return out
 
@@ -279,11 +279,15 @@ def pauli_basis(n_qubits: int) -> list[np.ndarray]:
     """Tensor products of (I, sx, sy, sz), first site most significant."""
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
-    single = sud_generators(2).operators
-    ops = list(single)
-    for _ in range(n_qubits - 1):
-        ops = [np.kron(a, s) for a in ops for s in single]
-    return ops
+    return _tensor_products(list(sud_generators(2).operators), n_qubits)
+
+
+def _tensor_products(factors: list[np.ndarray], n_sites: int) -> list[np.ndarray]:
+    # every n_sites-fold kron of the factors, first site most significant
+    out = list(factors)
+    for _ in range(n_sites - 1):
+        out = [np.kron(a, b) for a in out for b in factors]
+    return out
 
 
 # --- matrix-unit <-> Pauli process-matrix conversion -------------------------

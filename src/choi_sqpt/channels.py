@@ -274,17 +274,12 @@ def preset_channel(
             raise ValueError("identity takes no parameters")
         return QuantumChannel(dim, (np.eye(dim, dtype=complex),))
 
-    if name == "bit-flip":
+    if name in ("bit-flip", "phase-flip"):
         _require_qubit(name, dim)
         p = _one_probability(params, name)
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        return QuantumChannel(2, (np.sqrt(1 - p) * np.eye(2), np.sqrt(p) * x))
-
-    if name == "phase-flip":
-        _require_qubit(name, dim)
-        p = _one_probability(params, name)
-        z = np.array([[1, 0], [0, -1]], dtype=complex)
-        return QuantumChannel(2, (np.sqrt(1 - p) * np.eye(2), np.sqrt(p) * z))
+        flip = [[0, 1], [1, 0]] if name == "bit-flip" else [[1, 0], [0, -1]]
+        flip = np.array(flip, dtype=complex)
+        return QuantumChannel(2, (np.sqrt(1 - p) * np.eye(2), np.sqrt(p) * flip))
 
     if name == "amplitude-damping":
         _require_qubit(name, dim)

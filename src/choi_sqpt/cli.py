@@ -11,6 +11,7 @@ failure, 4 physicality validation failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -153,6 +154,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 class _UsageError(ValueError):
     pass
+
+
+def _numbers_joined_to_param(argv: list[str]) -> list[str]:
+    # argparse reads a value such as "-inf" as an option, so each number after
+    # --param is passed as --param=V; argparse still rejects a non-number
+    out: list[str] = []
+    for arg in argv:
+        if out[-1:] == ["--param"]:
+            with contextlib.suppress(ValueError):
+                float(arg)
+                out[-1] += "=" + arg
+                continue
+        out.append(arg)
+    return out
 
 
 def _resolve_channel(args) -> tuple[QuantumChannel, dict]:
@@ -453,7 +468,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_numbers_joined_to_param(argv))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE

@@ -12,26 +12,26 @@ map between the two flattened matrices is a permutation whose inverse is
 its transpose, so reconstruction is index relabeling, never a dense solve.
 lambda_index and chi_index state that relabeling once, as a map of index
 slots; the matrix relabelings, the beta permutation and the element plans
-are all derived from it.  A choi-four estimate, one element or all D^4,
-is one call of _combine, which adds each entry's weighted table cells
-input-outer, left to right.
+are all derived from it.  Every choi-four estimate, one element or all D^4,
+is one call of _choi_four: one table of the targets' input kets x
+observable kets, combined pairwise by _combine, input-outer, left to right.
+Full choi-four lists its D^4 targets in row-major chi order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .basis import (
-    PureStateExpansion, _solve_expansion, basis_state, expand_choi_four, sud_generators
+    PureStateExpansion, _frozen, _solve_expansion, _tensor_products, basis_state,
+    expand_choi_four, sud_generators,
 )
 from .channels import QuantumChannel, _complex_from_pair, _complex_to_pair
 from .measure import (
     BackendConfig,
-    MeasurementSetting,
     PhysicalityError,
     input_state_set,
     measure_table,
@@ -115,9 +115,7 @@ class BetaPermutation:
     forward: np.ndarray
 
     def __post_init__(self):
-        fwd = np.array(self.forward, dtype=np.intp)
-        fwd.setflags(write=False)
-        object.__setattr__(self, "forward", fwd)
+        object.__setattr__(self, "forward", _frozen(self.forward, np.intp))
 
     def dense(self) -> np.ndarray:
         if self.dim > 3:
@@ -187,19 +185,14 @@ class MeasurementPlan:
 
     The element is sum_ij r_i s_j Tr[|phi_j><phi_j| eps(|psi_i><psi_i|)]
     over the input expansion sum_i r_i |psi_i><psi_i| and the observable
-    expansion sum_j s_j |phi_j><phi_j|.  Settings and terms list the
-    (psi_i, phi_j) pairs input-outer, one term (r_i s_j, index) per setting.
+    expansion sum_j s_j |phi_j><phi_j|.  The settings are the pairs
+    (psi_i, phi_j), input-outer; terms gives each its (r_i s_j, index).
     """
 
     dim: int
     target: tuple[int, int, int, int]
     inputs: PureStateExpansion
     observables: PureStateExpansion
-
-    @property
-    def settings(self) -> tuple[MeasurementSetting, ...]:
-        pairs = product(self.inputs.states, self.observables.states)
-        return tuple(MeasurementSetting(psi, phi) for psi, phi in pairs)
 
     @property
     def terms(self) -> tuple[tuple[complex, int], ...]:
@@ -244,34 +237,74 @@ class ChiElementEstimate:
     backend: str
 
 
-def _padded(expansions) -> tuple[np.ndarray, np.ndarray]:
-    # (table slots, weights) per expansion, padded with slot 0 and weight 0
+def _padded(expansions, targets) -> tuple[np.ndarray, np.ndarray]:
+    # each target's (table slots, weights), padded with slot 0 and weight 0
     width = max(len(w) for _, w in expansions)
     slots = np.array([list(i) + [0] * (width - len(i)) for i, _ in expansions], dtype=np.intp)
     weights = np.array([list(w) + [0] * (width - len(w)) for _, w in expansions], dtype=complex)
-    return slots, weights
+    return slots[targets], weights[targets]
 
 
 def _combine(values, errs, rows, cols) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted sums of table cells and their quadrature variances.
+    """Weighted sums of table cells and their quadrature variances, one per target.
 
-    rows[x] and cols[y] are the (table slots, weights) of an input and an
-    observable expansion.  Entry (x, y) is sum_pq r_p s_q T[i_p, j_q], its
-    variance sum_pq |r_p s_q|**2 se[i_p, j_q]**2, both added input-outer,
-    left to right, starting from 0.  The weights are dyadic, so every
-    product is exact and only that order decides the bits; a padding term
-    adds an exact zero.
+    rows = (i, r) and cols = (j, s) hold, row t, the padded (table slots,
+    weights) of target t's input and observable expansion.  Entry t is
+    sum_pq r_p s_q T[i_p, j_q], its variance sum_pq |r_p s_q|**2
+    se[i_p, j_q]**2, both added input-outer, left to right, starting from 0.
+    The weights are dyadic, so every product is exact and only that order
+    decides the bits; a padding term adds an exact zero.
     """
-    i, r = _padded(rows)
-    j, s = _padded(cols)
+    (i, r), (j, s) = rows, cols
     # libm pow (float ** 2) and x * x round some near-tie squares apart: keep pow
     sq_errs = np.array([[e**2 for e in row] for row in errs.tolist()])
-    lam = var = 0  # as sum() starts; the first += makes len(rows) x len(cols) arrays
-    for p, q in product(range(i.shape[1]), range(j.shape[1])):
-        w = r[:, p, None] * s[:, q]
-        cells = i[:, p, None], j[:, q]
-        lam += w * values[cells]
-        var += np.abs(w) ** 2 * sq_errs[cells]
+    w = r[:, :, None] * s[:, None, :]
+    cells = i[:, :, None], j[:, None, :]
+    # one row per (p, q), input-outer: sum() adds them left to right from 0
+    terms = (w * values[cells]).reshape(len(w), -1).T
+    sq_terms = (np.abs(w) ** 2 * sq_errs[cells]).reshape(len(w), -1).T
+    return sum(terms), sum(sq_terms)
+
+
+def _table_side(units, chosen) -> tuple[dict, list]:
+    """The slot of each chosen unit's ket by its bytes, first seen first, and each unit's slots.
+
+    A unit that is not chosen keeps the empty expansion ([], []).
+    """
+    slot: dict[bytes, int] = {}
+    expansions = [([], [])] * len(units)
+    for k in dict.fromkeys(chosen.tolist()):
+        slots = [slot.setdefault(ket.tobytes(), len(slot)) for ket in units[k].states]
+        expansions[k] = (slots, units[k].weights)
+    return slot, expansions
+
+
+def _choi_four(channel, config, units, inputs, observables, tp_shortcut=False):
+    """Every target's estimate and variance, from one table of input kets x observable kets.
+
+    Target t is the expand_choi_four unit units[inputs[t]] measured with
+    units[observables[t]].  With tp_shortcut the projector onto |D-1> is
+    inferred as 1 minus the row's partials |0>..|D-2>, not measured, so its
+    variance enters through _inferred_substituted.
+    """
+    dim = channel.dim
+    inputs, observables = np.asarray(inputs), np.asarray(observables)
+    row_slot, row_units = _table_side(units, inputs)
+    col_slot, col_units = _table_side(units, observables)
+    row_kets, col_kets = ([np.frombuffer(k, complex) for k in s] for s in (row_slot, col_slot))
+    if tp_shortcut:
+        *partials, last = [col_slot[basis_state(lvl, dim).tobytes()] for lvl in range(dim)]
+        del col_kets[last]
+    values, errs = measure_table(channel, row_kets, col_kets, config)
+    if tp_shortcut:
+        values = np.insert(values, last, 0.0, axis=1)
+        errs = np.insert(errs, last, 0.0, axis=1)
+        values[:, last] = [tp_complete(dict(enumerate(row[partials])), dim) for row in values]
+    rows = _padded(row_units, inputs)
+    lam, var = _combine(values, errs, rows, _padded(col_units, observables))
+    if tp_shortcut:
+        col_units = [_inferred_substituted(*unit, last, partials) for unit in col_units]
+        var = _combine(values, errs, rows, _padded(col_units, observables))[1]
     return lam, var
 
 
@@ -280,19 +313,16 @@ def reconstruct_element(
 ) -> ChiElementEstimate:
     """Measure a plan's <= 4 x 4 table and combine it into the chi element.
 
-    The channel is applied once per input state of the plan (1 or 4 times),
-    and the table is combined as the 1 x 1 case of _combine, input-outer.
+    The one-target case of _choi_four, over the plan's own two expansions:
+    the channel is applied once per input state of the plan (1 or 4 times).
     """
     if channel.dim != plan.dim:
         raise ValueError(
             f"plan dimension {plan.dim} does not match channel dimension {channel.dim}"
         )
-    values, errs = measure_table(channel, plan.inputs.states, plan.observables.states, config)
-    rows = [(range(len(plan.inputs.weights)), plan.inputs.weights)]
-    cols = [(range(len(plan.observables.weights)), plan.observables.weights)]
-    lam, var = _combine(values, errs, rows, cols)
+    lam, var = _choi_four(channel, config, (plan.inputs, plan.observables), [0], [1])
     return ChiElementEstimate(
-        complex(lam[0, 0]), float(np.sqrt(var[0, 0])), plan.settings_count, config.descriptor
+        complex(lam[0]), float(np.sqrt(var[0])), plan.settings_count, config.descriptor
     )
 
 
@@ -311,12 +341,8 @@ class SqptResult:
     settings_inferred: int
 
     def __post_init__(self):
-        chi = np.array(self.chi, dtype=complex)
-        err = np.array(self.std_errors, dtype=float)
-        chi.setflags(write=False)
-        err.setflags(write=False)
-        object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "std_errors", err)
+        object.__setattr__(self, "chi", _frozen(self.chi))
+        object.__setattr__(self, "std_errors", _frozen(self.std_errors, float))
 
 
 def full_sqpt(
@@ -331,14 +357,14 @@ def full_sqpt(
 
     Both strategies measure a D^2 x D^2 table T[m, k] =
     Tr[O_k eps(|psi_m><psi_m|)] once per cell, applying the channel once
-    per input state (one row of the table), combine it into the data
-    matrix lambda and its variance, and relabel both to chi.  "choi-four"
-    pairs the kets of input_state_set(D) with projectors onto the same
-    kets, and adds up all D^4 lambda entries in one _combine call, each
-    over its element's plan input-outer, as reconstruct_element does.
+    per input state (one row of the table).  "choi-four" is the all-D^4
+    case of the path reconstruct_element takes for one element: the D^2
+    kets of the matrix-unit expansions (the set input_state_set(D)) meet
+    projectors onto the same kets, and every chi entry is its element's
+    plan combined input-outer, bit for bit the single-element estimate.
     "product-hermitian" pairs product states with tensor products of SU(d)
-    generators and solves lambda = R^T T S; pass it local_dim and n_sites,
-    with local_dim**n_sites == dim, for a multi-qudit system.
+    generators, solves lambda = R^T T S and relabels it to chi; pass it
+    local_dim and n_sites, with local_dim**n_sites == dim, for qudit sites.
 
     With tp_shortcut (choi-four only) the computational-basis projector for
     the highest level is never measured: its expectation for each input
@@ -357,74 +383,32 @@ def full_sqpt(
     if strategy == "choi-four":
         if local_dim is not None or n_sites is not None:
             raise ValueError("local_dim and n_sites are defined only for product-hermitian")
-        return _full_choi_four(channel, config, tp_shortcut)
+        # chi[e*D+f, g*D+h] takes the input unit |f><h| and the observable unit |g><e|
+        d, n = channel.dim, channel.dim**2
+        units = [expand_choi_four(x, y, d) for x, y in np.ndindex(d, d)]
+        e, f, g, h = np.indices((d, d, d, d)).reshape(4, -1)
+        chi, var = _choi_four(channel, config, units, f * d + h, g * d + e, tp_shortcut)
+        inferred = n if tp_shortcut else 0
+        chi, err = chi.reshape(n, n), np.sqrt(var).reshape(n, n)
+        return SqptResult(chi, err, "choi-four", n * n, n * n - inferred, inferred)
     if strategy == "product-hermitian":
         return _full_product_hermitian(channel, config, local_dim, n_sites)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _sqpt_result(
-    lam: np.ndarray, lam_var: np.ndarray, strategy: str, inferred: int
-) -> SqptResult:
-    total = lam.size
-    return SqptResult(
-        chi=chi_from_lambda(lam),
-        std_errors=np.sqrt(chi_from_lambda(lam_var).real),
-        strategy=strategy,
-        settings_total=total,
-        settings_measured=total - inferred,
-        settings_inferred=inferred,
-    )
-
-
-def _full_choi_four(
-    channel: QuantumChannel, config: BackendConfig, tp_shortcut: bool
-) -> SqptResult:
-    dim = channel.dim
-    kets = input_state_set(dim)
-    last = dim - 1  # the projector |D-1><D-1| sits at column D-1
-    observables = kets[:last] + kets[last + 1 :] if tp_shortcut else kets
-    values, errs = measure_table(channel, kets, observables, config)
-    if tp_shortcut:
-        # the inferred cell is a function of the row's partials, not a
-        # measurement: its variance enters through _inferred_substituted
-        inferred = [tp_complete(dict(enumerate(row[:last])), dim) for row in values]
-        values = np.insert(values, last, inferred, axis=1)
-        errs = np.insert(errs, last, 0.0, axis=1)
-
-    # unit x*D+y is the matrix unit |x><y| with its expansion's table slots
-    slot = {ket.tobytes(): m for m, ket in enumerate(kets)}
-    units = [expand_choi_four(x, y, dim) for x, y in np.ndindex(dim, dim)]
-    units = [([slot[k.tobytes()] for k in u.states], u.weights) for u in units]
-    # lambda_{ab;cd}: input |a><b| (row ab), observable |d><c| (column cd)
-    adjoint = [d * dim + c for c, d in np.ndindex(dim, dim)]
-    lam, lam_var = _combine(values, errs, units, [units[dc] for dc in adjoint])
-    if tp_shortcut:
-        substituted = [_inferred_substituted(*unit, last) for unit in units]
-        lam_var = _combine(values, errs, units, [substituted[dc] for dc in adjoint])[1]
-    return _sqpt_result(lam, lam_var, "choi-four", len(kets) if tp_shortcut else 0)
-
-
-def _inferred_substituted(slots, weights, last: int):
+def _inferred_substituted(slots, weights, last: int, partials: list[int]):
     """An observable expansion with the inferred projector expanded into its partials.
 
-    The cell (i, last) is 1 - sum_{l < last} (i, l), so its weight w moves
+    The cell (i, last) is 1 - sum_l (i, partials[l]), so its weight w moves
     onto each measured partial as -w.  The terms then share no outcome, and
     the quadrature sum over them is the variance of the weighted sum.
     """
     merged = dict(zip(slots, weights))
     if last in merged:
         w = merged.pop(last)
-        for lvl in range(last):
-            merged[lvl] = merged.get(lvl, 0.0) - w
+        for k in partials:
+            merged[k] = merged.get(k, 0.0) - w
     return list(merged), list(merged.values())
-
-
-def _tensor_products(factors: list[np.ndarray], n_sites: int) -> list[np.ndarray]:
-    out = list(factors)
-    for _ in range(n_sites - 1):
-        out = [np.kron(a, b) for a in out for b in factors]
-    return out
 
 
 def _full_product_hermitian(
@@ -462,7 +446,8 @@ def _full_product_hermitian(
 
     lam = r_mat.T @ data @ s_mat
     lam_var = (np.abs(r_mat.T) ** 2) @ np.square(errs) @ (np.abs(s_mat) ** 2)
-    return _sqpt_result(lam, lam_var, "product-hermitian", 0)
+    chi_var = chi_from_lambda(lam_var)
+    return SqptResult(chi_from_lambda(lam), np.sqrt(chi_var), "product-hermitian", n * n, n * n, 0)
 
 
 # --- multi-qudit index utilities ----------------------------------------------

@@ -154,11 +154,16 @@ def test_exit_2_on_non_positive_preset_dim(tmp_path, capsys, preset, dim):
     assert capsys.readouterr().err == f"error: dimension must be positive, got {dim}\n"
 
 
-@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("value, form", [
+    ("inf", "joined"), ("-inf", "joined"), ("nan", "joined"),
+    ("inf", "separate"), ("-inf", "separate"), ("nan", "separate"),
+], ids=["inf", "-inf", "nan", "inf-separate", "-inf-separate", "nan-separate"])
 @pytest.mark.parametrize("slot", ["seed", "rank"])
-def test_exit_2_on_non_finite_random_cptp_parameter(tmp_path, capsys, slot, value):
-    # --param=-inf, as argparse reads a lone "-inf" as an option
-    params = [f"--param={value}"] if slot == "seed" else ["--param", "3", f"--param={value}"]
+def test_exit_2_on_non_finite_random_cptp_parameter(tmp_path, capsys, slot, value, form):
+    # "--param -inf" reaches the preset as "--param=-inf" does, although
+    # argparse on its own reads a lone "-inf" as an option
+    last = [f"--param={value}"] if form == "joined" else ["--param", value]
+    params = last if slot == "seed" else ["--param", "3", *last]
     code, report = _run(tmp_path, "full", "--preset", "random-cptp", *params)
     assert code == 2
     assert report is None
@@ -166,6 +171,16 @@ def test_exit_2_on_non_finite_random_cptp_parameter(tmp_path, capsys, slot, valu
     assert capsys.readouterr().err == (
         f"error: random-cptp {slot} must be {kind} integer, got {float(value)}\n"
     )
+
+
+@pytest.mark.parametrize("params", [["--param", "--dim", "3"], ["--param", "3", "--param"]])
+def test_exit_2_usage_error_on_param_without_number(tmp_path, capsys, params):
+    code, report = _run(tmp_path, "full", "--preset", "random-cptp", *params)
+    assert code == 2
+    assert report is None
+    err = capsys.readouterr().err
+    assert err.startswith("usage: choi-sqpt full")
+    assert err.endswith("error: argument --param: expected one argument\n")
 
 
 def test_exit_4_on_tp_shortcut_for_non_tp(tmp_path):

@@ -1,10 +1,15 @@
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import choi_sqpt
 from choi_sqpt import measure
 from choi_sqpt import (
     BackendConfig,
@@ -488,6 +493,31 @@ def test_table_raises_what_its_first_unphysical_cell_raises():
         with pytest.raises(PhysicalityError) as raised:
             measure_table(ch, [basis_state(0, 2), psi, PLUS], observables, config)
         assert str(raised.value) == first_error(names), names
+
+
+# one exact 40 x 40 table at D = 16 through a rank-256 channel; the Kraus
+# operators are integer-seeded normal arrays, so no LAPACK call builds them
+_TABLE_DIGEST = """
+import hashlib, numpy as np
+from choi_sqpt import BackendConfig, QuantumChannel, input_state_set, measure_table
+rng = np.random.default_rng(16)
+kraus = rng.normal(size=(256, 16, 16)) + 1j * rng.normal(size=(256, 16, 16))
+kets = input_state_set(16)[:40]
+values, errs = measure_table(QuantumChannel(16, tuple(kraus)), kets, kets, BackendConfig())
+print(hashlib.sha256(values.tobytes() + errs.tobytes()).hexdigest())
+"""
+
+
+def test_exact_table_bits_do_not_depend_on_blas_threads():
+    src = str(Path(choi_sqpt.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        run = subprocess.run([sys.executable, "-c", _TABLE_DIGEST], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(run.stdout)
+    assert digests[0] == digests[1] and len(digests[0]) == 65
 
 
 @pytest.mark.parametrize("dim", range(2, 9))

@@ -187,7 +187,8 @@ def test_lambda_from_chi_round_trip():
 def test_plan_diagonal_single_setting():
     plan = plan_element(0, 0, 0, 0, 2)
     assert plan.settings_count == 1
-    setting = plan.settings[0]
+    (psi,), (phi,) = plan.inputs.states, plan.observables.states
+    setting = measure.MeasurementSetting(psi, phi)
     np.testing.assert_allclose(setting.input_state, [1, 0], atol=1e-15)
     assert setting.is_projector
     np.testing.assert_allclose(setting.observable, [1, 0], atol=1e-15)
@@ -196,8 +197,10 @@ def test_plan_diagonal_single_setting():
 def test_plan_generic_sixteen_settings():
     plan = plan_element(0, 0, 1, 1, 2)
     assert plan.settings_count == 16
-    inputs = {s.canonical_key().split(b";")[1] for s in plan.settings}
-    observables = {s.canonical_key().split(b";")[2] for s in plan.settings}
+    settings = [measure.MeasurementSetting(psi, phi)
+                for psi in plan.inputs.states for phi in plan.observables.states]
+    inputs = {s.canonical_key().split(b";")[1] for s in settings}
+    observables = {s.canonical_key().split(b";")[2] for s in settings}
     assert len(inputs) == 4 and len(observables) == 4
 
 
@@ -424,11 +427,63 @@ def test_combine_matches_the_per_term_sum():
     errs[:, :3] = [0.0016439939172636863, 0.0032809253267942567, 0.0033542116808573668]
     units = [expand_choi_four(a, b, dim) for a, b in np.ndindex(dim, dim)]
     rows = [(list(rng.permutation(9)[: len(u.weights)]), u.weights) for u in units]
-    cols = rows + [tomo._inferred_substituted(*row, dim - 1) for row in rows]
-    lam, var = tomo._combine(values, errs, rows, cols)
-    for x, y in np.ndindex(len(rows), len(cols)):
-        value, variance = _combine_reference(values, errs, rows[x], cols[y])
-        assert lam[x, y] == value and var[x, y] == variance, (x, y)
+    cols = rows + [tomo._inferred_substituted(*row, 2, [0, 1]) for row in rows]
+    x, y = np.indices((len(rows), len(cols))).reshape(2, -1)
+    lam, var = tomo._combine(values, errs, tomo._padded(rows, x), tomo._padded(cols, y))
+    for t in range(x.size):
+        value, variance = _combine_reference(values, errs, rows[x[t]], cols[y[t]])
+        assert lam[t] == value and var[t] == variance, (x[t], y[t])
+
+
+@pytest.mark.parametrize("config", [EXACT, BackendConfig("sampled", 10**4, 2**32 + 7)],
+                         ids=["exact", "sampled"])
+@pytest.mark.parametrize("dim", [3, 4])
+def test_choi_four_set_matches_lone_elements(monkeypatch, dim, config):
+    # one table for a mixed set: each entry is its lone element's estimate,
+    # and the table is the union of input kets x the union of observable kets
+    targets = [
+        (1, 2, 1, 2),  # diagonal
+        (0, 1, 2, 1),  # input unit |1><1| diagonal
+        (2, 0, 2, 1),  # observable unit |2><2| diagonal
+        (0, 1, 2, 0),  # off-diagonal, observable unit shared with (0, 1, 2, 1)
+        (0, 1, 2, 0),  # repeated
+        (1, 1, 0, 1),  # input unit shared with (0, 1, 2, 1), observable unit
+                       # |0><1| the input unit of (2, 0, 2, 1)
+        (dim - 1, 0, 1, dim - 1),
+    ]
+    plans = [plan_element(*t, dim) for t in targets]
+    units, index = [], {}
+
+    def unit(expansion):
+        key = expansion.target.tobytes()
+        if key not in index:
+            index[key] = len(units)
+            units.append(expansion)
+        return index[key]
+
+    inputs = [unit(p.inputs) for p in plans]
+    observables = [unit(p.observables) for p in plans]
+    tables = []
+    read = tomo.measure_table
+
+    def recorded(channel, states, obs, cfg):
+        tables.append((len(states), len(obs)))
+        return read(channel, states, obs, cfg)
+
+    monkeypatch.setattr(tomo, "measure_table", recorded)
+    ch = preset_channel("random-cptp", [17, 3], dim)
+    lam, var = tomo._choi_four(ch, config, units, inputs, observables)
+
+    def union(expansions):
+        return len({ket.tobytes() for u in expansions for ket in u.states})
+
+    assert tables == [(union(p.inputs for p in plans), union(p.observables for p in plans))]
+    assert tables[0][0] * tables[0][1] < dim**4
+    for t, plan in enumerate(plans):
+        est = reconstruct_element(plan, ch, config)
+        assert lam[t] == est.value and float(np.sqrt(var[t])) == est.std_error, targets[t]
+    if config.mode == "sampled":
+        assert np.all(var > 0)
 
 
 def _count_calls(monkeypatch, owner, name) -> list[int]:
