@@ -50,7 +50,6 @@ from .measure import (
     PhysicalityError,
     exact_expectation,
     input_state_set,
-    measure_row,
     measure_setting,
     measure_table,
     sampled_expectation,

@@ -58,11 +58,6 @@ PRESET_NAMES = (
 )
 
 
-# apply_channel stacks at most this many Kraus-operator entries at once
-# (256 KiB of complex128), which bounds its working memory at any rank
-_KRAUS_BLOCK_ENTRIES = 1 << 14
-
-
 class ChannelFormatError(ValueError):
     """Raised when a channel JSON document does not match the schema."""
 
@@ -114,22 +109,16 @@ def apply_channel(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
 
     ``rho`` is usually a density matrix but any D x D operator is accepted;
     the Kraus sum is linear so non-Hermitian inputs are meaningful too.
+    The terms are added one at a time, in Kraus order, starting from zeros.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (channel.dim, channel.dim):
         raise ValueError(
             f"state has shape {rho.shape}, channel dimension is {channel.dim}"
         )
-    # the terms K rho K^dagger are formed a stacked block at a time and
-    # added to the running sum in Kraus order, starting from zeros, so the
-    # sum rounds as a term-by-term loop would
-    step = max(1, _KRAUS_BLOCK_ENTRIES // rho.size)
     out = np.zeros_like(rho)
-    stack = channel.kraus_stack()
-    for start in range(0, len(stack), step):
-        block = stack[start : start + step]
-        terms = block @ rho @ block.conj().transpose(0, 2, 1)
-        out = np.add.reduce(np.concatenate((out[None], terms)))
+    for k in channel.kraus:
+        out += k @ rho @ k.conj().T
     return out
 
 
@@ -236,6 +225,13 @@ def _one_probability(params: Sequence[float], name: str) -> float:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"{name} parameter must lie in [0, 1], got {p}")
     return p
+
+
+def _integer(value, name: str) -> int:
+    # an int or numpy integer, never a bool; a float is refused, not truncated
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _whole(value) -> bool:

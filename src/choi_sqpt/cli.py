@@ -152,10 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _UsageError(ValueError):
-    pass
-
-
 def _numbers_joined_to_param(argv: list[str]) -> list[str]:
     # argparse reads a value such as "-inf" as an option, so each number after
     # --param is passed as --param=V; argparse still rejects a non-number
@@ -177,16 +173,13 @@ def _resolve_channel(args) -> tuple[QuantumChannel, dict]:
         except OSError as exc:
             raise ChannelFormatError(f"cannot read {args.channel}: {exc}") from exc
         if args.dim is not None and args.dim != channel.dim:
-            raise _UsageError(
+            raise ValueError(
                 f"--dim {args.dim} contradicts channel file dimension {channel.dim}"
             )
         descriptor = {"source": "file", "path": args.channel, "dim": channel.dim}
         return channel, descriptor
     dim = args.dim if args.dim is not None else 2
-    try:
-        channel = preset_channel(args.preset, args.param, dim)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    channel = preset_channel(args.preset, args.param, dim)
     descriptor = {
         "source": "preset",
         "name": args.preset,
@@ -204,10 +197,10 @@ def _resolve_backend(args) -> tuple[BackendConfig, dict]:
         try:
             seed = int(raw)
         except ValueError as exc:
-            raise _UsageError(f"${SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
+            raise ValueError(f"${SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
     if args.backend == "sampled":
         if args.shots is None:
-            raise _UsageError("--backend sampled requires --shots")
+            raise ValueError("--backend sampled requires --shots")
         config = BackendConfig("sampled", args.shots, seed)
     else:
         config = BackendConfig("exact", 0, seed)
@@ -218,14 +211,14 @@ def _resolve_backend(args) -> tuple[BackendConfig, dict]:
 def _parse_target(text: str, dim: int, as_lambda: bool) -> tuple[int, int, int, int]:
     parts = text.split(",")
     if len(parts) != 4:
-        raise _UsageError(f"--target needs four comma-separated indices, got {text!r}")
+        raise ValueError(f"--target needs four comma-separated indices, got {text!r}")
     try:
         indices = tuple(int(p) for p in parts)
     except ValueError as exc:
-        raise _UsageError(f"--target indices must be integers, got {text!r}") from exc
+        raise ValueError(f"--target indices must be integers, got {text!r}") from exc
     for idx in indices:
         if not 0 <= idx < dim:
-            raise _UsageError(f"target index {idx} out of range for dimension {dim}")
+            raise ValueError(f"target index {idx} out of range for dimension {dim}")
     return chi_index(indices) if as_lambda else indices
 
 
@@ -242,7 +235,7 @@ def _emit(report: dict, args, pretty_lines: list[str]) -> None:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise _UsageError(f"cannot write --output {args.output}: {exc.strerror}") from exc
+            raise ValueError(f"cannot write --output {args.output}: {exc.strerror}") from exc
     if args.pretty:
         print("\n".join(pretty_lines))
     elif not args.output:
@@ -327,7 +320,7 @@ def _cmd_full(args, report: dict) -> tuple[int, list[str]]:
 def _cmd_validate(args, report: dict) -> tuple[int, list[str]]:
     channel, descriptor = _resolve_channel(args)
     if not (np.isfinite(args.tol) and args.tol > 0):
-        raise _UsageError(f"--tol must be a finite positive number, got {args.tol}")
+        raise ValueError(f"--tol must be a finite positive number, got {args.tol}")
     started = time.perf_counter()
     verdict = validate_cptp(channel, args.tol)
     duration = time.perf_counter() - started
@@ -362,9 +355,9 @@ def _cmd_plan(args, report: dict) -> tuple[int, list[str]]:
     elif args.dim is not None:
         dim, descriptor = args.dim, {"source": "none", "dim": args.dim}
     else:
-        raise _UsageError("plan needs --dim or a channel source")
+        raise ValueError("plan needs --dim or a channel source")
     if dim < 2:
-        raise _UsageError("--dim must be at least 2")
+        raise ValueError("--dim must be at least 2")
     target = _parse_target(args.target, dim, args.lambda_indices)
     started = time.perf_counter()
     plan = plan_element(*target, dim)
@@ -400,7 +393,7 @@ def _cmd_plan(args, report: dict) -> tuple[int, list[str]]:
 
 def _cmd_convert(args, report: dict) -> tuple[int, list[str]]:
     if args.chi and (args.channel or args.preset):
-        raise _UsageError("pass either --chi or a channel source, not both")
+        raise ValueError("pass either --chi or a channel source, not both")
     if args.chi:
         try:
             chi, convention = chi_from_json(_read_json(args.chi))
@@ -411,22 +404,22 @@ def _cmd_convert(args, report: dict) -> tuple[int, list[str]]:
         descriptor = {"source": "chi-file", "path": args.chi}
         expected = CHI_CONVENTION if args.to == "pauli" else PAULI_CONVENTION
         if convention != expected:
-            raise _UsageError(
+            raise ValueError(
                 f"conversion to {args.to} needs a {expected} input, got {convention}"
             )
         dim = int(np.sqrt(chi.shape[0]))
     elif args.channel or args.preset:
         if args.to != "pauli":
-            raise _UsageError("a channel source already yields the Choi form")
+            raise ValueError("a channel source already yields the Choi form")
         channel, descriptor = _resolve_channel(args)
         chi = chi_oracle(channel)
         dim = channel.dim
     else:
-        raise _UsageError("convert needs --chi or a channel source")
+        raise ValueError("convert needs --chi or a channel source")
 
     n_qubits = dim.bit_length() - 1
     if dim < 2 or 2**n_qubits != dim:
-        raise _UsageError(
+        raise ValueError(
             f"basis conversion is defined for qubit systems; dimension {dim} "
             "is not a power of two"
         )
@@ -476,9 +469,6 @@ def main(argv=None) -> int:
     try:
         exit_code, pretty_lines = _COMMANDS[args.command](args, report)
         _emit(report, args, pretty_lines)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ChannelFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

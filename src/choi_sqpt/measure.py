@@ -12,7 +12,7 @@ costs O(rank D^2) per input state where the Kraus sum on |psi><psi| costs
 O(rank D^3).  channels.apply_channel stays the path for a general
 operator.  Rows are read in blocks with stacked products, one per observable
 kind, that make the same BLAS call per cell as a single read.
-measure_row is the one-row table and measure_setting the 1 x 1 one.
+measure_setting is the 1 x 1 table.
 
 Every sampled setting derives its own random stream by hashing a canonical
 byte encoding of the setting together with the master seed, so results are
@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .basis import basis_state, superposition_states
-from .channels import QuantumChannel
+from .channels import QuantumChannel, _integer
 
 __all__ = [
     "BackendConfig",
@@ -40,7 +40,6 @@ __all__ = [
     "PhysicalityError",
     "exact_expectation",
     "input_state_set",
-    "measure_row",
     "measure_setting",
     "measure_table",
     "sampled_expectation",
@@ -162,6 +161,8 @@ class BackendConfig:
     def __post_init__(self):
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"unknown backend mode {self.mode!r}")
+        _integer(self.shots, "shots")
+        _integer(self.master_seed, "master seed")
         if self.mode == "sampled" and self.shots < 1:
             raise ValueError("sampled mode needs shots >= 1")
         if self.shots > _MASK64 >> 1:  # numpy draws take the shot count as an int64
@@ -391,28 +392,20 @@ def measure_table(
     return values, errs
 
 
-def measure_row(
-    channel: QuantumChannel,
-    input_state: np.ndarray,
-    observables: Sequence[np.ndarray],
-    config: BackendConfig,
-) -> list[MeasurementOutcome]:
-    """Outcomes of the settings (input_state, O) for every O in observables.
-
-    The one-row case of measure_table: the channel is applied to psi
-    once and every observable is read off that one output state.
-    """
-    values, errs = measure_table(channel, [input_state], observables, config)
+def measure_setting(
+    channel: QuantumChannel, setting: MeasurementSetting, config: BackendConfig
+) -> MeasurementOutcome:
+    """The setting's outcome on the backend the config selects: its 1 x 1 table."""
+    values, errs = measure_table(channel, [setting.input_state], [setting.observable], config)
     shots = config.shots if config.mode == "sampled" else 0
-    return [MeasurementOutcome(float(v), float(e), shots) for v, e in zip(values[0], errs[0])]
+    return MeasurementOutcome(float(values[0, 0]), float(errs[0, 0]), shots)
 
 
 def exact_expectation(
     channel: QuantumChannel, setting: MeasurementSetting
 ) -> MeasurementOutcome:
     """Tr[O eps(|psi><psi|)] evaluated without statistical noise."""
-    exact = BackendConfig()
-    return measure_row(channel, setting.input_state, [setting.observable], exact)[0]
+    return measure_setting(channel, setting, BackendConfig())
 
 
 def sampled_expectation(
@@ -427,14 +420,7 @@ def sampled_expectation(
     """
     if config.mode != "sampled":
         raise ValueError("sampled_expectation needs a sampled-mode config")
-    return measure_row(channel, setting.input_state, [setting.observable], config)[0]
-
-
-def measure_setting(
-    channel: QuantumChannel, setting: MeasurementSetting, config: BackendConfig
-) -> MeasurementOutcome:
-    """Dispatch to the backend selected by the config."""
-    return measure_row(channel, setting.input_state, [setting.observable], config)[0]
+    return measure_setting(channel, setting, config)
 
 
 def input_state_set(dim: int) -> list[np.ndarray]:
@@ -468,9 +454,10 @@ def tp_complete(partials: Mapping[int, float], dim: int) -> float:
         )
     levels = set()
     for level in partials:
-        if not 0 <= int(level) < dim:
+        level = _integer(level, "level index")
+        if not 0 <= level < dim:
             raise ValueError(f"level index {level} out of range for dimension {dim}")
-        levels.add(int(level))
+        levels.add(level)
     if len(levels) != dim - 1:
         raise ValueError("duplicate level indices in partial expectations")
     return 1.0 - float(sum(partials.values()))

@@ -29,7 +29,7 @@ from .basis import (
     PureStateExpansion, _frozen, _solve_expansion, _tensor_products, basis_state,
     expand_choi_four, sud_generators,
 )
-from .channels import QuantumChannel, _complex_from_pair, _complex_to_pair
+from .channels import QuantumChannel, _complex_from_pair, _complex_to_pair, _integer
 from .measure import (
     BackendConfig,
     PhysicalityError,
@@ -256,8 +256,7 @@ def _combine(values, errs, rows, cols) -> tuple[np.ndarray, np.ndarray]:
     decides the bits; a padding term adds an exact zero.
     """
     (i, r), (j, s) = rows, cols
-    # libm pow (float ** 2) and x * x round some near-tie squares apart: keep pow
-    sq_errs = np.array([[e**2 for e in row] for row in errs.tolist()])
+    sq_errs = np.square(errs)
     w = r[:, :, None] * s[:, None, :]
     cells = i[:, :, None], j[:, None, :]
     # one row per (p, q), input-outer: sum() adds them left to right from 0
@@ -465,9 +464,9 @@ class QuditIndexMap:
     local_dim: int
 
     def __post_init__(self):
-        if self.n_sites < 1:
+        if _integer(self.n_sites, "n_sites") < 1:
             raise ValueError("need at least one site")
-        if self.local_dim < 2:
+        if _integer(self.local_dim, "local_dim") < 2:
             raise ValueError("local dimension must be at least 2")
 
     @property
@@ -475,7 +474,7 @@ class QuditIndexMap:
         return self.local_dim**self.n_sites
 
     def compose(self, digits) -> int:
-        digits = tuple(int(d) for d in digits)
+        digits = tuple(_integer(d, "digit") for d in digits)
         if len(digits) != self.n_sites:
             raise ValueError(f"need {self.n_sites} digits, got {len(digits)}")
         acc = 0
@@ -486,6 +485,7 @@ class QuditIndexMap:
         return acc
 
     def decompose(self, a: int) -> tuple[int, ...]:
+        a = _integer(a, "index")
         if not 0 <= a < self.dim:
             raise ValueError(f"index {a} out of range for dimension {self.dim}")
         digits = []

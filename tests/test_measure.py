@@ -21,7 +21,6 @@ from choi_sqpt import (
     exact_expectation,
     haar_isometry,
     input_state_set,
-    measure_row,
     measure_setting,
     measure_table,
     plan_element,
@@ -139,6 +138,14 @@ def test_backend_config_validation():
     assert BackendConfig("sampled", 2**63 - 1).shots == 2**63 - 1
     with pytest.raises(ValueError, match="shots"):
         BackendConfig("sampled", 2**63)
+    # a count or seed that is not an integer is refused, not truncated: numpy
+    # would draw 100 shots and the estimate divide by 100.7
+    for shots, seed in [(100.7, 3), (100, 1.5), (True, 3), (100, False)]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            BackendConfig("sampled", shots, seed)
+    assert BackendConfig("sampled", np.int64(100), np.uint64(3)).descriptor == (
+        "sampled(shots=100,seed=3)"
+    )
 
 
 @pytest.mark.parametrize("dim", [2, 4])
@@ -199,38 +206,6 @@ def test_sampled_safe_under_concurrent_evaluation():
     with ThreadPoolExecutor(max_workers=8) as pool:
         threaded = list(pool.map(lambda s: measure_setting(ch, s, cfg), settings))
     assert sequential == threaded
-
-
-@pytest.mark.parametrize("config", [BackendConfig(), BackendConfig("sampled", 500, 9)],
-                         ids=["exact", "sampled"])
-def test_measure_row_equals_per_setting_measurement(monkeypatch, config):
-    # one channel application for the whole row, and every outcome bit for
-    # bit the one the single-setting call returns
-    rng = np.random.default_rng(12)
-    ch = preset_channel("random-cptp", [14], 3)
-    psi = _random_state(3, rng)
-    herm = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    observables = [_random_state(3, rng), herm + herm.conj().T, basis_state(2, 3)]
-    expected = [measure_setting(ch, MeasurementSetting(psi, o), config) for o in observables]
-    calls = [0]
-    original = measure._output_state
-
-    def counted(channel, psi):
-        calls[0] += 1
-        return original(channel, psi)
-
-    monkeypatch.setattr(measure, "_output_state", counted)
-    assert measure_row(ch, psi, observables, config) == expected
-    assert calls[0] == 1
-
-
-def test_measure_row_validates_every_setting():
-    ch = preset_channel("identity", dim=2)
-    with pytest.raises(ValueError, match="Hermitian"):
-        measure_row(ch, PLUS, [PLUS, np.array([[0, 1], [0, 0]], dtype=complex)],
-                    BackendConfig())
-    with pytest.raises(ValueError, match="dimension"):
-        measure_row(preset_channel("identity", dim=3), PLUS, [PLUS], BackendConfig())
 
 
 def _kraus_loop(channel, rho):
@@ -302,9 +277,9 @@ def _recorded(monkeypatch, name) -> list:
 @pytest.mark.parametrize("config", [BackendConfig(), BackendConfig("sampled", 500, 9)],
                          ids=["exact", "sampled"])
 def test_measure_table_equals_per_setting_measurement(monkeypatch, config):
-    # every cell bit for bit the single-setting outcome, projector and
-    # Hermitian observables alike, and on the sampled backend every cell's
-    # key the setting's canonical_key
+    # one channel application per row, every cell bit for bit the
+    # single-setting outcome, projector and Hermitian observables alike, and
+    # on the sampled backend every cell's key the setting's canonical_key
     rng = np.random.default_rng(13)
     ch = preset_channel("random-cptp", [15], 3)
     states = [_random_state(3, rng), basis_state(1, 3), _random_state(3, rng)]
@@ -313,8 +288,10 @@ def test_measure_table_equals_per_setting_measurement(monkeypatch, config):
                    np.diag([1.0, -1.0, 0.5])]
     keys = _recorded(monkeypatch, "_setting_key")
     checked = _recorded(monkeypatch, "_checked_state"), _recorded(monkeypatch, "_checked_observable")
+    outputs = _recorded(monkeypatch, "_output_state")
     values, errs = measure_table(ch, states, observables, config)
     assert [len(c) for c in checked] == [len(states), len(observables)]
+    assert len(outputs) == len(states)
     table_keys = list(keys)
     settings = [MeasurementSetting(psi, o) for psi in states for o in observables]
     expected_keys = [s.canonical_key() for s in settings] if config.mode == "sampled" else []
@@ -336,8 +313,13 @@ def test_measure_table_validates_like_a_setting():
             MeasurementSetting(states[0], observables[0])
         with pytest.raises(ValueError, match=message):
             measure_table(ch, states, observables, BackendConfig())
+    # every observable is checked, not only the first
+    with pytest.raises(ValueError, match="observable must be Hermitian"):
+        measure_table(ch, [PLUS], [PLUS, cases[1][1][0]], BackendConfig())
     with pytest.raises(ValueError, match="does not match channel dimension 2"):
         measure_table(ch, [basis_state(0, 3)], [basis_state(0, 3)], BackendConfig())
+    with pytest.raises(ValueError, match="does not match channel dimension 3"):
+        measure_table(preset_channel("identity", dim=3), [PLUS], [PLUS], BackendConfig())
 
 
 _SEEDS = [0, 1, 2**32 - 1, 2**32, 2**40 + 11, 2**64 - 1]
@@ -556,6 +538,9 @@ def test_tp_complete_wrong_count():
         tp_complete({0: 0.2}, 3)
     with pytest.raises(ValueError, match="duplicate|range"):
         tp_complete({0: 0.2, 3: 0.1}, 3)
+    with pytest.raises(ValueError, match="level index must be an integer"):
+        tp_complete({0.5: 0.3}, 2)
+    assert tp_complete({np.int64(1): 0.25}, 2) == 0.75
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -408,11 +408,11 @@ def test_full_sampled_matches_per_element_reconstruction(dim):
 
 def _combine_reference(values, errs, row, col) -> tuple[complex, float]:
     # the per-entry term loop _combine replaced: Python's sum from 0,
-    # input-outer, every standard error squared as a float by ** 2
+    # input-outer, every standard error squared as a float by e * e
     terms = [(np.complex128(r * s), values[i, j], float(errs[i, j]))
              for i, r in zip(*row) for j, s in zip(*col)]
     value = complex(sum(w * v for w, v, _ in terms))
-    variance = float(sum(abs(w) ** 2 * e**2 for w, _, e in terms))
+    variance = float(sum(abs(w) ** 2 * (e * e) for w, _, e in terms))
     return value, variance
 
 
@@ -665,6 +665,16 @@ def test_index_validation():
         index_map.compose((3, 0))
     with pytest.raises(ValueError, match="digits"):
         index_map.compose((1,))
+    # non-integers are refused, not truncated
+    with pytest.raises(ValueError, match="digit must be an integer"):
+        QuditIndexMap(2, 2).compose([1.7, 0.2])
+    with pytest.raises(ValueError, match="index must be an integer"):
+        QuditIndexMap(2, 2).decompose(2.5)
+    for n_sites, local_dim in [(2.0, 2), (2, 2.5), (True, 2)]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            QuditIndexMap(n_sites, local_dim)
+    assert index_map.compose(np.array([2, 1])) == 7
+    assert index_map.decompose(np.int64(7)) == (2, 1)
 
 
 def test_ghz_profile_full_entanglement():
