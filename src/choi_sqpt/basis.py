@@ -14,9 +14,12 @@ so a successfully built expansion is already a checked identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.linalg import LinAlgError
+
+from .channels import _finite, _integer
 
 __all__ = [
     "HermitianBasis",
@@ -38,6 +41,9 @@ __all__ = [
 
 # expansion solves refuse systems worse conditioned than this
 COND_CAP = 1e8
+
+# expand_choi_four keeps this many (a, b, D) units: every unit up to D = 32
+_UNIT_CACHE_SIZE = 1024
 
 
 def _frozen(arr: np.ndarray, dtype=complex) -> np.ndarray:
@@ -96,15 +102,15 @@ class PureStateExpansion:
     def __post_init__(self):
         if len(self.weights) != len(self.states):
             raise ValueError("weights and states must pair up")
-        states = tuple(_frozen(np.asarray(s, dtype=complex)) for s in self.states)
+        states = tuple(_finite(_frozen(s), "expansion states") for s in self.states)
         for s in states:
             if abs(np.linalg.norm(s) - 1.0) > 1e-12:
                 raise ValueError("expansion states must be unit vectors")
         object.__setattr__(self, "weights", tuple(complex(w) for w in self.weights))
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "target", _frozen(self.target))
+        object.__setattr__(self, "target", _finite(_frozen(self.target), "expansion target"))
         residual = np.max(np.abs(self.reconstruct() - self.target))
-        if residual > self.atol:
+        if not residual <= self.atol:  # a NaN weight makes the residual NaN
             raise ValueError(
                 f"expansion does not reproduce its target (residual {residual:.3e})"
             )
@@ -129,15 +135,15 @@ class HermitianExpansion:
     def __post_init__(self):
         if len(self.weights) != len(self.operators):
             raise ValueError("weights and operators must pair up")
-        ops = tuple(_frozen(np.asarray(o, dtype=complex)) for o in self.operators)
+        ops = tuple(_finite(_frozen(o), "expansion operators") for o in self.operators)
         for o in ops:
             if np.max(np.abs(o - o.conj().T)) > 1e-12:
                 raise ValueError("expansion operators must be Hermitian")
         object.__setattr__(self, "weights", tuple(complex(w) for w in self.weights))
         object.__setattr__(self, "operators", ops)
-        object.__setattr__(self, "target", _frozen(self.target))
+        object.__setattr__(self, "target", _finite(_frozen(self.target), "expansion target"))
         residual = np.max(np.abs(self.reconstruct() - self.target))
-        if residual > self.atol:
+        if not residual <= self.atol:  # a NaN weight makes the residual NaN
             raise ValueError(
                 f"expansion does not reproduce its target (residual {residual:.3e})"
             )
@@ -157,7 +163,18 @@ def expand_choi_four(a: int, b: int, dim: int) -> PureStateExpansion:
     with |ab,+> = (|a>+|b>)/sqrt2 and |ab,-> = (|a>+i|b>)/sqrt2; for a > b
     the weights are the conjugates of the (b, a) expansion on the same four
     states; a diagonal unit is the single projector |a><a|.
+
+    The arguments must be integers, checked before the lookup in a cache of
+    the _UNIT_CACHE_SIZE most recently used (a, b, dim) units; each unit is
+    built and verified once, so repeated calls return the same read-only
+    object.  An out-of-range index raises in the builder, and a raise is
+    never cached.
     """
+    return _choi_four_unit(_integer(a, "a"), _integer(b, "b"), _integer(dim, "dim"))
+
+
+@lru_cache(maxsize=_UNIT_CACHE_SIZE)
+def _choi_four_unit(a: int, b: int, dim: int) -> PureStateExpansion:
     target = choi_op(a, b, dim)
     if a == b:
         return PureStateExpansion((1.0,), (basis_state(a, dim),), target)
@@ -218,6 +235,7 @@ class HermitianBasis:
             arr = np.asarray(o, dtype=complex)
             if arr.shape != (self.dim, self.dim):
                 raise ValueError("basis operators must be D x D")
+            _finite(arr, "basis operators")
             if np.max(np.abs(arr - arr.conj().T)) > 1e-12:
                 raise ValueError("basis operators must be Hermitian")
             ops.append(_frozen(arr))

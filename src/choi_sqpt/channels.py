@@ -70,6 +70,7 @@ class QuantumChannel:
     kraus: tuple[np.ndarray, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _integer(self.dim, "dimension"))
         if self.dim < 1:
             raise ValueError(f"dimension must be positive, got {self.dim}")
         if len(self.kraus) == 0:
@@ -84,7 +85,7 @@ class QuantumChannel:
                 )
             ops.append(arr)
         # one read-only copy of the operators; kraus holds views into it
-        stack = np.stack(ops)
+        stack = _finite(np.stack(ops), "Kraus operator entries")
         stack.setflags(write=False)
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "kraus", tuple(stack))
@@ -229,9 +230,18 @@ def _one_probability(params: Sequence[float], name: str) -> float:
 
 def _integer(value, name: str) -> int:
     # an int or numpy integer, never a bool; a float is refused, not truncated
+    if type(value) is int:  # the common case, without the slower ABC check
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _finite(arr: np.ndarray, what: str) -> np.ndarray:
+    # NaN fails every tolerance comparison, so non-finite input is refused here
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite")
+    return arr
 
 
 def _whole(value) -> bool:
@@ -263,6 +273,7 @@ def preset_channel(
     (seed,) or (seed, kraus_rank), rank defaulting to dim**2, and is CPTP
     by construction (stacked blocks of a Haar-random isometry).
     """
+    dim = _integer(dim, "dimension")
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
     if name == "identity":

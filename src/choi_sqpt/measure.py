@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .basis import basis_state, superposition_states
-from .channels import QuantumChannel, _integer
+from .channels import QuantumChannel, _finite, _integer
 
 __all__ = [
     "BackendConfig",
@@ -61,10 +61,17 @@ class PhysicalityError(ValueError):
     """Raised when simulated outcome probabilities are not probabilities."""
 
 
+_ZERO_CODE = format(0.0, ".12f")
+
+
 def _canon_floats(values) -> str:
     # round to 12 decimals and kill negative zero so equal settings built
-    # through different arithmetic hash identically
-    return ",".join(format(round(float(v), 12) + 0.0, ".12f") for v in values)
+    # through different arithmetic hash identically; a zero of either sign
+    # encodes as _ZERO_CODE, so only the nonzero entries are formatted
+    codes = [_ZERO_CODE] * len(values)
+    for k in np.flatnonzero(values).tolist():
+        codes[k] = format(round(float(values[k]), 12) + 0.0, ".12f")
+    return ",".join(codes)
 
 
 def _canon_complex(arr: np.ndarray) -> str:
@@ -78,12 +85,18 @@ def _setting_key(dim: int, state_code: str, projector: bool, obs_code: str) -> b
     return f"d={dim};in={state_code};obs={kind}:{obs_code}".encode("ascii")
 
 
+def _check_unit(vec: np.ndarray, what: str) -> None:
+    # a NaN norm fails this comparison too; only then are the entries scanned
+    if not abs(np.linalg.norm(vec) - 1.0) <= 1e-12:
+        _finite(vec, f"{what} entries")
+        raise ValueError(f"{what} must be a unit vector")
+
+
 def _checked_state(state) -> np.ndarray:
     state = np.array(state, dtype=complex)
     if state.ndim != 1:
         raise ValueError("input state must be a vector")
-    if abs(np.linalg.norm(state) - 1.0) > 1e-12:
-        raise ValueError("input state must be a unit vector")
+    _check_unit(state, "input state")
     state.setflags(write=False)
     return state
 
@@ -93,11 +106,11 @@ def _checked_observable(obs, dim: int) -> np.ndarray:
     if obs.ndim == 1:
         if obs.shape[0] != dim:
             raise ValueError("projector vector dimension mismatch")
-        if abs(np.linalg.norm(obs) - 1.0) > 1e-12:
-            raise ValueError("projector vector must be a unit vector")
+        _check_unit(obs, "projector vector")
     elif obs.ndim == 2:
         if obs.shape != (dim, dim):
             raise ValueError("observable dimension mismatch")
+        _finite(obs, "observable entries")
         if np.max(np.abs(obs - obs.conj().T)) > 1e-12:
             raise ValueError("observable must be Hermitian")
     else:

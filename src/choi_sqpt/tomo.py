@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,6 +63,9 @@ __all__ = [
 
 CHI_CONVENTION = "choi-row-ef"
 PAULI_CONVENTION = "pauli-row-ixyz"
+
+# full_sqpt keeps this many (local_dim, n_sites) product-hermitian designs
+_DESIGN_CACHE_SIZE = 8
 
 
 # --- lambda/chi index algebra -------------------------------------------------
@@ -215,13 +219,15 @@ def plan_element(e: int, f: int, g: int, h: int, dim: int) -> MeasurementPlan:
     (e = g and f = h), 4 when exactly one of the two expansions is a
     single projector, 16 otherwise.
     """
-    for idx in (e, f, g, h):
+    dim = _integer(dim, "dim")
+    target = tuple(_integer(idx, name) for idx, name in zip((e, f, g, h), "efgh"))
+    for idx in target:
         if not 0 <= idx < dim:
             raise ValueError(f"index {idx} out of range for dimension {dim}")
-    a, b, c, d = lambda_index((e, f, g, h))
+    a, b, c, d = lambda_index(target)
     return MeasurementPlan(
         dim=dim,
-        target=(e, f, g, h),
+        target=target,
         inputs=expand_choi_four(a, b, dim),
         observables=expand_choi_four(d, c, dim),
     )
@@ -421,17 +427,33 @@ def _full_product_hermitian(
         raise ValueError("pass local_dim and n_sites together or not at all")
     if local_dim is None:
         local_dim, n_sites = dim, 1
+    local_dim, n_sites = _integer(local_dim, "local_dim"), _integer(n_sites, "n_sites")
     if local_dim**n_sites != dim:
         raise ValueError(
             f"local_dim**n_sites = {local_dim}**{n_sites} does not equal "
             f"the channel dimension {dim}"
         )
+    states, observables, r_mat, s_mat = _product_hermitian_design(local_dim, n_sites)
+    data, errs = measure_table(channel, states, observables, config)
+    n = dim * dim
+    lam = r_mat.T @ data @ s_mat
+    lam_var = (np.abs(r_mat.T) ** 2) @ np.square(errs) @ (np.abs(s_mat) ** 2)
+    chi_var = chi_from_lambda(lam_var)
+    return SqptResult(chi_from_lambda(lam), np.sqrt(chi_var), "product-hermitian", n * n, n * n, 0)
+
+
+@lru_cache(maxsize=_DESIGN_CACHE_SIZE)
+def _product_hermitian_design(local_dim: int, n_sites: int):
+    """The channel-independent half of product-hermitian: (states, observables, R, S).
+
+    lambda = R^T T S for the table T of the product states x the tensor
+    products of SU(d) generators.  Built and verified once per
+    (local_dim, n_sites) and process; every array is read-only.
+    """
     states = _tensor_products(input_state_set(local_dim), n_sites)
     observables = _tensor_products(list(sud_generators(local_dim).operators), n_sites)
+    dim = local_dim**n_sites
     n = dim * dim
-
-    data, errs = measure_table(channel, states, observables, config)
-
     # input weights: columns of P are the vectorized state projectors, and
     # the vectorized matrix unit |a><b| is the (a*D+b)-th unit vector
     proj_cols = np.stack(
@@ -442,11 +464,10 @@ def _full_product_hermitian(
     obs_cols = np.stack([o.reshape(-1) for o in observables], axis=1)
     targets = np.eye(n, dtype=complex).reshape(dim, dim, n).transpose(1, 0, 2).reshape(n, n)
     s_mat = _solve_expansion(obs_cols, targets, "basis operators")
-
-    lam = r_mat.T @ data @ s_mat
-    lam_var = (np.abs(r_mat.T) ** 2) @ np.square(errs) @ (np.abs(s_mat) ** 2)
-    chi_var = chi_from_lambda(lam_var)
-    return SqptResult(chi_from_lambda(lam), np.sqrt(chi_var), "product-hermitian", n * n, n * n, 0)
+    return (
+        tuple(map(_frozen, states)), tuple(map(_frozen, observables)),
+        _frozen(r_mat), _frozen(s_mat),
+    )
 
 
 # --- multi-qudit index utilities ----------------------------------------------

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from numpy.linalg import LinAlgError
 
+from choi_sqpt import basis
 from choi_sqpt import (
     HermitianBasis,
+    HermitianExpansion,
     PureStateExpansion,
     apply_channel,
     apply_chi,
@@ -122,6 +124,45 @@ def test_expand_choi_four_conjugate_pairs(dim):
                 np.testing.assert_allclose(x, y, atol=1e-15)
 
 
+def test_expand_choi_four_returns_one_read_only_unit_per_key():
+    unit = expand_choi_four(0, 1, 3)
+    assert expand_choi_four(0, 1, 3) is unit
+    assert expand_choi_four(np.int64(0), np.int32(1), np.int64(3)) is unit
+    for arr in (*unit.states, unit.target):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.5
+    assert basis._choi_four_unit.cache_info().maxsize == basis._UNIT_CACHE_SIZE == 1024
+
+
+def test_expand_choi_four_checks_its_arguments_before_the_cache():
+    # (1, 0, 2) is cached first: True and 1.0 hash like 1, yet are refused
+    expand_choi_four(1, 0, 2)
+    for a, b, dim, name in [(True, 0, 2, "a"), (1.0, 0, 2, "a"), (1, False, 2, "b"),
+                            (1, 0, 2.0, "dim")]:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            expand_choi_four(a, b, dim)
+    for a, b, dim in [(2, 0, 2), (0, -1, 2), (0, 0, 0)]:
+        with pytest.raises(ValueError, match="out of range"):
+            expand_choi_four(a, b, dim)
+
+
+def test_expansions_refuse_non_finite_values():
+    # NaN fails every tolerance comparison, so each of these used to verify
+    ket, unit = basis_state(0, 2), choi_op(0, 0, 2)
+    nan_target = np.where(unit == 1, np.nan, 0).astype(complex)
+    cases = [
+        (PureStateExpansion, (1.0,), (ket,), nan_target, "target must be finite"),
+        (PureStateExpansion, (1.0,), (np.array([np.nan, 0]),), unit, "states must be finite"),
+        (PureStateExpansion, (np.nan,), (ket,), unit, "reproduce"),
+        (HermitianExpansion, (1.0,), (unit,), nan_target, "target must be finite"),
+        (HermitianExpansion, (1.0,), (np.diag([np.inf, 0]),), unit, "operators must be finite"),
+        (HermitianExpansion, (np.nan,), (unit,), unit, "reproduce"),
+    ]
+    for cls, weights, vectors, target, message in cases:
+        with pytest.raises(ValueError, match=message):
+            cls(weights, vectors, target)
+
+
 def test_expand_operator_in_states_basis_target():
     states = input_state_set(2)
     exp = expand_operator_in_states(choi_op(0, 0, 2), states)
@@ -180,6 +221,10 @@ def test_hermitian_basis_rejects_non_hermitian():
     ops = list(sud_generators(2).operators)
     ops[1] = np.array([[0, 1], [0, 0]], dtype=complex)
     with pytest.raises(ValueError, match="Hermitian"):
+        HermitianBasis(2, tuple(ops))
+    # a NaN entry used to pass the Hermitian check and fail in the Gram SVD
+    ops[1] = np.diag([np.nan, 1.0])
+    with pytest.raises(ValueError, match="basis operators must be finite"):
         HermitianBasis(2, tuple(ops))
 
 

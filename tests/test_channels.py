@@ -245,6 +245,11 @@ def test_preset_errors():
         preset_channel("amplitude-damping", [0.1], 3)
     with pytest.raises(ValueError, match="one parameter"):
         preset_channel("bit-flip", [])
+    # a float dimension used to end in a TypeError deep inside full_sqpt
+    for dim in (2.0, True, np.float64(3)):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            preset_channel("depolarizing", [0.1], dim)
+    assert preset_channel("depolarizing", [0.1], np.int64(3)).dim == 3
 
 
 @pytest.mark.parametrize("params", [
@@ -289,6 +294,17 @@ def test_kron_tp_iff_both_tp():
     assert kron_channel(tp, tp).is_trace_preserving()
     assert not kron_channel(tp, non_tp).is_trace_preserving()
     assert not kron_channel(non_tp, tp).is_trace_preserving()
+
+
+def test_channel_validates_its_dimension_and_entries():
+    for dim in (2.0, True):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            QuantumChannel(dim, (np.eye(2),))
+    assert type(QuantumChannel(np.int64(2), (np.eye(2),)).dim) is int
+    # a NaN Kraus entry used to give a NaN chi from full_sqpt, silently
+    for bad in (np.nan, np.inf, complex(0, np.nan)):
+        with pytest.raises(ValueError, match="Kraus operator entries must be finite"):
+            QuantumChannel(2, (np.eye(2), np.diag([bad, 1.0])))
 
 
 def test_channel_is_immutable():

@@ -322,6 +322,43 @@ def test_measure_table_validates_like_a_setting():
         measure_table(preset_channel("identity", dim=3), [PLUS], [PLUS], BackendConfig())
 
 
+def test_non_finite_inputs_are_refused():
+    # NaN fails every tolerance comparison: these used to build, or read NaN
+    ch, cfg = preset_channel("identity", dim=2), BackendConfig()
+    nan_ket, inf_ket = np.array([np.nan, 0]), np.array([np.inf, 0])
+    inf_obs = np.diag([np.inf, 1.0]).astype(complex)
+    cases = [
+        ([nan_ket], [basis_state(0, 2)], "input state entries must be finite"),
+        ([inf_ket], [basis_state(0, 2)], "input state entries must be finite"),
+        ([PLUS], [nan_ket], "projector vector entries must be finite"),
+        ([PLUS], [inf_obs], "observable entries must be finite"),
+    ]
+    for states, observables, message in cases:
+        with pytest.raises(ValueError, match=message):
+            MeasurementSetting(states[0], observables[0])
+        with pytest.raises(ValueError, match=message):
+            measure_table(ch, states, observables, cfg)
+
+
+def _canon_floats_reference(values) -> str:
+    # the one-line encoding every stream key was built with
+    return ",".join(format(round(float(v), 12) + 0.0, ".12f") for v in values)
+
+
+def test_canon_floats_matches_the_reference_format():
+    rng = np.random.default_rng(12)
+    edges = [0.0, -0.0, 5e-13, -5e-13, 4.999999999999999e-13, -4.999999999999999e-13,
+             np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.0, 0.5 + 5e-13]
+    samples = [np.array(edges), np.zeros(7), -np.zeros(3), np.array([])]
+    for scale in (1e-13, 1e-12, 1e-6, 1.0, 1e6):
+        draws = rng.normal(scale=scale, size=(50, 32))
+        draws[rng.random(draws.shape) < 0.6] = 0.0
+        draws[rng.random(draws.shape) < 0.1] = -0.0
+        samples.extend(draws)
+    for values in samples:
+        assert measure._canon_floats(values) == _canon_floats_reference(values)
+
+
 _SEEDS = [0, 1, 2**32 - 1, 2**32, 2**40 + 11, 2**64 - 1]
 
 

@@ -27,7 +27,7 @@ from choi_sqpt import (
     preset_channel,
     reconstruct_element,
 )
-from choi_sqpt import measure, tomo
+from choi_sqpt import basis, measure, tomo
 
 EXACT = BackendConfig()
 
@@ -226,6 +226,13 @@ def test_plan_cardinality_case_split(dim):
 def test_plan_index_validation():
     with pytest.raises(ValueError, match="range"):
         plan_element(0, 0, 0, 3, 3)
+    # non-integers are refused by name, not indexed (0.5) or read as 1 (True)
+    for args, name in [((0.5, 0, 0, 0, 2), "e"), ((True, 0, 1, 0, 2), "e"),
+                       ((0, 0, 0, 1.0, 2), "h"), ((0, 0, 0, 0, 2.0), "dim")]:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            plan_element(*args)
+    plan = plan_element(np.int64(1), 0, 1, 0, np.int64(2))
+    assert plan.target == (1, 0, 1, 0) and plan.dim == 2
 
 
 # --- single-element reconstruction ----------------------------------------------
@@ -549,6 +556,60 @@ def test_full_eigendecomposition_budget(monkeypatch, config, decompositions):
     calls = _count_calls(monkeypatch, np.linalg, "eigh")
     full_sqpt(preset_channel("random-cptp", [80, 2], 3), config, "product-hermitian")
     assert calls[0] == decompositions
+
+
+def _clear_designs():
+    basis._choi_four_unit.cache_clear()
+    tomo._product_hermitian_design.cache_clear()
+
+
+def test_design_caches_give_the_same_bytes_cold_and_warm():
+    ch = preset_channel("random-cptp", [81, 2], 3)
+    sampled = BackendConfig("sampled", 1000, 7)
+
+    def run() -> bytes:
+        parts = [full_sqpt(ch, EXACT), full_sqpt(ch, EXACT, "product-hermitian"),
+                 full_sqpt(ch, sampled, "product-hermitian")]
+        est = reconstruct_element(plan_element(0, 1, 2, 0, 3), ch, sampled)
+        return b"".join(r.chi.tobytes() + r.std_errors.tobytes() for r in parts) + \
+            repr((est.value, est.std_error)).encode()
+
+    _clear_designs()
+    cold = run()
+    assert run() == cold
+    _clear_designs()
+    assert run() == cold
+
+
+@pytest.mark.parametrize("strategy", ["choi-four", "product-hermitian"])
+def test_a_second_run_at_the_same_dimension_rebuilds_no_design(monkeypatch, strategy):
+    # the expansions and weight solves depend only on D: a second channel at
+    # the same D pays for its table and combine alone
+    full_sqpt(preset_channel("random-cptp", [82, 2], 3), EXACT, strategy)
+    expansions = _count_calls(monkeypatch, basis, "PureStateExpansion")
+    solves = _count_calls(monkeypatch, tomo, "_solve_expansion")
+    second = preset_channel("random-cptp", [83, 2], 3)
+    result = full_sqpt(second, EXACT, strategy)
+    np.testing.assert_allclose(result.chi, chi_oracle(second), atol=1e-12)
+    assert expansions[0] == 0 and solves[0] == 0
+    _clear_designs()
+    full_sqpt(second, EXACT, strategy)
+    assert (expansions[0], solves[0]) == ((3**2, 0) if strategy == "choi-four" else (0, 2))
+
+
+def test_product_hermitian_design_is_read_only_and_bounded():
+    states, observables, r_mat, s_mat = tomo._product_hermitian_design(2, 2)
+    assert len(states) == len(observables) == 16 and r_mat.shape == s_mat.shape == (16, 16)
+    for arr in (*states, *observables, r_mat, s_mat):
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 0.5
+    assert tomo._product_hermitian_design(2, 2)[2] is r_mat
+    assert tomo._product_hermitian_design.cache_info().maxsize == tomo._DESIGN_CACHE_SIZE == 8
+    # the site arguments are checked before the cache is looked up
+    ch = preset_channel("identity", dim=4)
+    for local_dim, n_sites in [(2.0, 2), (2, 2.0), (2, True)]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            full_sqpt(ch, EXACT, "product-hermitian", local_dim=local_dim, n_sites=n_sites)
 
 
 def _count_channel_applications(monkeypatch) -> list[int]:
