@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .channels import _finite, _integer
+from .channels import _dimension, _finite, _hermitian, _index, _integer, _unit_vector
 
 __all__ = [
     "HermitianBasis",
@@ -42,7 +42,8 @@ __all__ = [
 # expansion solves refuse systems worse conditioned than this
 COND_CAP = 1e8
 
-# expand_choi_four keeps this many (a, b, D) units: every unit up to D = 32
+# expand_choi_four keeps this many (a, b, D) units, and caches a unit only while
+# D * D <= _UNIT_CACHE_SIZE: every unit up to D = 32, about 18 MiB at most
 _UNIT_CACHE_SIZE = 1024
 
 
@@ -54,8 +55,8 @@ def _frozen(arr: np.ndarray, dtype=complex) -> np.ndarray:
 
 def basis_state(a: int, dim: int) -> np.ndarray:
     """Computational basis ket |a>."""
-    if not 0 <= a < dim:
-        raise ValueError(f"level index {a} out of range for dimension {dim}")
+    dim = _integer(dim, "dim")
+    a = _index(a, dim, "level index")
     vec = np.zeros(dim, dtype=complex)
     vec[a] = 1.0
     return vec
@@ -67,8 +68,8 @@ def choi_op(a: int, b: int, dim: int) -> np.ndarray:
     The set of all D^2 matrix units is orthonormal under the
     Hilbert-Schmidt inner product Tr[A^dagger B].
     """
-    if not (0 <= a < dim and 0 <= b < dim):
-        raise ValueError(f"indices ({a}, {b}) out of range for dimension {dim}")
+    dim = _integer(dim, "dim")
+    a, b = _index(a, dim, "a"), _index(b, dim, "b")
     m = np.zeros((dim, dim), dtype=complex)
     m[a, b] = 1.0
     return m
@@ -76,18 +77,36 @@ def choi_op(a: int, b: int, dim: int) -> np.ndarray:
 
 def choi_basis(dim: int) -> list[np.ndarray]:
     """All matrix units in flat order (index a*dim + b)."""
+    dim = _dimension(dim, "dim")
     return [choi_op(a, b, dim) for a in range(dim) for b in range(dim)]
 
 
 def superposition_states(a: int, b: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The two superposition kets (|a>+|b>)/sqrt2 and (|a>+i|b>)/sqrt2 for a < b."""
-    if not 0 <= a < b < dim:
-        raise ValueError(
-            f"superposition states need 0 <= a < b < dim, got a={a}, b={b}, dim={dim}"
-        )
+    dim = _integer(dim, "dim")
+    a, b = _index(a, dim, "a"), _index(b, dim, "b")
+    if not a < b:
+        raise ValueError(f"superposition states need a < b, got a={a}, b={b}")
     plus = (basis_state(a, dim) + basis_state(b, dim)) / np.sqrt(2)
     minus = (basis_state(a, dim) + 1j * basis_state(b, dim)) / np.sqrt(2)
     return plus, minus
+
+
+def _verify_expansion(expansion, field: str, check) -> None:
+    """Pair the weights with the checked, read-only items and verify the target.
+
+    Both expansion classes run this on construction; check is the rule each
+    item obeys (unit vector or Hermitian operator).
+    """
+    items = getattr(expansion, field)
+    if len(expansion.weights) != len(items):
+        raise ValueError(f"weights and {field} must pair up")
+    object.__setattr__(expansion, field, tuple(check(_frozen(x)) for x in items))
+    object.__setattr__(expansion, "weights", tuple(complex(w) for w in expansion.weights))
+    object.__setattr__(expansion, "target", _finite(_frozen(expansion.target), "expansion target"))
+    residual = np.max(np.abs(expansion.reconstruct() - expansion.target))
+    if not residual <= expansion.atol:  # a NaN weight makes the residual NaN
+        raise ValueError(f"expansion does not reproduce its target (residual {residual:.3e})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,20 +119,9 @@ class PureStateExpansion:
     atol: float = 1e-12
 
     def __post_init__(self):
-        if len(self.weights) != len(self.states):
-            raise ValueError("weights and states must pair up")
-        states = tuple(_finite(_frozen(s), "expansion states") for s in self.states)
-        for s in states:
-            if abs(np.linalg.norm(s) - 1.0) > 1e-12:
-                raise ValueError("expansion states must be unit vectors")
-        object.__setattr__(self, "weights", tuple(complex(w) for w in self.weights))
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "target", _finite(_frozen(self.target), "expansion target"))
-        residual = np.max(np.abs(self.reconstruct() - self.target))
-        if not residual <= self.atol:  # a NaN weight makes the residual NaN
-            raise ValueError(
-                f"expansion does not reproduce its target (residual {residual:.3e})"
-            )
+        _verify_expansion(
+            self, "states", lambda s: _unit_vector(s, "each expansion state", "expansion states")
+        )
 
     def reconstruct(self) -> np.ndarray:
         dim = self.states[0].shape[0]
@@ -133,20 +141,9 @@ class HermitianExpansion:
     atol: float = 1e-12
 
     def __post_init__(self):
-        if len(self.weights) != len(self.operators):
-            raise ValueError("weights and operators must pair up")
-        ops = tuple(_finite(_frozen(o), "expansion operators") for o in self.operators)
-        for o in ops:
-            if np.max(np.abs(o - o.conj().T)) > 1e-12:
-                raise ValueError("expansion operators must be Hermitian")
-        object.__setattr__(self, "weights", tuple(complex(w) for w in self.weights))
-        object.__setattr__(self, "operators", ops)
-        object.__setattr__(self, "target", _finite(_frozen(self.target), "expansion target"))
-        residual = np.max(np.abs(self.reconstruct() - self.target))
-        if not residual <= self.atol:  # a NaN weight makes the residual NaN
-            raise ValueError(
-                f"expansion does not reproduce its target (residual {residual:.3e})"
-            )
+        _verify_expansion(
+            self, "operators", lambda o: _hermitian(o, "expansion operators", "expansion operators")
+        )
 
     def reconstruct(self) -> np.ndarray:
         out = np.zeros_like(self.operators[0])
@@ -167,10 +164,13 @@ def expand_choi_four(a: int, b: int, dim: int) -> PureStateExpansion:
     The arguments must be integers, checked before the lookup in a cache of
     the _UNIT_CACHE_SIZE most recently used (a, b, dim) units; each unit is
     built and verified once, so repeated calls return the same read-only
-    object.  An out-of-range index raises in the builder, and a raise is
-    never cached.
+    object.  Only units with dim * dim <= _UNIT_CACHE_SIZE are cached, which
+    bounds the cache's memory; a larger unit is built and verified per call.
+    An out-of-range index raises in _choi_four_unit, and a raise is never cached.
     """
-    return _choi_four_unit(_integer(a, "a"), _integer(b, "b"), _integer(dim, "dim"))
+    a, b, dim = _integer(a, "a"), _integer(b, "b"), _integer(dim, "dim")
+    build = _choi_four_unit if dim * dim <= _UNIT_CACHE_SIZE else _choi_four_unit.__wrapped__
+    return build(a, b, dim)
 
 
 @lru_cache(maxsize=_UNIT_CACHE_SIZE)
@@ -225,6 +225,7 @@ class HermitianBasis:
     operators: tuple[np.ndarray, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _dimension(self.dim, "dim"))
         if len(self.operators) != self.dim * self.dim:
             raise ValueError(
                 f"a Hermitian basis at dimension {self.dim} needs "
@@ -235,10 +236,7 @@ class HermitianBasis:
             arr = np.asarray(o, dtype=complex)
             if arr.shape != (self.dim, self.dim):
                 raise ValueError("basis operators must be D x D")
-            _finite(arr, "basis operators")
-            if np.max(np.abs(arr - arr.conj().T)) > 1e-12:
-                raise ValueError("basis operators must be Hermitian")
-            ops.append(_frozen(arr))
+            ops.append(_frozen(_hermitian(arr, "basis operators", "basis operators")))
         object.__setattr__(self, "operators", tuple(ops))
         gram = self.gram()
         if np.linalg.matrix_rank(gram) < self.dim * self.dim:
@@ -271,8 +269,7 @@ def sud_generators(d: int) -> HermitianBasis:
     pairs, then the diagonal family; non-identity generators satisfy
     Tr[G_i G_j] = 2 delta_ij.  At d=2 this is exactly (I, sx, sy, sz).
     """
-    if d < 2:
-        raise ValueError("SU(d) generators need d >= 2")
+    d = _dimension(d, "d", 2)
     ops = [np.eye(d, dtype=complex)]
     for j in range(d):
         for k in range(j + 1, d):
@@ -295,8 +292,7 @@ def sud_generators(d: int) -> HermitianBasis:
 
 def pauli_basis(n_qubits: int) -> list[np.ndarray]:
     """Tensor products of (I, sx, sy, sz), first site most significant."""
-    if n_qubits < 1:
-        raise ValueError("need at least one qubit")
+    n_qubits = _dimension(n_qubits, "n_qubits")
     return _tensor_products(list(sud_generators(2).operators), n_qubits)
 
 
@@ -327,8 +323,7 @@ def pauli_choi_unitary(n_qubits: int) -> np.ndarray:
     The single-qubit block sends (sqrt2 |a><b|) for ab = 00, 01, 10, 11 to
     (I, sx, sy, sz); N qubits use its N-fold tensor power.
     """
-    if n_qubits < 1:
-        raise ValueError("need at least one qubit")
+    n_qubits = _dimension(n_qubits, "n_qubits")
     u = _U_SINGLE
     for _ in range(n_qubits - 1):
         u = np.kron(u, _U_SINGLE)
@@ -349,6 +344,7 @@ def _site_major_unit_order(n_qubits: int) -> np.ndarray:
 
 
 def _check_chi_shape(chi: np.ndarray, n_qubits: int) -> np.ndarray:
+    _dimension(n_qubits, "n_qubits")
     chi = np.asarray(chi, dtype=complex)
     side = 4**n_qubits
     if chi.shape != (side, side):

@@ -70,9 +70,7 @@ class QuantumChannel:
     kraus: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", _integer(self.dim, "dimension"))
-        if self.dim < 1:
-            raise ValueError(f"dimension must be positive, got {self.dim}")
+        object.__setattr__(self, "dim", _dimension(self.dim, "dimension"))
         if len(self.kraus) == 0:
             raise ValueError("a channel needs at least one Kraus operator")
         ops = []
@@ -190,6 +188,7 @@ def validate_cptp(channel: QuantumChannel, tol: float = 1e-10) -> ValidationRepo
 
 def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random isometry with orthonormal columns (rows >= cols)."""
+    rows, cols = _dimension(rows, "rows"), _dimension(cols, "cols")
     if rows < cols:
         raise ValueError("an isometry needs rows >= cols")
     z = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
@@ -201,6 +200,7 @@ def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Random full-rank mixed state from the Ginibre ensemble."""
+    dim = _dimension(dim, "dim")
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho)
@@ -237,11 +237,43 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _dimension(value, name: str, least: int = 1) -> int:
+    # an integer of at least `least`
+    value = _integer(value, name)
+    if value < least:
+        bound = "positive" if least == 1 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return value
+
+
+def _index(value, dim: int, name: str) -> int:
+    # an integer in range(dim)
+    value = _integer(value, name)
+    if not 0 <= value < dim:
+        raise ValueError(f"{name} {value} out of range for dimension {dim}")
+    return value
+
+
 def _finite(arr: np.ndarray, what: str) -> np.ndarray:
     # NaN fails every tolerance comparison, so non-finite input is refused here
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} must be finite")
     return arr
+
+
+def _unit_vector(vec: np.ndarray, what: str, entries: str | None = None) -> np.ndarray:
+    # a NaN norm fails this comparison too; only then are the entries scanned
+    if not abs(np.linalg.norm(vec) - 1.0) <= 1e-12:
+        _finite(vec, entries or f"{what} entries")
+        raise ValueError(f"{what} must be a unit vector")
+    return vec
+
+
+def _hermitian(op: np.ndarray, what: str, entries: str | None = None) -> np.ndarray:
+    _finite(op, entries or f"{what} entries")
+    if np.max(np.abs(op - op.conj().T)) > 1e-12:
+        raise ValueError(f"{what} must be Hermitian")
+    return op
 
 
 def _whole(value) -> bool:
@@ -273,9 +305,7 @@ def preset_channel(
     (seed,) or (seed, kraus_rank), rank defaulting to dim**2, and is CPTP
     by construction (stacked blocks of a Haar-random isometry).
     """
-    dim = _integer(dim, "dimension")
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
+    dim = _dimension(dim, "dimension")
     if name == "identity":
         if params:
             raise ValueError("identity takes no parameters")

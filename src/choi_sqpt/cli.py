@@ -25,6 +25,7 @@ from .channels import (
     ChannelFormatError,
     QuantumChannel,
     _complex_to_pair,
+    _dimension,
     _read_json,
     chi_oracle,
     load_channel,
@@ -208,7 +209,8 @@ def _resolve_backend(args) -> tuple[BackendConfig, dict]:
     return config, echo
 
 
-def _parse_target(text: str, dim: int, as_lambda: bool) -> tuple[int, int, int, int]:
+def _parse_target(text: str, as_lambda: bool) -> tuple[int, int, int, int]:
+    # the indices' range is plan_element's check
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError(f"--target needs four comma-separated indices, got {text!r}")
@@ -216,9 +218,6 @@ def _parse_target(text: str, dim: int, as_lambda: bool) -> tuple[int, int, int, 
         indices = tuple(int(p) for p in parts)
     except ValueError as exc:
         raise ValueError(f"--target indices must be integers, got {text!r}") from exc
-    for idx in indices:
-        if not 0 <= idx < dim:
-            raise ValueError(f"target index {idx} out of range for dimension {dim}")
     return chi_index(indices) if as_lambda else indices
 
 
@@ -252,7 +251,7 @@ def _base_report(argv: list[str]) -> dict:
 def _cmd_element(args, report: dict) -> tuple[int, list[str]]:
     channel, descriptor = _resolve_channel(args)
     config, backend_echo = _resolve_backend(args)
-    target = _parse_target(args.target, channel.dim, args.lambda_indices)
+    target = _parse_target(args.target, args.lambda_indices)
     plan = plan_element(*target, channel.dim)
     started = time.perf_counter()
     estimate = reconstruct_element(plan, channel, config)
@@ -356,9 +355,8 @@ def _cmd_plan(args, report: dict) -> tuple[int, list[str]]:
         dim, descriptor = args.dim, {"source": "none", "dim": args.dim}
     else:
         raise ValueError("plan needs --dim or a channel source")
-    if dim < 2:
-        raise ValueError("--dim must be at least 2")
-    target = _parse_target(args.target, dim, args.lambda_indices)
+    dim = _dimension(dim, "--dim", 2)
+    target = _parse_target(args.target, args.lambda_indices)
     started = time.perf_counter()
     plan = plan_element(*target, dim)
     duration = time.perf_counter() - started

@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .basis import basis_state, superposition_states
-from .channels import QuantumChannel, _finite, _integer
+from .channels import QuantumChannel, _dimension, _hermitian, _index, _integer, _unit_vector
 
 __all__ = [
     "BackendConfig",
@@ -85,18 +85,11 @@ def _setting_key(dim: int, state_code: str, projector: bool, obs_code: str) -> b
     return f"d={dim};in={state_code};obs={kind}:{obs_code}".encode("ascii")
 
 
-def _check_unit(vec: np.ndarray, what: str) -> None:
-    # a NaN norm fails this comparison too; only then are the entries scanned
-    if not abs(np.linalg.norm(vec) - 1.0) <= 1e-12:
-        _finite(vec, f"{what} entries")
-        raise ValueError(f"{what} must be a unit vector")
-
-
 def _checked_state(state) -> np.ndarray:
     state = np.array(state, dtype=complex)
     if state.ndim != 1:
         raise ValueError("input state must be a vector")
-    _check_unit(state, "input state")
+    _unit_vector(state, "input state")
     state.setflags(write=False)
     return state
 
@@ -106,13 +99,11 @@ def _checked_observable(obs, dim: int) -> np.ndarray:
     if obs.ndim == 1:
         if obs.shape[0] != dim:
             raise ValueError("projector vector dimension mismatch")
-        _check_unit(obs, "projector vector")
+        _unit_vector(obs, "projector vector")
     elif obs.ndim == 2:
         if obs.shape != (dim, dim):
             raise ValueError("observable dimension mismatch")
-        _finite(obs, "observable entries")
-        if np.max(np.abs(obs - obs.conj().T)) > 1e-12:
-            raise ValueError("observable must be Hermitian")
+        _hermitian(obs, "observable")
     else:
         raise ValueError("observable must be a vector or a matrix")
     obs.setflags(write=False)
@@ -286,24 +277,9 @@ def _output_state(channel: QuantumChannel, psi: np.ndarray) -> np.ndarray:
     return amps.T @ amps.conj()
 
 
-def _check_cell(raw) -> None:
-    """Raise PhysicalityError if one cell's outcome probabilities are not probabilities.
-
-    raw is a projector's success probability or a Hermitian observable's
-    outcome distribution; its entries are checked in order, then its sum.
-    """
-    for p in np.atleast_1d(raw).tolist():
-        if p < -PROB_BAND or p > 1.0 + PROB_BAND:
-            raise PhysicalityError(
-                f"outcome probability {p} lies outside [0, 1]; the channel is "
-                "not completely positive / trace preserving"
-            )
-    total = _clamped(raw).sum()
-    if np.ndim(raw) and abs(total - 1.0) > PROB_BAND:
-        raise PhysicalityError(
-            f"outcome probabilities sum to {total}; the channel is not "
-            "trace preserving"
-        )
+def _outside(p: np.ndarray) -> np.ndarray:
+    # probabilities further than PROB_BAND outside [0, 1]
+    return (p < -PROB_BAND) | (p > 1.0 + PROB_BAND)
 
 
 def _clamped(p: np.ndarray) -> np.ndarray:
@@ -316,18 +292,28 @@ def _probabilities(p, q, proj, herm) -> tuple[np.ndarray, np.ndarray | None]:
 
     p holds the projector cells' success probabilities and q the Hermitian
     cells' outcome distributions.  The block's first unphysical cell, in
-    row-major order, raises what checking it alone raises.
+    row-major order, raises PhysicalityError: naming its first probability
+    outside [0, 1], or else its outcome distribution's sum.
     """
     unphysical = np.zeros((len(p), len(proj) + len(herm)), dtype=bool)
-    unphysical[:, proj] = (p < -PROB_BAND) | (p > 1.0 + PROB_BAND)
+    unphysical[:, proj] = _outside(p)
     if herm:
         probs = _clamped(q)
         totals = probs.sum(axis=2, keepdims=True)
-        outside = ((q < -PROB_BAND) | (q > 1.0 + PROB_BAND)).any(axis=2)
-        unphysical[:, herm] = outside | (np.abs(totals[..., 0] - 1.0) > PROB_BAND)
+        unphysical[:, herm] = _outside(q).any(axis=2) | (np.abs(totals[..., 0] - 1.0) > PROB_BAND)
     if unphysical.any():
         m, k = np.unravel_index(unphysical.argmax(), unphysical.shape)
-        _check_cell(p[m, proj.index(k)] if k in proj else q[m, herm.index(k)])
+        cell = np.atleast_1d(p[m, proj.index(k)] if k in proj else q[m, herm.index(k)])
+        outside = cell[_outside(cell)].tolist()
+        if outside:
+            raise PhysicalityError(
+                f"outcome probability {outside[0]} lies outside [0, 1]; the channel is "
+                "not completely positive / trace preserving"
+            )
+        raise PhysicalityError(
+            f"outcome probabilities sum to {totals[m, herm.index(k), 0]}; the channel "
+            "is not trace preserving"
+        )
     return _clamped(p), (probs / totals if herm else None)
 
 
@@ -443,34 +429,28 @@ def input_state_set(dim: int) -> list[np.ndarray]:
     row-major order, (|a>+|b>)/sqrt2 and (|a>+i|b>)/sqrt2.  Their
     projectors are linearly independent and span operator space.
     """
-    if dim < 2:
-        raise ValueError("the input state set needs dim >= 2")
+    dim = _dimension(dim, "dim", 2)
     states = [basis_state(a, dim) for a in range(dim)]
     for a in range(dim):
         for b in range(a + 1, dim):
-            plus, minus = superposition_states(a, b, dim)
-            states.append(plus)
-            states.append(minus)
+            states.extend(superposition_states(a, b, dim))
     return states
 
 
-def tp_complete(partials: Mapping[int, float], dim: int) -> float:
+def tp_complete(partials: Mapping[int, float | np.ndarray], dim: int) -> float | np.ndarray:
     """Infer the one unmeasured diagonal expectation from normalization.
 
     Given D-1 of the D diagonal-projector expectations of a
     trace-preserving channel for a fixed input state, the missing one is
-    1 minus their sum.
+    1 minus their sum, added left to right from 0.  Each level's value may
+    be a column of expectations, one per input state; the result is then
+    the column of missing ones, each entry bit for bit its row's scalar call.
     """
+    dim = _dimension(dim, "dim")
     if len(partials) != dim - 1:
         raise ValueError(
             f"need exactly {dim - 1} diagonal expectations, got {len(partials)}"
         )
-    levels = set()
-    for level in partials:
-        level = _integer(level, "level index")
-        if not 0 <= level < dim:
-            raise ValueError(f"level index {level} out of range for dimension {dim}")
-        levels.add(level)
-    if len(levels) != dim - 1:
+    if len({_index(level, dim, "level index") for level in partials}) != dim - 1:
         raise ValueError("duplicate level indices in partial expectations")
-    return 1.0 - float(sum(partials.values()))
+    return 1.0 - sum(partials.values())

@@ -30,7 +30,9 @@ from .basis import (
     PureStateExpansion, _frozen, _solve_expansion, _tensor_products, basis_state,
     expand_choi_four, sud_generators,
 )
-from .channels import QuantumChannel, _complex_from_pair, _complex_to_pair, _integer
+from .channels import (
+    QuantumChannel, _complex_from_pair, _complex_to_pair, _dimension, _index, _integer,
+)
 from .measure import (
     BackendConfig,
     PhysicalityError,
@@ -143,8 +145,7 @@ class BetaPermutation:
 
 
 def beta_permutation(dim: int) -> BetaPermutation:
-    if dim < 2:
-        raise ValueError("beta permutation needs dim >= 2")
+    dim = _dimension(dim, "dim", 2)
     flat = np.arange(dim**4).reshape(dim * dim, dim * dim)
     return BetaPermutation(dim, chi_from_lambda(flat).ravel())
 
@@ -220,10 +221,7 @@ def plan_element(e: int, f: int, g: int, h: int, dim: int) -> MeasurementPlan:
     single projector, 16 otherwise.
     """
     dim = _integer(dim, "dim")
-    target = tuple(_integer(idx, name) for idx, name in zip((e, f, g, h), "efgh"))
-    for idx in target:
-        if not 0 <= idx < dim:
-            raise ValueError(f"index {idx} out of range for dimension {dim}")
+    target = tuple(_index(idx, dim, name) for idx, name in zip((e, f, g, h), "efgh"))
     a, b, c, d = lambda_index(target)
     return MeasurementPlan(
         dim=dim,
@@ -251,24 +249,25 @@ def _padded(expansions, targets) -> tuple[np.ndarray, np.ndarray]:
     return slots[targets], weights[targets]
 
 
-def _combine(values, errs, rows, cols) -> tuple[np.ndarray, np.ndarray]:
+def _combine(values, errs, rows, cols, var_cols=None) -> tuple[np.ndarray, np.ndarray]:
     """Weighted sums of table cells and their quadrature variances, one per target.
 
     rows = (i, r) and cols = (j, s) hold, row t, the padded (table slots,
-    weights) of target t's input and observable expansion.  Entry t is
-    sum_pq r_p s_q T[i_p, j_q], its variance sum_pq |r_p s_q|**2
-    se[i_p, j_q]**2, both added input-outer, left to right, starting from 0.
-    The weights are dyadic, so every product is exact and only that order
-    decides the bits; a padding term adds an exact zero.
+    weights) of target t's input and observable expansion; var_cols, cols
+    by default, is the observable side the variance is read through.  Entry
+    t is sum_pq r_p s_q T[i_p, j_q], its variance sum_pq |r_p s'_q|**2
+    se[i_p, j'_q]**2 over var_cols = (j', s'), both added input-outer, left
+    to right, starting from 0.  The weights are dyadic, so every product is
+    exact and only that order decides the bits; a padding term adds an
+    exact zero.
     """
     (i, r), (j, s) = rows, cols
-    sq_errs = np.square(errs)
-    w = r[:, :, None] * s[:, None, :]
-    cells = i[:, :, None], j[:, None, :]
+    jv, sv = cols if var_cols is None else var_cols
+    w, wv = (r[:, :, None] * x[:, None, :] for x in (s, sv))
     # one row per (p, q), input-outer: sum() adds them left to right from 0
-    terms = (w * values[cells]).reshape(len(w), -1).T
-    sq_terms = (np.abs(w) ** 2 * sq_errs[cells]).reshape(len(w), -1).T
-    return sum(terms), sum(sq_terms)
+    terms = (w * values[i[:, :, None], j[:, None, :]]).reshape(len(w), -1).T
+    sq_terms = np.abs(wv) ** 2 * np.square(errs)[i[:, :, None], jv[:, None, :]]
+    return sum(terms), sum(sq_terms.reshape(len(w), -1).T)
 
 
 def _table_side(units, chosen) -> tuple[dict, list]:
@@ -289,8 +288,9 @@ def _choi_four(channel, config, units, inputs, observables, tp_shortcut=False):
 
     Target t is the expand_choi_four unit units[inputs[t]] measured with
     units[observables[t]].  With tp_shortcut the projector onto |D-1> is
-    inferred as 1 minus the row's partials |0>..|D-2>, not measured, so its
-    variance enters through _inferred_substituted.
+    inferred as 1 minus the row's partials |0>..|D-2>, not measured: one
+    tp_complete call fills its column, and the one _combine call reads the
+    variance through _inferred_substituted.
     """
     dim = channel.dim
     inputs, observables = np.asarray(inputs), np.asarray(observables)
@@ -301,16 +301,14 @@ def _choi_four(channel, config, units, inputs, observables, tp_shortcut=False):
         *partials, last = [col_slot[basis_state(lvl, dim).tobytes()] for lvl in range(dim)]
         del col_kets[last]
     values, errs = measure_table(channel, row_kets, col_kets, config)
+    cols, var_cols = _padded(col_units, observables), None
     if tp_shortcut:
         values = np.insert(values, last, 0.0, axis=1)
         errs = np.insert(errs, last, 0.0, axis=1)
-        values[:, last] = [tp_complete(dict(enumerate(row[partials])), dim) for row in values]
-    rows = _padded(row_units, inputs)
-    lam, var = _combine(values, errs, rows, _padded(col_units, observables))
-    if tp_shortcut:
-        col_units = [_inferred_substituted(*unit, last, partials) for unit in col_units]
-        var = _combine(values, errs, rows, _padded(col_units, observables))[1]
-    return lam, var
+        values[:, last] = tp_complete(dict(enumerate(values[:, partials].T)), dim)
+        substituted = [_inferred_substituted(*unit, last, partials) for unit in col_units]
+        var_cols = _padded(substituted, observables)
+    return _combine(values, errs, _padded(row_units, inputs), cols, var_cols)
 
 
 def reconstruct_element(
@@ -485,30 +483,24 @@ class QuditIndexMap:
     local_dim: int
 
     def __post_init__(self):
-        if _integer(self.n_sites, "n_sites") < 1:
-            raise ValueError("need at least one site")
-        if _integer(self.local_dim, "local_dim") < 2:
-            raise ValueError("local dimension must be at least 2")
+        _dimension(self.n_sites, "n_sites")
+        _dimension(self.local_dim, "local_dim", 2)
 
     @property
     def dim(self) -> int:
         return self.local_dim**self.n_sites
 
     def compose(self, digits) -> int:
-        digits = tuple(_integer(d, "digit") for d in digits)
+        digits = tuple(_index(d, self.local_dim, "digit") for d in digits)
         if len(digits) != self.n_sites:
             raise ValueError(f"need {self.n_sites} digits, got {len(digits)}")
         acc = 0
         for d in digits:
-            if not 0 <= d < self.local_dim:
-                raise ValueError(f"digit {d} out of range for base {self.local_dim}")
             acc = acc * self.local_dim + d
         return acc
 
     def decompose(self, a: int) -> tuple[int, ...]:
-        a = _integer(a, "index")
-        if not 0 <= a < self.dim:
-            raise ValueError(f"index {a} out of range for dimension {self.dim}")
+        a = _index(a, self.dim, "index")
         digits = []
         for _ in range(self.n_sites):
             digits.append(a % self.local_dim)
@@ -598,9 +590,7 @@ def chi_from_json(obj) -> tuple[np.ndarray, str]:
     """Parse a chi JSON document, returning the matrix and its convention."""
     if not isinstance(obj, dict):
         raise ValueError("chi document must be a JSON object")
-    dim = obj.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 2:
-        raise ValueError(f"'dim' must be an integer >= 2, got {dim!r}")
+    dim = _dimension(obj.get("dim"), "'dim'", 2)
     convention = obj.get("convention")
     if convention not in (CHI_CONVENTION, PAULI_CONVENTION):
         raise ValueError(f"unknown chi convention {convention!r}")

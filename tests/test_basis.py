@@ -134,6 +134,20 @@ def test_expand_choi_four_returns_one_read_only_unit_per_key():
     assert basis._choi_four_unit.cache_info().maxsize == basis._UNIT_CACHE_SIZE == 1024
 
 
+def test_expand_choi_four_caches_no_unit_above_d_32():
+    # a unit holds its dense D x D target, so only D * D <= 1024 is cached:
+    # larger units are built and verified per call
+    before = basis._choi_four_unit.cache_info().currsize
+    unit = expand_choi_four(0, 1, 33)
+    again = expand_choi_four(0, 1, 33)
+    assert basis._choi_four_unit.cache_info().currsize == before
+    assert isinstance(unit, PureStateExpansion) and again is not unit
+    assert unit.weights == again.weights
+    for x, y in zip((*unit.states, unit.target), (*again.states, again.target)):
+        assert x.tobytes() == y.tobytes()
+    assert np.max(np.abs(unit.reconstruct() - choi_op(0, 1, 33))) <= 1e-12
+
+
 def test_expand_choi_four_checks_its_arguments_before_the_cache():
     # (1, 0, 2) is cached first: True and 1.0 hash like 1, yet are refused
     expand_choi_four(1, 0, 2)

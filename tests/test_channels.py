@@ -5,21 +5,39 @@ import numpy as np
 import pytest
 
 from choi_sqpt import (
+    BackendConfig,
     ChannelFormatError,
+    HermitianBasis,
     QuantumChannel,
+    QuditIndexMap,
     apply_channel,
     apply_chi,
     assert_density_matrix,
+    basis_state,
+    beta_permutation,
     channel_from_json,
     channel_to_json,
+    chi_choi_to_pauli,
     chi_oracle,
+    chi_pauli_to_choi,
     choi_basis,
+    choi_op,
+    expand_choi_four,
+    full_sqpt,
+    ghz_profile,
     haar_isometry,
+    input_state_set,
     kron_channel,
     load_channel,
+    pauli_basis,
+    pauli_choi_unitary,
+    plan_element,
     preset_channel,
     random_density_matrix,
     save_channel,
+    sud_generators,
+    superposition_states,
+    tp_complete,
     validate_cptp,
 )
 
@@ -305,6 +323,66 @@ def test_channel_validates_its_dimension_and_entries():
     for bad in (np.nan, np.inf, complex(0, np.nan)):
         with pytest.raises(ValueError, match="Kraus operator entries must be finite"):
             QuantumChannel(2, (np.eye(2), np.diag([bad, 1.0])))
+
+
+def _integer_arguments():
+    # (entry, the argument's name in its refusal, a call taking the argument,
+    # a valid integer value for it)
+    rng = np.random.default_rng(0)
+    su2 = sud_generators(2).operators
+    ch4, exact = preset_channel("identity", dim=4), BackendConfig()
+    return [
+        ("QuantumChannel", "dimension", lambda v: QuantumChannel(v, (np.eye(2),)), 2),
+        ("preset_channel", "dimension", lambda v: preset_channel("identity", (), v), 2),
+        ("haar_isometry", "rows", lambda v: haar_isometry(v, 1, rng), 2),
+        ("haar_isometry", "cols", lambda v: haar_isometry(2, v, rng), 1),
+        ("random_density_matrix", "dim", lambda v: random_density_matrix(v, rng), 2),
+        ("basis_state", "level index", lambda v: basis_state(v, 2), 1),
+        ("basis_state", "dim", lambda v: basis_state(0, v), 2),
+        ("choi_op", "a", lambda v: choi_op(v, 0, 2), 1),
+        ("choi_op", "b", lambda v: choi_op(0, v, 2), 1),
+        ("choi_op", "dim", lambda v: choi_op(0, 0, v), 2),
+        ("choi_basis", "dim", lambda v: choi_basis(v), 2),
+        ("superposition_states", "a", lambda v: superposition_states(v, 2, 3), 1),
+        ("superposition_states", "b", lambda v: superposition_states(0, v, 2), 1),
+        ("superposition_states", "dim", lambda v: superposition_states(0, 1, v), 2),
+        ("expand_choi_four", "a", lambda v: expand_choi_four(v, 0, 2), 1),
+        ("expand_choi_four", "b", lambda v: expand_choi_four(0, v, 2), 1),
+        ("expand_choi_four", "dim", lambda v: expand_choi_four(0, 0, v), 2),
+        ("HermitianBasis", "dim", lambda v: HermitianBasis(v, su2), 2),
+        ("sud_generators", "d", lambda v: sud_generators(v), 2),
+        ("pauli_basis", "n_qubits", lambda v: pauli_basis(v), 1),
+        ("pauli_choi_unitary", "n_qubits", lambda v: pauli_choi_unitary(v), 1),
+        ("chi_choi_to_pauli", "n_qubits", lambda v: chi_choi_to_pauli(np.eye(4), v), 1),
+        ("chi_pauli_to_choi", "n_qubits", lambda v: chi_pauli_to_choi(np.eye(4), v), 1),
+        ("input_state_set", "dim", lambda v: input_state_set(v), 2),
+        ("tp_complete", "dim", lambda v: tp_complete({0: 0.5}, v), 2),
+        ("tp_complete", "level index", lambda v: tp_complete({v: 0.5}, 2), 1),
+        ("beta_permutation", "dim", lambda v: beta_permutation(v), 2),
+        ("plan_element", "e", lambda v: plan_element(v, 0, 0, 0, 2), 1),
+        ("plan_element", "f", lambda v: plan_element(0, v, 0, 0, 2), 1),
+        ("plan_element", "g", lambda v: plan_element(0, 0, v, 0, 2), 1),
+        ("plan_element", "h", lambda v: plan_element(0, 0, 0, v, 2), 1),
+        ("plan_element", "dim", lambda v: plan_element(0, 0, 0, 0, v), 2),
+        ("QuditIndexMap", "n_sites", lambda v: QuditIndexMap(v, 2), 2),
+        ("QuditIndexMap", "local_dim", lambda v: QuditIndexMap(2, v), 2),
+        ("compose", "digit", lambda v: QuditIndexMap(2, 2).compose([v, 0]), 1),
+        ("decompose", "index", lambda v: QuditIndexMap(2, 2).decompose(v), 1),
+        ("ghz_profile", "index", lambda v: ghz_profile(v, 0, QuditIndexMap(2, 2)), 1),
+        ("full_sqpt", "local_dim", lambda v: full_sqpt(ch4, exact, "product-hermitian", False, v, 2), 2),
+        ("full_sqpt", "n_sites", lambda v: full_sqpt(ch4, exact, "product-hermitian", False, 2, v), 2),
+    ]
+
+
+@pytest.mark.parametrize("entry, name, call, valid", _integer_arguments(),
+                         ids=[f"{entry}-{name}" for entry, name, *_ in _integer_arguments()])
+def test_dimensions_and_indices_must_be_integers(entry, name, call, valid):
+    # every public entry taking a dimension or an index refuses a float and a
+    # bool by the argument's name, with ValueError, and takes the integer
+    call(valid)
+    for value in (float(valid), True):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value}$"):
+            call(value)
 
 
 def test_channel_is_immutable():

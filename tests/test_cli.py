@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import choi_sqpt
 from choi_sqpt import (
     BackendConfig,
     channel_to_json,
@@ -525,3 +529,22 @@ def test_pretty_prints_summary(capsys):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert capsys.readouterr().out.strip()
+
+
+_IMPORT_PROBE = """
+import sys
+import choi_sqpt, choi_sqpt.cli
+from choi_sqpt import BackendConfig, full_sqpt, preset_channel
+full_sqpt(preset_channel("identity", dim=2), BackendConfig())
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_exact_run_does_not_import_numpy_random():
+    # only the sampled backend and the random presets import numpy.random, so
+    # importing the package and the CLI and an exact run do not pay for it
+    src = str(Path(choi_sqpt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "False\n"

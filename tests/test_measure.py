@@ -497,6 +497,17 @@ def test_table_raises_what_its_first_unphysical_cell_raises():
         "x": SX,  # outcomes (0.75, 0.75): sum 1.5
     }
     psi = basis_state(1, 2)
+    outside = "lies outside [0, 1]; the channel is not completely positive / trace preserving"
+    trace = "; the channel is not trace preserving"
+    # the messages, numbers included, as the per-cell check wrote them
+    expected = {
+        ("plus", "x", "ket1"): "outcome probabilities sum to 1.4999999999999993" + trace,
+        ("ket0", "ket1", "steep-op"): f"outcome probability 1.4999999999999998 {outside}",
+        ("steep-op", "x"): f"outcome probability 1.1249999999999993 {outside}",
+        ("x", "steep-op", "ket1"): "outcome probabilities sum to 1.4999999999999993" + trace,
+        ("plus", "steep", "x"): f"outcome probability 1.1249999999999998 {outside}",
+        ("ket0", "steep-op", "steep"): f"outcome probability 1.1249999999999993 {outside}",
+    }
 
     def first_error(names):
         for name in names:
@@ -505,13 +516,12 @@ def test_table_raises_what_its_first_unphysical_cell_raises():
             except PhysicalityError as exc:
                 return str(exc)
 
-    for names in (["plus", "x", "ket1"], ["ket0", "ket1", "steep-op"], ["steep-op", "x"],
-                  ["x", "steep-op", "ket1"], ["plus", "steep", "x"], ["ket0", "steep-op", "steep"]):
+    for names, message in expected.items():
         observables = [cells[n] for n in names]
         measure_table(ch, [basis_state(0, 2)], observables, config)  # |0> stays physical
         with pytest.raises(PhysicalityError) as raised:
             measure_table(ch, [basis_state(0, 2), psi, PLUS], observables, config)
-        assert str(raised.value) == first_error(names), names
+        assert str(raised.value) == message == first_error(names), names
 
 
 # one exact 40 x 40 table at D = 16 through a rank-256 channel; the Kraus
@@ -578,6 +588,14 @@ def test_tp_complete_wrong_count():
     with pytest.raises(ValueError, match="level index must be an integer"):
         tp_complete({0.5: 0.3}, 2)
     assert tp_complete({np.int64(1): 0.25}, 2) == 0.75
+
+
+def test_tp_complete_on_columns_matches_per_row_calls():
+    # one call over whole columns gives each row's scalar result, bit for bit
+    values = np.random.default_rng(5).random((40, 4))
+    columns = tp_complete(dict(enumerate(values.T)), 5)
+    rows = [tp_complete(dict(enumerate(row)), 5) for row in values]
+    assert columns.tobytes() == np.array(rows).tobytes()
 
 
 @pytest.mark.parametrize("dim", [2, 3])

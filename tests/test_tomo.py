@@ -547,6 +547,17 @@ def test_element_canonical_key_budget(monkeypatch):
     assert encodings[0] == len(plan.inputs.states) + len(plan.observables.states) == 8
 
 
+@pytest.mark.parametrize("config", [EXACT, BackendConfig("sampled", 100, 1)],
+                         ids=["exact", "sampled"])
+def test_shortcut_run_combines_once(monkeypatch, config):
+    # the inferred column is filled by one tp_complete call over the table,
+    # and one _combine call reads the values and the substituted variances
+    combines = _count_calls(monkeypatch, tomo, "_combine")
+    completions = _count_calls(monkeypatch, tomo, "tp_complete")
+    full_sqpt(preset_channel("random-cptp", [81, 2], 3), config, tp_shortcut=True)
+    assert combines[0] == completions[0] == 1
+
+
 @pytest.mark.parametrize("config, decompositions", [
     (EXACT, 0), (BackendConfig("sampled", 100, 1), 3**2),
 ], ids=["exact", "sampled"])
