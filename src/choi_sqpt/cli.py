@@ -4,6 +4,11 @@ Subcommands: element, full, validate, plan, convert.  Reports are JSON
 objects with sorted keys so identical invocations (with identical seeds)
 produce byte-identical output apart from the duration field.
 
+Every request takes one path: its subparser names its handler, which times
+its library call with _timed and returns (exit code, report fields, --pretty
+lines); main adds the tool and command header, emits the report with _emit
+and maps a ValueError to its exit code.
+
 Exit codes: 0 success, 2 bad arguments, 3 channel or chi file parse
 failure, 4 physicality validation failure.
 """
@@ -25,7 +30,6 @@ from .channels import (
     ChannelFormatError,
     QuantumChannel,
     _complex_to_pair,
-    _dimension,
     _read_json,
     chi_oracle,
     load_channel,
@@ -53,8 +57,12 @@ EXIT_PHYSICALITY = 4
 SEED_ENV_VAR = "CHOI_SQPT_SEED"
 
 
-def _add_channel_args(parser: argparse.ArgumentParser, required: bool = True) -> None:
-    group = parser.add_mutually_exclusive_group(required=required)
+def _add_command(sub, name: str, help_text: str, run, backend: bool = False,
+                 channel_required: bool = True) -> argparse.ArgumentParser:
+    # a subcommand's channel source, backend (element and full) and output
+    # flags, in that order, and the handler that serves it
+    parser = sub.add_parser(name, help=help_text)
+    group = parser.add_mutually_exclusive_group(required=channel_required)
     group.add_argument("--channel", metavar="PATH", help="channel JSON file")
     group.add_argument("--preset", metavar="NAME", help="named preset channel")
     parser.add_argument(
@@ -66,19 +74,23 @@ def _add_channel_args(parser: argparse.ArgumentParser, required: bool = True) ->
         help="preset parameter (repeatable)",
     )
     parser.add_argument("--dim", type=int, default=None, help="system dimension")
-
-
-def _add_backend_args(parser: argparse.ArgumentParser) -> None:
+    if backend:
+        parser.add_argument(
+            "--backend", choices=("exact", "sampled"), default="exact"
+        )
+        parser.add_argument("--shots", type=int, default=None, help="shots per setting")
+        parser.add_argument(
+            "--seed",
+            type=int,
+            default=None,
+            help=f"master seed (default: ${SEED_ENV_VAR} or 0)",
+        )
+    parser.add_argument("--output", metavar="PATH", help="write the JSON report here")
     parser.add_argument(
-        "--backend", choices=("exact", "sampled"), default="exact"
+        "--pretty", action="store_true", help="print a human-readable summary"
     )
-    parser.add_argument("--shots", type=int, default=None, help="shots per setting")
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help=f"master seed (default: ${SEED_ENV_VAR} or 0)",
-    )
+    parser.set_defaults(run=run)
+    return parser
 
 
 def _add_target_args(parser: argparse.ArgumentParser) -> None:
@@ -88,13 +100,6 @@ def _add_target_args(parser: argparse.ArgumentParser) -> None:
         dest="lambda_indices",
         action="store_true",
         help="interpret --target as data-matrix (lambda) indices a,b,c,d",
-    )
-
-
-def _add_output_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--output", metavar="PATH", help="write the JSON report here")
-    parser.add_argument(
-        "--pretty", action="store_true", help="print a human-readable summary"
     )
 
 
@@ -109,18 +114,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_element = sub.add_parser(
-        "element", help="reconstruct a single chi matrix element"
+    p_element = _add_command(
+        sub, "element", "reconstruct a single chi matrix element", _cmd_element, backend=True
     )
-    _add_channel_args(p_element)
-    _add_backend_args(p_element)
-    _add_output_args(p_element)
     _add_target_args(p_element)
 
-    p_full = sub.add_parser("full", help="reconstruct the complete chi matrix")
-    _add_channel_args(p_full)
-    _add_backend_args(p_full)
-    _add_output_args(p_full)
+    p_full = _add_command(
+        sub, "full", "reconstruct the complete chi matrix", _cmd_full, backend=True
+    )
     p_full.add_argument(
         "--strategy",
         choices=("choi-four", "product-hermitian"),
@@ -130,23 +131,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_full.add_argument("--local-dim", type=int, default=None)
     p_full.add_argument("--sites", type=int, default=None)
 
-    p_validate = sub.add_parser("validate", help="check a channel's physicality")
-    _add_channel_args(p_validate)
-    _add_output_args(p_validate)
+    p_validate = _add_command(sub, "validate", "check a channel's physicality", _cmd_validate)
     p_validate.add_argument("--tol", type=float, default=1e-10)
 
-    p_plan = sub.add_parser(
-        "plan", help="print the measurement plan for one element"
+    p_plan = _add_command(
+        sub, "plan", "print the measurement plan for one element", _cmd_plan,
+        channel_required=False,
     )
-    _add_channel_args(p_plan, required=False)
-    _add_output_args(p_plan)
     _add_target_args(p_plan)
 
-    p_convert = sub.add_parser(
-        "convert", help="convert a chi matrix between Choi and Pauli bases"
+    p_convert = _add_command(
+        sub, "convert", "convert a chi matrix between Choi and Pauli bases", _cmd_convert,
+        channel_required=False,
     )
-    _add_channel_args(p_convert, required=False)
-    _add_output_args(p_convert)
     p_convert.add_argument("--chi", metavar="PATH", help="chi JSON file to convert")
     p_convert.add_argument("--to", choices=("pauli", "choi"), default="pauli")
 
@@ -167,8 +164,9 @@ def _numbers_joined_to_param(argv: list[str]) -> list[str]:
     return out
 
 
-def _resolve_channel(args) -> tuple[QuantumChannel, dict]:
-    if args.channel:
+def _resolve_channel(args) -> tuple[QuantumChannel | None, dict | None]:
+    # (None, None) when the request names no channel source
+    if args.channel is not None:
         try:
             channel = load_channel(args.channel)
         except OSError as exc:
@@ -179,6 +177,8 @@ def _resolve_channel(args) -> tuple[QuantumChannel, dict]:
             )
         descriptor = {"source": "file", "path": args.channel, "dim": channel.dim}
         return channel, descriptor
+    if args.preset is None:
+        return None, None
     dim = args.dim if args.dim is not None else 2
     channel = preset_channel(args.preset, args.param, dim)
     descriptor = {
@@ -241,23 +241,21 @@ def _emit(report: dict, args, pretty_lines: list[str]) -> None:
         sys.stdout.write(text)
 
 
-def _base_report(argv: list[str]) -> dict:
-    return {
-        "tool": {"name": "choi-sqpt", "version": __version__},
-        "command": list(argv),
-    }
+def _timed(fn, *args, **kwargs):
+    # fn's result and the seconds the call took, the report's duration_seconds
+    started = time.perf_counter()
+    result = fn(*args, **kwargs)
+    return result, time.perf_counter() - started
 
 
-def _cmd_element(args, report: dict) -> tuple[int, list[str]]:
+def _cmd_element(args) -> tuple[int, dict, list[str]]:
     channel, descriptor = _resolve_channel(args)
     config, backend_echo = _resolve_backend(args)
     target = _parse_target(args.target, args.lambda_indices)
     plan = plan_element(*target, channel.dim)
-    started = time.perf_counter()
-    estimate = reconstruct_element(plan, channel, config)
-    duration = time.perf_counter() - started
+    estimate, duration = _timed(reconstruct_element, plan, channel, config)
     e, f, g, h = target
-    report.update(
+    fields = dict(
         channel=descriptor,
         backend=backend_echo,
         results={
@@ -275,14 +273,14 @@ def _cmd_element(args, report: dict) -> tuple[int, list[str]]:
         f"{estimate.value.imag:+.9f}i  ± {estimate.std_error:.3e}",
         f"settings: {plan.settings_count}  backend: {estimate.backend}",
     ]
-    return EXIT_OK, lines
+    return EXIT_OK, fields, lines
 
 
-def _cmd_full(args, report: dict) -> tuple[int, list[str]]:
+def _cmd_full(args) -> tuple[int, dict, list[str]]:
     channel, descriptor = _resolve_channel(args)
     config, backend_echo = _resolve_backend(args)
-    started = time.perf_counter()
-    result = full_sqpt(
+    result, duration = _timed(
+        full_sqpt,
         channel,
         config,
         strategy=args.strategy,
@@ -290,8 +288,7 @@ def _cmd_full(args, report: dict) -> tuple[int, list[str]]:
         local_dim=args.local_dim,
         n_sites=args.sites,
     )
-    duration = time.perf_counter() - started
-    report.update(
+    fields = dict(
         channel=descriptor,
         backend=backend_echo,
         results={
@@ -313,17 +310,15 @@ def _cmd_full(args, report: dict) -> tuple[int, list[str]]:
         f"{result.settings_measured}, inferred {result.settings_inferred}",
         f"trace(chi) = {trace.real:+.9f} {trace.imag:+.9f}i",
     ]
-    return EXIT_OK, lines
+    return EXIT_OK, fields, lines
 
 
-def _cmd_validate(args, report: dict) -> tuple[int, list[str]]:
+def _cmd_validate(args) -> tuple[int, dict, list[str]]:
     channel, descriptor = _resolve_channel(args)
     if not (np.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be a finite positive number, got {args.tol}")
-    started = time.perf_counter()
-    verdict = validate_cptp(channel, args.tol)
-    duration = time.perf_counter() - started
-    report.update(
+    verdict, duration = _timed(validate_cptp, channel, args.tol)
+    fields = dict(
         channel=descriptor,
         results={
             "tol": verdict.tol,
@@ -344,22 +339,19 @@ def _cmd_validate(args, report: dict) -> tuple[int, list[str]]:
         f"(min chi eigenvalue {verdict.min_chi_eigenvalue:.3e})",
         f"trace(chi) = {verdict.chi_trace:.12f} (expect {channel.dim} if TP)",
     ]
-    return EXIT_OK if verdict.cptp else EXIT_PHYSICALITY, lines
+    return EXIT_OK if verdict.cptp else EXIT_PHYSICALITY, fields, lines
 
 
-def _cmd_plan(args, report: dict) -> tuple[int, list[str]]:
-    if args.channel or args.preset:
-        channel, descriptor = _resolve_channel(args)
+def _cmd_plan(args) -> tuple[int, dict, list[str]]:
+    channel, descriptor = _resolve_channel(args)
+    if channel is not None:
         dim = channel.dim
     elif args.dim is not None:
         dim, descriptor = args.dim, {"source": "none", "dim": args.dim}
     else:
         raise ValueError("plan needs --dim or a channel source")
-    dim = _dimension(dim, "--dim", 2)
     target = _parse_target(args.target, args.lambda_indices)
-    started = time.perf_counter()
-    plan = plan_element(*target, dim)
-    duration = time.perf_counter() - started
+    plan, duration = _timed(plan_element, *target, dim)
     # a plan's observables are projectors |phi><phi|, listed by phi
     settings_json = [
         {
@@ -370,7 +362,7 @@ def _cmd_plan(args, report: dict) -> tuple[int, list[str]]:
         for phi in plan.observables.states
     ]
     lam = lambda_index(target)
-    report.update(
+    fields = dict(
         channel=descriptor,
         results={
             "target": {"chi": list(target), "lambda": list(lam)},
@@ -386,11 +378,12 @@ def _cmd_plan(args, report: dict) -> tuple[int, list[str]]:
         "target chi[{},{};{},{}]  (lambda[{},{};{},{}])".format(*target, *lam),
         f"settings: {plan.settings_count}, terms: {len(plan.terms)}",
     ]
-    return EXIT_OK, lines
+    return EXIT_OK, fields, lines
 
 
-def _cmd_convert(args, report: dict) -> tuple[int, list[str]]:
-    if args.chi and (args.channel or args.preset):
+def _cmd_convert(args) -> tuple[int, dict, list[str]]:
+    channel, descriptor = _resolve_channel(args)
+    if args.chi and channel is not None:
         raise ValueError("pass either --chi or a channel source, not both")
     if args.chi:
         try:
@@ -406,10 +399,9 @@ def _cmd_convert(args, report: dict) -> tuple[int, list[str]]:
                 f"conversion to {args.to} needs a {expected} input, got {convention}"
             )
         dim = int(np.sqrt(chi.shape[0]))
-    elif args.channel or args.preset:
+    elif channel is not None:
         if args.to != "pauli":
             raise ValueError("a channel source already yields the Choi form")
-        channel, descriptor = _resolve_channel(args)
         chi = chi_oracle(channel)
         dim = channel.dim
     else:
@@ -421,37 +413,24 @@ def _cmd_convert(args, report: dict) -> tuple[int, list[str]]:
             f"basis conversion is defined for qubit systems; dimension {dim} "
             "is not a power of two"
         )
-    started = time.perf_counter()
     if args.to == "pauli":
-        converted = chi_choi_to_pauli(chi, n_qubits)
-        out_convention = PAULI_CONVENTION
+        convert, out_convention = chi_choi_to_pauli, PAULI_CONVENTION
     else:
-        converted = chi_pauli_to_choi(chi, n_qubits)
-        out_convention = CHI_CONVENTION
-    duration = time.perf_counter() - started
-    zeros = np.zeros(converted.shape)
-    report.update(
+        convert, out_convention = chi_pauli_to_choi, CHI_CONVENTION
+    converted, duration = _timed(convert, chi, n_qubits)
+    fields = dict(
         channel=descriptor,
         results={
             "direction": args.to,
             "n_qubits": n_qubits,
-            "chi": _chi_payload(converted, zeros, out_convention),
+            "chi": _chi_payload(converted, np.zeros(converted.shape), out_convention),
         },
         duration_seconds=duration,
     )
     lines = [
         f"converted {dim * dim} x {dim * dim} chi to {out_convention}",
     ]
-    return EXIT_OK, lines
-
-
-_COMMANDS = {
-    "element": _cmd_element,
-    "full": _cmd_full,
-    "validate": _cmd_validate,
-    "plan": _cmd_plan,
-    "convert": _cmd_convert,
-}
+    return EXIT_OK, fields, lines
 
 
 def main(argv=None) -> int:
@@ -463,19 +442,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
-    report = _base_report(list(argv))
     try:
-        exit_code, pretty_lines = _COMMANDS[args.command](args, report)
-        _emit(report, args, pretty_lines)
-    except ChannelFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except PhysicalityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PHYSICALITY
+        exit_code, fields, pretty_lines = args.run(args)
+        header = {"tool": {"name": "choi-sqpt", "version": __version__}, "command": list(argv)}
+        _emit({**header, **fields}, args, pretty_lines)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if isinstance(exc, ChannelFormatError):
+            return EXIT_PARSE
+        return EXIT_PHYSICALITY if isinstance(exc, PhysicalityError) else EXIT_USAGE
     return exit_code
 
 

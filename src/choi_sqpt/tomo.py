@@ -220,7 +220,7 @@ def plan_element(e: int, f: int, g: int, h: int, dim: int) -> MeasurementPlan:
     (e = g and f = h), 4 when exactly one of the two expansions is a
     single projector, 16 otherwise.
     """
-    dim = _integer(dim, "dim")
+    dim = _dimension(dim, "dim")
     target = tuple(_index(idx, dim, name) for idx, name in zip((e, f, g, h), "efgh"))
     a, b, c, d = lambda_index(target)
     return MeasurementPlan(
@@ -590,7 +590,7 @@ def chi_from_json(obj) -> tuple[np.ndarray, str]:
     """Parse a chi JSON document, returning the matrix and its convention."""
     if not isinstance(obj, dict):
         raise ValueError("chi document must be a JSON object")
-    dim = _dimension(obj.get("dim"), "'dim'", 2)
+    dim = _dimension(obj.get("dim"), "'dim'")
     convention = obj.get("convention")
     if convention not in (CHI_CONVENTION, PAULI_CONVENTION):
         raise ValueError(f"unknown chi convention {convention!r}")

@@ -131,6 +131,17 @@ def test_exit_3_on_unparseable_channel(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [["element", "--target", "0,0,0,0"],
+                                  ["plan", "--dim", "2", "--target", "0,0,0,0"]],
+                         ids=["element", "plan"])
+def test_exit_3_on_empty_channel_path(tmp_path, capsys, argv):
+    # a given --channel is a path to read, even an empty one: it is neither
+    # read as a missing preset nor ignored
+    code, report = _run(tmp_path, argv[0], "--channel", "", *argv[1:])
+    assert (code, report) == (3, None)
+    assert capsys.readouterr().err.startswith("error: cannot read : ")
+
+
 def test_exit_2_on_product_args_for_choi_four(tmp_path, capsys):
     code, report = _run(tmp_path, "full", "--preset", "identity", "--dim", "4",
                         "--local-dim", "3", "--sites", "2")
@@ -306,6 +317,21 @@ def test_plan_requires_dim_or_channel(tmp_path):
     assert code == 2
 
 
+def test_plan_accepts_dimension_one(tmp_path):
+    # the one-level system has the single chi element chi[0,0;0,0]
+    code, report = _run(tmp_path, "plan", "--dim", "1", "--target", "0,0,0,0")
+    assert code == 0
+    assert report["settings"]["plan_settings"] == 1
+
+
+@pytest.mark.parametrize("dim", ["0", "-2"])
+def test_plan_exit_2_on_non_positive_dim(tmp_path, capsys, dim):
+    code, report = _run(tmp_path, "plan", f"--dim={dim}", "--target", "0,0,0,0")
+    assert (code, report) == (2, None)
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"got {dim}\n")
+
+
 def test_convert_round_trip(tmp_path):
     code, report = _run(
         tmp_path, "convert", "--preset", "bit-flip", "--param", "0.25", "--to", "pauli"
@@ -410,57 +436,44 @@ def test_reports_are_byte_identical_modulo_duration(tmp_path):
 
 _SAMPLED = ["--backend", "sampled", "--shots", "10000", "--seed", "7"]
 
-# (golden file, argv, whether chi.std_errors is pinned).  The D = 2 and 3
-# tp-shortcut goldens leave chi.std_errors out and pin the rest of the
-# report; the D = 4 one pins the shortcut's sampled error bars too.
+# (golden file, argv); each pins the whole report, chi.std_errors included
 SAMPLED_GOLDENS = [
     ("golden_full_sampled_d2.json",
-     ["full", "--preset", "random-cptp", "--param", "31", "--dim", "2", *_SAMPLED],
-     True),
+     ["full", "--preset", "random-cptp", "--param", "31", "--dim", "2", *_SAMPLED]),
     ("golden_full_sampled_d2_tp_shortcut.json",
      ["full", "--preset", "random-cptp", "--param", "31", "--dim", "2",
-      "--tp-shortcut", *_SAMPLED],
-     False),
+      "--tp-shortcut", *_SAMPLED]),
     ("golden_full_sampled_d3.json",
-     ["full", "--preset", "random-cptp", "--param", "32", "--dim", "3", *_SAMPLED],
-     True),
+     ["full", "--preset", "random-cptp", "--param", "32", "--dim", "3", *_SAMPLED]),
     ("golden_full_sampled_d3_tp_shortcut.json",
      ["full", "--preset", "random-cptp", "--param", "32", "--dim", "3",
-      "--tp-shortcut", *_SAMPLED],
-     False),
+      "--tp-shortcut", *_SAMPLED]),
     ("golden_full_sampled_d4_tp_shortcut.json",
      ["full", "--preset", "random-cptp", "--param", "36", "--dim", "4",
-      "--tp-shortcut", *_SAMPLED],
-     True),
+      "--tp-shortcut", *_SAMPLED]),
     ("golden_full_sampled_product_hermitian.json",
      ["full", "--preset", "random-cptp", "--param", "33", "--dim", "4",
       "--strategy", "product-hermitian", "--local-dim", "2", "--sites", "2",
-      *_SAMPLED],
-     True),
+      *_SAMPLED]),
     ("golden_element_sampled_off_diagonal.json",
      ["element", "--preset", "random-cptp", "--param", "34", "--dim", "3",
-      "--target", "0,1,2,0", *_SAMPLED],
-     True),
+      "--target", "0,1,2,0", *_SAMPLED]),
     # a master seed of 2**32 or more enters the streams as two entropy words
     ("golden_full_sampled_d3_seed_2_40_plus_11.json",
      ["full", "--preset", "random-cptp", "--param", "37", "--dim", "3",
-      "--backend", "sampled", "--shots", "10000", "--seed", "1099511627787"],
-     True),
+      "--backend", "sampled", "--shots", "10000", "--seed", "1099511627787"]),
     ("golden_full_sampled_d2_product_hermitian_seed_2_64_minus_1.json",
      ["full", "--preset", "random-cptp", "--param", "38", "--dim", "2",
       "--strategy", "product-hermitian",
-      "--backend", "sampled", "--shots", "10000", "--seed", "18446744073709551615"],
-     True),
+      "--backend", "sampled", "--shots", "10000", "--seed", "18446744073709551615"]),
 ]
 
 
-def golden_report_text(argv, pin_std_errors, capsys) -> str:
+def golden_report_text(argv, capsys, code=0) -> str:
     """The CLI report for argv as a golden file stores it."""
-    assert main(list(argv)) == 0
+    assert main(list(argv)) == code
     report = json.loads(capsys.readouterr().out)
     report["duration_seconds"] = 0.0
-    if not pin_std_errors:
-        del report["results"]["chi"]["std_errors"]
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
@@ -469,7 +482,7 @@ def test_golden_report_regenerates_identically(capsys):
     golden = golden_path.read_text(encoding="utf-8")
     argv = ["full", "--preset", "bit-flip", "--param", "0.25",
             "--backend", "exact", "--seed", "0"]
-    assert golden_report_text(argv, True, capsys) == golden
+    assert golden_report_text(argv, capsys) == golden
     # and the frozen numbers still agree with the oracle
     chi = chi_oracle(preset_channel("bit-flip", [0.25]))
     entries = np.array(json.loads(golden)["results"]["chi"]["entries"])
@@ -477,12 +490,10 @@ def test_golden_report_regenerates_identically(capsys):
     assert np.max(np.abs(loaded - chi)) < 1e-12
 
 
-@pytest.mark.parametrize(
-    "name, argv, pin_std_errors", SAMPLED_GOLDENS, ids=[g[0] for g in SAMPLED_GOLDENS]
-)
-def test_sampled_golden_reports_regenerate_identically(name, argv, pin_std_errors, capsys):
+@pytest.mark.parametrize("name, argv", SAMPLED_GOLDENS, ids=[g[0] for g in SAMPLED_GOLDENS])
+def test_sampled_golden_reports_regenerate_identically(name, argv, capsys):
     golden = (Path(__file__).parent / "data" / name).read_text(encoding="utf-8")
-    assert golden_report_text(argv, pin_std_errors, capsys) == golden
+    assert golden_report_text(argv, capsys) == golden
 
 
 _EXACT = ["--backend", "exact", "--seed", "0"]
@@ -501,11 +512,54 @@ EXACT_GOLDENS = [
 @pytest.mark.parametrize("name, argv", EXACT_GOLDENS, ids=[g[0] for g in EXACT_GOLDENS])
 def test_exact_golden_reports_regenerate_identically(name, argv, capsys):
     golden = (Path(__file__).parent / "data" / name).read_text(encoding="utf-8")
-    assert golden_report_text(argv, True, capsys) == golden
+    assert golden_report_text(argv, capsys) == golden
     chi = chi_oracle(preset_channel("random-cptp", [35], 3))
     entries = np.array(json.loads(golden)["results"]["chi"]["entries"])
     loaded = (entries[:, 0] + 1j * entries[:, 1]).reshape(9, 9)
     assert np.max(np.abs(loaded - chi)) < 1e-12
+
+
+# a file channel with the single Kraus operator |0><0|: CP but not TP
+_PROJECTOR = {"dim": 2, "kraus": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]}
+_BIT_FLIP = ["--preset", "bit-flip", "--param", "0.25"]
+_TO_PAULI = ["convert", *_BIT_FLIP, "--to", "pauli"]
+_PLAN = ["plan", "--dim", "3", "--target", "0,1,2,0"]
+
+# (golden file, argv, exit code): the reports of plan, validate and convert,
+# and the --pretty summary of every subcommand.  Both validate channels have
+# a diagonal chi, so min_chi_eigenvalue carries no LAPACK rounding, and no
+# other field comes from an eigendecomposition.  The paths are relative to
+# the working directory, which holds projector.json and pauli.json (the
+# to-pauli golden's chi).
+CLI_GOLDENS = [
+    ("golden_plan_d3.json", _PLAN, 0),
+    ("golden_plan_d3_lambda.json", [*_PLAN, "--lambda"], 0),
+    ("golden_validate_amplitude_damping_1.json",
+     ["validate", "--preset", "amplitude-damping", "--param", "1"], 0),
+    ("golden_validate_projector.json", ["validate", "--channel", "projector.json"], 4),
+    ("golden_convert_bit_flip_to_pauli.json", _TO_PAULI, 0),
+    ("golden_convert_bit_flip_to_choi.json", ["convert", "--chi", "pauli.json", "--to", "choi"], 0),
+    ("golden_pretty_element.txt", ["element", *_BIT_FLIP, "--target", "0,0,1,1", "--pretty"], 0),
+    ("golden_pretty_full.txt", ["full", *_BIT_FLIP, "--pretty"], 0),
+    ("golden_pretty_validate.txt", ["validate", "--channel", "projector.json", "--pretty"], 4),
+    ("golden_pretty_plan.txt", [*_PLAN, "--pretty"], 0),
+    ("golden_pretty_convert.txt", [*_TO_PAULI, "--pretty"], 0),
+]
+
+
+@pytest.mark.parametrize("name, argv, code", CLI_GOLDENS, ids=[g[0] for g in CLI_GOLDENS])
+def test_cli_golden_outputs_regenerate_identically(name, argv, code, tmp_path, monkeypatch, capsys):
+    data = Path(__file__).parent / "data"
+    monkeypatch.chdir(tmp_path)
+    Path("projector.json").write_text(json.dumps(_PROJECTOR), encoding="utf-8")
+    pauli = json.loads((data / "golden_convert_bit_flip_to_pauli.json").read_text(encoding="utf-8"))
+    Path("pauli.json").write_text(json.dumps(pauli["results"]["chi"]), encoding="utf-8")
+    golden = (data / name).read_text(encoding="utf-8")
+    if name.endswith(".txt"):
+        assert main(list(argv)) == code
+        assert capsys.readouterr().out == golden
+    else:
+        assert golden_report_text(argv, capsys, code) == golden
 
 
 def test_stdout_json_when_no_output(capsys):

@@ -233,6 +233,11 @@ def test_plan_index_validation():
             plan_element(*args)
     plan = plan_element(np.int64(1), 0, 1, 0, np.int64(2))
     assert plan.target == (1, 0, 1, 0) and plan.dim == 2
+    # the dimension is named before any index is checked against it
+    for dim in (0, -2):
+        with pytest.raises(ValueError, match=f"dim must be positive, got {dim}"):
+            plan_element(0, 0, 0, 0, dim)
+    assert plan_element(0, 0, 0, 0, 1).settings_count == 1
 
 
 # --- single-element reconstruction ----------------------------------------------
@@ -789,11 +794,12 @@ def test_ghz_profile_factorization_exhaustive(n, d):
 
 
 def test_chi_json_round_trip():
-    chi = chi_oracle(preset_channel("random-cptp", [90, 2], 3))
-    doc = chi_to_json(chi)
-    loaded, convention = chi_from_json(doc)
-    assert convention == "choi-row-ef"
-    np.testing.assert_allclose(loaded, chi, atol=1e-15)
+    # every document chi_to_json writes reads back exactly, D = 1 included
+    for dim in (1, 2, 3):
+        chi = chi_oracle(preset_channel("random-cptp", [90, 2], dim))
+        loaded, convention = chi_from_json(chi_to_json(chi))
+        assert convention == "choi-row-ef"
+        np.testing.assert_array_equal(loaded, chi)
 
 
 def test_chi_json_validation():
