@@ -9,7 +9,6 @@ computed directly from the channel's Kraus operators.
 
 from .basis import (
     HermitianBasis,
-    HermitianExpansion,
     PureStateExpansion,
     basis_state,
     chi_choi_to_pauli,
@@ -17,8 +16,6 @@ from .basis import (
     choi_basis,
     choi_op,
     expand_choi_four,
-    expand_in_hermitian_basis,
-    expand_operator_in_states,
     pauli_basis,
     pauli_choi_unitary,
     sud_generators,

@@ -1,14 +1,14 @@
 """Operator bases and pure-state expansions.
 
-Provides the matrix-unit basis |a><b|, the four-pure-state expansion of an
-off-diagonal matrix unit, expansions of arbitrary operators over
-user-supplied state projectors or Hermitian operator sets, the SU(d)
-generator basis (identity plus generalized Gell-Mann matrices), and the
-unitary change of basis between matrix-unit and Pauli process matrices for
-qubit systems.
+Provides the matrix-unit basis |a><b|, the four-pure-state expansion of a
+matrix unit, the SU(d) generator basis (identity plus generalized
+Gell-Mann matrices), and the unitary change of basis between matrix-unit
+and Pauli process matrices for qubit systems.
 
-Expansion objects verify on construction that they reproduce their target,
-so a successfully built expansion is already a checked identity.
+An expansion verifies on construction that it reproduces its matrix unit,
+so a successfully built expansion is already a checked identity.  The check
+runs on the states' support: a unit's kets have at most two nonzero
+entries, so it costs O(D), not O(D^2).
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ from functools import lru_cache
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .channels import _dimension, _finite, _hermitian, _index, _integer, _unit_vector
+from .channels import _dimension, _hermitian, _index, _integer, _unit_vector
 
 __all__ = [
     "HermitianBasis",
-    "HermitianExpansion",
     "PureStateExpansion",
     "basis_state",
     "choi_basis",
@@ -31,8 +30,6 @@ __all__ = [
     "chi_choi_to_pauli",
     "chi_pauli_to_choi",
     "expand_choi_four",
-    "expand_in_hermitian_basis",
-    "expand_operator_in_states",
     "pauli_basis",
     "pauli_choi_unitary",
     "sud_generators",
@@ -42,8 +39,11 @@ __all__ = [
 # expansion solves refuse systems worse conditioned than this
 COND_CAP = 1e8
 
-# expand_choi_four keeps this many (a, b, D) units, and caches a unit only while
-# D * D <= _UNIT_CACHE_SIZE: every unit up to D = 32, about 18 MiB at most
+# an expansion reproduces its matrix unit to this max-abs residual
+_EXPANSION_ATOL = 1e-12
+
+# expand_choi_four keeps this many (a, b, D) units; a unit holds at most four
+# kets of 16 * D bytes, so the cache holds at most 64 * D KiB (64 MiB at D = 1024)
 _UNIT_CACHE_SIZE = 1024
 
 
@@ -92,63 +92,45 @@ def superposition_states(a: int, b: int, dim: int) -> tuple[np.ndarray, np.ndarr
     return plus, minus
 
 
-def _verify_expansion(expansion, field: str, check) -> None:
-    """Pair the weights with the checked, read-only items and verify the target.
-
-    Both expansion classes run this on construction; check is the rule each
-    item obeys (unit vector or Hermitian operator).
-    """
-    items = getattr(expansion, field)
-    if len(expansion.weights) != len(items):
-        raise ValueError(f"weights and {field} must pair up")
-    object.__setattr__(expansion, field, tuple(check(_frozen(x)) for x in items))
-    object.__setattr__(expansion, "weights", tuple(complex(w) for w in expansion.weights))
-    object.__setattr__(expansion, "target", _finite(_frozen(expansion.target), "expansion target"))
-    residual = np.max(np.abs(expansion.reconstruct() - expansion.target))
-    if not residual <= expansion.atol:  # a NaN weight makes the residual NaN
-        raise ValueError(f"expansion does not reproduce its target (residual {residual:.3e})")
-
-
 @dataclass(frozen=True, eq=False)
 class PureStateExpansion:
-    """target = sum_i weights[i] * |states[i]><states[i]|, verified on construction."""
+    """|a><b| = sum_i weights[i] * |states[i]><states[i]| for target = (a, b).
+
+    Verified on construction on the support S of the states (the levels
+    where any state is nonzero) together with a and b: off S x S both sides
+    are exactly zero, so the |S| x |S| block decides the dense identity.
+    """
 
     weights: tuple[complex, ...]
     states: tuple[np.ndarray, ...]
-    target: np.ndarray
-    atol: float = 1e-12
+    target: tuple[int, int]
 
     def __post_init__(self):
-        _verify_expansion(
-            self, "states", lambda s: _unit_vector(s, "each expansion state", "expansion states")
+        if len(self.weights) != len(self.states):
+            raise ValueError("weights and states must pair up")
+        states = tuple(
+            _unit_vector(_frozen(s), "each expansion state", "expansion states")
+            for s in self.states
         )
+        weights = tuple(complex(w) for w in self.weights)
+        kets = np.stack(states)
+        levels = np.arange(kets.shape[1])
+        a, b = (_index(x, len(levels), "target level") for x in self.target)
+        support = kets.any(axis=0) | (levels == a) | (levels == b)
+        block = kets[:, support]
+        want = np.outer(levels[support] == a, levels[support] == b)
+        residual = np.max(np.abs((block.T * weights) @ block.conj() - want))
+        if not residual <= _EXPANSION_ATOL:  # a NaN weight makes the residual NaN
+            raise ValueError(f"expansion does not reproduce its target (residual {residual:.3e})")
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "target", (a, b))
 
     def reconstruct(self) -> np.ndarray:
         dim = self.states[0].shape[0]
         out = np.zeros((dim, dim), dtype=complex)
         for w, s in zip(self.weights, self.states):
             out += w * np.outer(s, s.conj())
-        return out
-
-
-@dataclass(frozen=True, eq=False)
-class HermitianExpansion:
-    """target = sum_n weights[n] * operators[n] with Hermitian operators."""
-
-    weights: tuple[complex, ...]
-    operators: tuple[np.ndarray, ...]
-    target: np.ndarray
-    atol: float = 1e-12
-
-    def __post_init__(self):
-        _verify_expansion(
-            self, "operators", lambda o: _hermitian(o, "expansion operators", "expansion operators")
-        )
-
-    def reconstruct(self) -> np.ndarray:
-        out = np.zeros_like(self.operators[0])
-        for w, o in zip(self.weights, self.operators):
-            out = out + w * o
         return out
 
 
@@ -164,20 +146,16 @@ def expand_choi_four(a: int, b: int, dim: int) -> PureStateExpansion:
     The arguments must be integers, checked before the lookup in a cache of
     the _UNIT_CACHE_SIZE most recently used (a, b, dim) units; each unit is
     built and verified once, so repeated calls return the same read-only
-    object.  Only units with dim * dim <= _UNIT_CACHE_SIZE are cached, which
-    bounds the cache's memory; a larger unit is built and verified per call.
-    An out-of-range index raises in _choi_four_unit, and a raise is never cached.
+    object.  An out-of-range index raises in _choi_four_unit, and a raise is
+    never cached.
     """
-    a, b, dim = _integer(a, "a"), _integer(b, "b"), _integer(dim, "dim")
-    build = _choi_four_unit if dim * dim <= _UNIT_CACHE_SIZE else _choi_four_unit.__wrapped__
-    return build(a, b, dim)
+    return _choi_four_unit(_integer(a, "a"), _integer(b, "b"), _integer(dim, "dim"))
 
 
 @lru_cache(maxsize=_UNIT_CACHE_SIZE)
 def _choi_four_unit(a: int, b: int, dim: int) -> PureStateExpansion:
-    target = choi_op(a, b, dim)
     if a == b:
-        return PureStateExpansion((1.0,), (basis_state(a, dim),), target)
+        return PureStateExpansion((1.0,), (basis_state(a, dim),), (a, b))
     if a < b:
         plus, minus = superposition_states(a, b, dim)
         weights = (1.0, 1.0j, -(1.0 + 1.0j) / 2, -(1.0 + 1.0j) / 2)
@@ -186,7 +164,7 @@ def _choi_four_unit(a: int, b: int, dim: int) -> PureStateExpansion:
         plus, minus = superposition_states(b, a, dim)
         weights = (1.0, -1.0j, -(1.0 - 1.0j) / 2, -(1.0 - 1.0j) / 2)
         states = (plus, minus, basis_state(b, dim), basis_state(a, dim))
-    return PureStateExpansion(weights, states, target)
+    return PureStateExpansion(weights, states, (a, b))
 
 
 def _solve_expansion(columns: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
@@ -197,24 +175,6 @@ def _solve_expansion(columns: np.ndarray, rhs: np.ndarray, what: str) -> np.ndar
             f"(cond={cond:.3e}, cap={COND_CAP:.0e})"
         )
     return np.linalg.solve(columns, rhs)
-
-
-def expand_operator_in_states(target: np.ndarray, states) -> PureStateExpansion:
-    """Solve target = sum_m r_m |psi_m><psi_m| for the weights r_m.
-
-    Needs exactly D^2 states whose projectors are linearly independent as
-    operators (independence of the kets alone is not enough).
-    """
-    target = np.asarray(target, dtype=complex)
-    dim = target.shape[0]
-    if target.shape != (dim, dim):
-        raise ValueError("target must be a square matrix")
-    states = [np.asarray(s, dtype=complex) for s in states]
-    if len(states) != dim * dim:
-        raise ValueError(f"need exactly {dim * dim} states, got {len(states)}")
-    columns = np.stack([np.outer(s, s.conj()).reshape(-1) for s in states], axis=1)
-    weights = _solve_expansion(columns, target.reshape(-1), "state projectors")
-    return PureStateExpansion(tuple(weights), tuple(states), target, atol=1e-10)
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,21 +205,6 @@ class HermitianBasis:
     def gram(self) -> np.ndarray:
         flat = np.stack([o.reshape(-1) for o in self.operators])
         return (flat @ flat.conj().T).real
-
-
-def expand_in_hermitian_basis(target: np.ndarray, basis: HermitianBasis) -> HermitianExpansion:
-    """Solve target = sum_n s_n O_n over a Hermitian operator basis.
-
-    The weights are real exactly when the target is Hermitian.
-    """
-    target = np.asarray(target, dtype=complex)
-    if target.shape != (basis.dim, basis.dim):
-        raise ValueError(
-            f"target has shape {target.shape}, basis dimension is {basis.dim}"
-        )
-    columns = np.stack([o.reshape(-1) for o in basis.operators], axis=1)
-    weights = _solve_expansion(columns, target.reshape(-1), "basis operators")
-    return HermitianExpansion(tuple(weights), basis.operators, target, atol=1e-10)
 
 
 def sud_generators(d: int) -> HermitianBasis:

@@ -410,8 +410,8 @@ def _cmd_convert(args) -> tuple[int, dict, list[str]]:
     n_qubits = dim.bit_length() - 1
     if dim < 2 or 2**n_qubits != dim:
         raise ValueError(
-            f"basis conversion is defined for qubit systems; dimension {dim} "
-            "is not a power of two"
+            "basis conversion is defined for systems of one or more qubits "
+            f"(D = 2, 4, 8, ...); got dimension {dim}"
         )
     if args.to == "pauli":
         convert, out_convention = chi_choi_to_pauli, PAULI_CONVENTION

@@ -1,11 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.linalg import LinAlgError
 
-from choi_sqpt import basis
+from choi_sqpt import basis, tomo
 from choi_sqpt import (
     HermitianBasis,
-    HermitianExpansion,
     PureStateExpansion,
     apply_channel,
     apply_chi,
@@ -16,11 +17,9 @@ from choi_sqpt import (
     choi_basis,
     choi_op,
     expand_choi_four,
-    expand_in_hermitian_basis,
-    expand_operator_in_states,
-    input_state_set,
     pauli_basis,
     pauli_choi_unitary,
+    plan_element,
     preset_channel,
     random_density_matrix,
     sud_generators,
@@ -128,24 +127,32 @@ def test_expand_choi_four_returns_one_read_only_unit_per_key():
     unit = expand_choi_four(0, 1, 3)
     assert expand_choi_four(0, 1, 3) is unit
     assert expand_choi_four(np.int64(0), np.int32(1), np.int64(3)) is unit
-    for arr in (*unit.states, unit.target):
+    assert unit.target == (0, 1)
+    for arr in unit.states:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.5
     assert basis._choi_four_unit.cache_info().maxsize == basis._UNIT_CACHE_SIZE == 1024
 
 
-def test_expand_choi_four_caches_no_unit_above_d_32():
-    # a unit holds its dense D x D target, so only D * D <= 1024 is cached:
-    # larger units are built and verified per call
-    before = basis._choi_four_unit.cache_info().currsize
+def test_expand_choi_four_caches_units_above_d_32():
+    # a unit holds its levels and at most four kets, so every dimension is cached
     unit = expand_choi_four(0, 1, 33)
-    again = expand_choi_four(0, 1, 33)
-    assert basis._choi_four_unit.cache_info().currsize == before
-    assert isinstance(unit, PureStateExpansion) and again is not unit
-    assert unit.weights == again.weights
-    for x, y in zip((*unit.states, unit.target), (*again.states, again.target)):
-        assert x.tobytes() == y.tobytes()
+    assert expand_choi_four(0, 1, 33) is unit
+    assert unit.target == (0, 1)
     assert np.max(np.abs(unit.reconstruct() - choi_op(0, 1, 33))) <= 1e-12
+
+
+def test_plan_element_holds_no_dense_matrix():
+    # the two units of a D = 512 element, cold: one D x D complex matrix is 4 MiB
+    basis._choi_four_unit.cache_clear()
+    tracemalloc.start()
+    try:
+        plan = plan_element(0, 1, 2, 3, 512)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert plan.settings_count == 16
+    assert held < 256 * 1024 and peak < 256 * 1024
 
 
 def test_expand_choi_four_checks_its_arguments_before_the_cache():
@@ -161,74 +168,86 @@ def test_expand_choi_four_checks_its_arguments_before_the_cache():
 
 
 def test_expansions_refuse_non_finite_values():
-    # NaN fails every tolerance comparison, so each of these used to verify
-    ket, unit = basis_state(0, 2), choi_op(0, 0, 2)
-    nan_target = np.where(unit == 1, np.nan, 0).astype(complex)
+    # NaN fails every tolerance comparison, so it needs a check of its own;
+    # a target level is an index into the states
+    ket = basis_state(0, 2)
     cases = [
-        (PureStateExpansion, (1.0,), (ket,), nan_target, "target must be finite"),
-        (PureStateExpansion, (1.0,), (np.array([np.nan, 0]),), unit, "states must be finite"),
-        (PureStateExpansion, (np.nan,), (ket,), unit, "reproduce"),
-        (HermitianExpansion, (1.0,), (unit,), nan_target, "target must be finite"),
-        (HermitianExpansion, (1.0,), (np.diag([np.inf, 0]),), unit, "operators must be finite"),
-        (HermitianExpansion, (np.nan,), (unit,), unit, "reproduce"),
+        ((1.0,), (np.array([np.nan, 0]),), (0, 0), "states must be finite"),
+        ((np.nan,), (ket,), (0, 0), "reproduce"),
+        ((1.0,), (ket,), (0.0, 0), "target level must be an integer"),
+        ((1.0,), (ket,), (0, True), "target level must be an integer"),
+        ((1.0,), (ket,), (0, 2), "target level 2 out of range"),
+        ((1.0,), (ket,), (-1, 0), "target level -1 out of range"),
     ]
-    for cls, weights, vectors, target, message in cases:
+    for weights, states, target, message in cases:
         with pytest.raises(ValueError, match=message):
-            cls(weights, vectors, target)
-
-
-def test_expand_operator_in_states_basis_target():
-    states = input_state_set(2)
-    exp = expand_operator_in_states(choi_op(0, 0, 2), states)
-    np.testing.assert_allclose(exp.weights, [1, 0, 0, 0], atol=1e-12)
-
-
-def test_expand_operator_in_states_recovers_four_state_weights():
-    plus, minus = superposition_states(0, 1, 2)
-    states = [plus, minus, basis_state(0, 2), basis_state(1, 2)]
-    exp = expand_operator_in_states(choi_op(0, 1, 2), states)
-    np.testing.assert_allclose(
-        exp.weights, [1, 1j, -(1 + 1j) / 2, -(1 + 1j) / 2], atol=1e-12
-    )
-
-
-def test_expand_operator_in_states_singular():
-    states = [basis_state(0, 2)] * 4
-    with pytest.raises(LinAlgError):
-        expand_operator_in_states(choi_op(0, 0, 2), states)
-
-
-def test_expand_operator_in_states_wrong_count():
-    with pytest.raises(ValueError, match="exactly 4"):
-        expand_operator_in_states(choi_op(0, 0, 2), [basis_state(0, 2)])
+            PureStateExpansion(weights, states, target)
 
 
 def test_pure_state_expansion_validates_reconstruction():
     with pytest.raises(ValueError, match="reproduce"):
-        PureStateExpansion((0.5,), (basis_state(0, 2),), choi_op(0, 0, 2))
+        PureStateExpansion((0.5,), (basis_state(0, 2),), (0, 0))
+    # a level outside the states' support: |0><0| does not expand |1><1|
+    with pytest.raises(ValueError, match="reproduce"):
+        PureStateExpansion((1.0,), (basis_state(0, 3),), (1, 1))
+    plus, minus = superposition_states(0, 2, 3)
+    weights = (1.0, 1.0j, -(1 + 1j) / 2, -(1 + 1j) / 2)
+    states = (plus, minus, basis_state(0, 3), basis_state(2, 3))
+    assert PureStateExpansion(weights, states, (0, 2)).target == (0, 2)
+    for target in [(2, 0), (0, 1), (1, 2)]:
+        with pytest.raises(ValueError, match="reproduce"):
+            PureStateExpansion(weights, states, target)
+
+
+def test_solve_expansion_refuses_dependent_columns():
+    columns = np.ones((4, 4), dtype=complex)
+    with pytest.raises(LinAlgError, match="linearly dependent"):
+        basis._solve_expansion(columns, np.eye(4), "state projectors")
+
+
+@pytest.mark.parametrize("local_dim, n_sites", [(2, 1), (3, 1), (2, 2)])
+def test_design_r_expands_each_unit_over_the_state_projectors(local_dim, n_sites):
+    # column a*D+b of R holds the weights of |a><b| over the product-state projectors
+    states, _, r_mat, _ = tomo._product_hermitian_design(local_dim, n_sites)
+    dim = local_dim**n_sites
+    projectors = np.stack([np.outer(s, s.conj()) for s in states])
+    for (a, b), column in zip(np.ndindex(dim, dim), r_mat.T):
+        got = np.tensordot(column, projectors, axes=1)
+        assert np.max(np.abs(got - choi_op(a, b, dim))) < 1e-12
+
+
+def test_design_r_recovers_the_four_state_weights():
+    # at D = 2 the states are |0>, |1>, |+>, |+i>: the solve finds expand_choi_four's weights
+    _, _, r_mat, _ = tomo._product_hermitian_design(2, 1)
+    np.testing.assert_allclose(r_mat[:, 0], [1, 0, 0, 0], atol=1e-12)
+    np.testing.assert_allclose(
+        r_mat[:, 1], [-(1 + 1j) / 2, -(1 + 1j) / 2, 1, 1j], atol=1e-12
+    )
+
+
+def _generator_weights(target: np.ndarray, local_dim: int) -> np.ndarray:
+    # column c*D+d of S expands the adjoint unit |d><c|, so target[d, c] weighs it
+    s_mat = tomo._product_hermitian_design(local_dim, 1)[3]
+    return s_mat @ target.T.reshape(-1)
 
 
 def test_expand_identity_in_pauli_basis():
-    basis = sud_generators(2)
-    exp = expand_in_hermitian_basis(np.eye(2, dtype=complex), basis)
-    np.testing.assert_allclose(exp.weights, [1, 0, 0, 0], atol=1e-12)
+    np.testing.assert_allclose(_generator_weights(np.eye(2), 2), [1, 0, 0, 0], atol=1e-12)
 
 
 def test_expand_lowering_unit_in_pauli_basis():
-    # |1><0| = (sx - i sy) / 2, solved through the 4x4 system
-    basis = sud_generators(2)
-    exp = expand_in_hermitian_basis(choi_op(1, 0, 2), basis)
-    np.testing.assert_allclose(exp.weights, [0, 0.5, -0.5j, 0], atol=1e-12)
-    np.testing.assert_allclose(exp.reconstruct(), [[0, 0], [1, 0]], atol=1e-12)
+    # |1><0| = (sx - i sy) / 2
+    weights = _generator_weights(choi_op(1, 0, 2), 2)
+    np.testing.assert_allclose(weights, [0, 0.5, -0.5j, 0], atol=1e-12)
+    got = np.tensordot(weights, np.stack(sud_generators(2).operators), axes=1)
+    np.testing.assert_allclose(got, [[0, 0], [1, 0]], atol=1e-12)
 
 
 def test_hermitian_target_gives_real_weights():
     rng = np.random.default_rng(42)
-    basis = sud_generators(3)
     g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    target = g + g.conj().T
-    exp = expand_in_hermitian_basis(target, basis)
-    assert np.max(np.abs(np.imag(exp.weights))) < 1e-12
+    weights = _generator_weights(g + g.conj().T, 3)
+    assert np.max(np.abs(np.imag(weights))) < 1e-12
 
 
 def test_hermitian_basis_rejects_non_hermitian():
@@ -271,13 +290,15 @@ def test_sud_generators_d5_hermitian():
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_sud_generators_span(d):
-    basis = sud_generators(d)
-    rng = np.random.default_rng(d)
-    for _ in range(100):
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        target = g + g.conj().T
-        exp = expand_in_hermitian_basis(target, basis)
-        assert np.max(np.abs(exp.reconstruct() - target)) < 1e-10
+    # column c*D+d of S expands the adjoint unit |d><c| over the generator
+    # products, on one site and on two
+    for n_sites in (1, 2):
+        _, observables, _, s_mat = tomo._product_hermitian_design(d, n_sites)
+        dim = d**n_sites
+        ops = np.stack(observables)
+        for (c, e), column in zip(np.ndindex(dim, dim), s_mat.T):
+            got = np.tensordot(column, ops, axes=1)
+            assert np.max(np.abs(got - choi_op(e, c, dim))) < 1e-12
 
 
 def test_pauli_choi_unitary_single_qubit_entries():

@@ -352,10 +352,16 @@ def test_convert_round_trip(tmp_path):
     assert np.max(np.abs(loaded - chi)) < 1e-12
 
 
-def test_convert_rejects_odd_dimension(tmp_path):
-    code, _ = _run(tmp_path, "convert", "--preset", "random-cptp", "--param", "3",
-                   "--dim", "3", "--to", "pauli")
-    assert code == 2
+@pytest.mark.parametrize("dim", [1, 3])
+def test_convert_rejects_odd_dimension(tmp_path, capsys, dim):
+    # D = 1 is 2**0, so the message names the qubit lower bound, not powers of two
+    code, report = _run(tmp_path, "convert", "--preset", "identity", "--dim", str(dim),
+                        "--to", "pauli")
+    assert code == 2 and report is None
+    assert capsys.readouterr().err == (
+        "error: basis conversion is defined for systems of one or more qubits "
+        f"(D = 2, 4, 8, ...); got dimension {dim}\n"
+    )
 
 
 @pytest.mark.parametrize("content", [b"\xff\xfe{}", DEEP_JSON.encode()],

@@ -170,8 +170,9 @@ def test_slot_map_is_the_one_relabeling(dim):
                 expected = int((ab + cd) == (a, b, c, d))
                 assert beta_entry((e, f), (g, h), ab, cd) == expected
         plan = plan_element(*target, dim)
-        np.testing.assert_array_equal(plan.inputs.target, choi_op(a, b, dim))
-        np.testing.assert_array_equal(plan.observables.target, choi_op(d, c, dim))
+        assert (plan.inputs.target, plan.observables.target) == ((a, b), (d, c))
+        for unit, (x, y) in [(plan.inputs, (a, b)), (plan.observables, (d, c))]:
+            assert np.max(np.abs(unit.reconstruct() - choi_op(x, y, dim))) <= 1e-12
 
 
 def test_lambda_from_chi_round_trip():
@@ -467,7 +468,7 @@ def test_choi_four_set_matches_lone_elements(monkeypatch, dim, config):
     units, index = [], {}
 
     def unit(expansion):
-        key = expansion.target.tobytes()
+        key = expansion.target
         if key not in index:
             index[key] = len(units)
             units.append(expansion)
