@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -103,7 +104,9 @@ def _add_target_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # one parser per process: parsing leaves it unchanged, so main reuses it
     parser = argparse.ArgumentParser(
         prog="choi-sqpt",
         description=(

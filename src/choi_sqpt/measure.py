@@ -1,18 +1,18 @@
 """Measurement backends: exact expectation values and shot-noise sampling.
 
-Every measurement is a table of (input state, observable) cells, read by
-measure_table.  Work that depends on one vector is done once per table:
-each input state and each observable is validated once, the channel is
-applied once per input state (so a table of D^2 input states costs D^2
-channel applications), and on the sampled backend each vector is encoded
-once for the stream keys and each Hermitian observable eigendecomposed
-once.  The channel acts on the input ket, not on its density matrix:
-eps(|psi><psi|) = A^T A* for the rank x D array A of kets E_m psi, which
-costs O(rank D^2) per input state where the Kraus sum on |psi><psi| costs
-O(rank D^3).  channels.apply_channel stays the path for a general
-operator.  Rows are read in blocks with stacked products, one per observable
-kind, that make the same BLAS call per cell as a single read.
-measure_setting is the 1 x 1 table.
+Every measurement is a table of (input state, observable) cells.  _table
+validates each vector once and stacks them; for the sampled backend it also
+encodes each vector for the stream keys and eigendecomposes each Hermitian
+observable once.  _read_table applies the channel once per input state (D^2
+applications for D^2 input states).  measure_table does both for a caller's
+vectors; full reconstruction builds its table once per design, that is once
+per dimension and process, and only reads it per request.  The channel
+acts on the input ket, not on its density matrix: eps(|psi><psi|) = A^T A*
+for the rank x D array A of kets E_m psi, O(rank D^2) per input state where
+the Kraus sum on |psi><psi| costs O(rank D^3).  channels.apply_channel
+stays the path for a general operator.  Rows are read in blocks with
+stacked products, one per observable kind, that make the same BLAS call
+per cell as a single read.  measure_setting is the 1 x 1 table.
 
 Every sampled setting derives its own random stream by hashing a canonical
 byte encoding of the setting together with the master seed, so results are
@@ -25,6 +25,7 @@ derivation gives; only the draws are made cell by cell.
 from __future__ import annotations
 
 import hashlib
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -317,6 +318,39 @@ def _probabilities(p, q, proj, herm) -> tuple[np.ndarray, np.ndarray | None]:
     return _clamped(p), (probs / totals if herm else None)
 
 
+_Table = namedtuple("_Table", "states proj herm kets bras ops codes eigs")
+
+
+def _table(states, observables, dim: int, sampled: bool) -> _Table:
+    """Check each vector once, as MeasurementSetting does, and stack them as _read_table reads.
+
+    The _Table holds the input kets, the projector and Hermitian observable
+    columns (proj, herm) stacked as kets, their bras, and ops, and for the
+    sampled backend the _canon_complex codes, (state codes, (is_projector,
+    code) per observable), and eigs (evals, evecs, evecs_h), otherwise None.
+    Every array is read-only.
+    """
+    states = tuple(_checked_state(s) for s in states)
+    dim = states[0].shape[0] if states else dim
+    observables = [_checked_observable(o, dim) for o in observables]
+    proj = tuple(k for k, o in enumerate(observables) if o.ndim == 1)
+    herm = tuple(k for k, o in enumerate(observables) if o.ndim == 2)
+    kets = np.array([observables[k] for k in proj]).reshape(len(proj), dim, 1)
+    ops = np.array([observables[k] for k in herm]).reshape(len(herm), dim, dim)
+    codes = eigs = None
+    if sampled:
+        codes = (tuple(map(_canon_complex, states)),
+                 tuple((o.ndim == 1, _canon_complex(o)) for o in observables))
+        pairs = [np.linalg.eigh(o) for o in ops]
+        evecs = np.array([v for _, v in pairs]).reshape(ops.shape)
+        eigs = (np.array([e for e, _ in pairs]).reshape(len(herm), 1, dim),
+                evecs, evecs.conj().transpose(0, 2, 1))
+    table = _Table(states, proj, herm, kets, kets.conj().transpose(0, 2, 1), ops, codes, eigs)
+    for arr in (kets, table.bras, ops, *(eigs or ())):
+        arr.setflags(write=False)
+    return table
+
+
 def measure_table(
     channel: QuantumChannel,
     states: Sequence[np.ndarray],
@@ -326,37 +360,32 @@ def measure_table(
     """Values and standard errors of every (input state, observable) cell.
 
     Cell (m, k) is the setting (states[m], observables[k]) and equals what
-    measure_setting returns for it, bit for bit.  Each vector is validated
-    once, as MeasurementSetting does, and the channel applied once per
-    input state.  Rows are read in blocks of at most _TABLE_BLOCK_ENTRIES
-    stacked entries, one stacked product per observable kind, which makes
-    the same BLAS call per cell as reading the cell alone.  On the sampled
-    backend each vector is also encoded once and each Hermitian observable
-    eigendecomposed once; every cell's key, assembled from those encodings,
-    is the setting's canonical_key, and a block's streams are derived from
-    its keys in one vectorized pass.  Only the draws are made cell by cell.
+    measure_setting returns for it, bit for bit.  Each vector is validated,
+    and on the sampled backend encoded and eigendecomposed, once per call
+    (_table); full reconstruction does this once per design.
     """
-    states = [_checked_state(s) for s in states]
+    sampled = config.mode == "sampled"
+    return _read_table(channel, _table(states, observables, channel.dim, sampled), config)
+
+
+def _read_table(
+    channel: QuantumChannel, table: _Table, config: BackendConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Values and standard errors of every cell of a checked table.
+
+    Rows are read in blocks of at most _TABLE_BLOCK_ENTRIES stacked entries.
+    On the sampled backend each cell's key, built from the table's codes, is
+    the setting's canonical_key; only the draws are made cell by cell.
+    """
+    states, proj, herm, kets, bras, ops, codes, eigs = table
     dim = states[0].shape[0] if states else channel.dim
-    observables = [_checked_observable(o, dim) for o in observables]
-    values = np.zeros((len(states), len(observables)))
+    values = np.zeros((len(states), len(proj) + len(herm)))
     errs = np.zeros_like(values)
-    if not observables:
+    if not values.shape[1]:
         return values, errs
-    proj = [k for k, o in enumerate(observables) if o.ndim == 1]
-    herm = [k for k, o in enumerate(observables) if o.ndim == 2]
-    kets = np.array([observables[k] for k in proj]).reshape(len(proj), dim, 1)
-    bras = kets.conj().transpose(0, 2, 1)
-    ops = np.array([observables[k] for k in herm]).reshape(len(herm), dim, dim)
     sampled = config.mode == "sampled"
     if sampled:
-        shots = config.shots
-        eigs = [np.linalg.eigh(o) for o in ops]
-        evals = np.array([e for e, _ in eigs]).reshape(len(herm), 1, dim)
-        evecs = np.array([v for _, v in eigs]).reshape(ops.shape)
-        evecs_h = evecs.conj().transpose(0, 2, 1)
-        state_codes = [_canon_complex(s) for s in states]
-        obs_codes = [(o.ndim == 1, _canon_complex(o)) for o in observables]
+        shots, (state_codes, obs_codes), (evals, evecs, evecs_h) = config.shots, codes, eigs
     # per row: its output state, and a D-vector per projector or a D x D
     # matrix per Hermitian observable in the stacked products
     rows = max(1, _TABLE_BLOCK_ENTRIES // ((1 + len(herm)) * dim * dim + len(proj) * dim))

@@ -13,9 +13,10 @@ its transpose, so reconstruction is index relabeling, never a dense solve.
 lambda_index and chi_index state that relabeling once, as a map of index
 slots; the matrix relabelings, the beta permutation and the element plans
 are all derived from it.  Every choi-four estimate, one element or all D^4,
-is one call of _choi_four: one table of the targets' input kets x
-observable kets, combined pairwise by _combine, input-outer, left to right.
-Full choi-four lists its D^4 targets in row-major chi order.
+is one table of the targets' input kets x observable kets, combined pairwise
+by _combine, input-outer, left to right.  Full choi-four lists its D^4
+targets in row-major chi order and reads the table of its per-dimension
+design (_choi_four_design), checked and encoded once per process.
 """
 
 from __future__ import annotations
@@ -34,10 +35,7 @@ from .channels import (
     QuantumChannel, _complex_from_pair, _complex_to_pair, _dimension, _index, _integer,
 )
 from .measure import (
-    BackendConfig,
-    PhysicalityError,
-    input_state_set,
-    measure_table,
+    BackendConfig, PhysicalityError, _read_table, _table, input_state_set, measure_table,
     tp_complete,
 )
 
@@ -66,7 +64,7 @@ __all__ = [
 CHI_CONVENTION = "choi-row-ef"
 PAULI_CONVENTION = "pauli-row-ixyz"
 
-# full_sqpt keeps this many (local_dim, n_sites) product-hermitian designs
+# full_sqpt keeps this many designs of each strategy, keyed by dimension integers
 _DESIGN_CACHE_SIZE = 8
 
 
@@ -242,11 +240,11 @@ class ChiElementEstimate:
 
 
 def _padded(expansions, targets) -> tuple[np.ndarray, np.ndarray]:
-    # each target's (table slots, weights), padded with slot 0 and weight 0
+    # each target's (table slots, weights), padded with slot 0 and weight 0; read-only
     width = max(len(w) for _, w in expansions)
     slots = np.array([list(i) + [0] * (width - len(i)) for i, _ in expansions], dtype=np.intp)
     weights = np.array([list(w) + [0] * (width - len(w)) for _, w in expansions], dtype=complex)
-    return slots[targets], weights[targets]
+    return _frozen(slots[targets], np.intp), _frozen(weights[targets])
 
 
 def _combine(values, errs, rows, cols, var_cols=None) -> tuple[np.ndarray, np.ndarray]:
@@ -270,8 +268,8 @@ def _combine(values, errs, rows, cols, var_cols=None) -> tuple[np.ndarray, np.nd
     return sum(terms), sum(sq_terms.reshape(len(w), -1).T)
 
 
-def _table_side(units, chosen) -> tuple[dict, list]:
-    """The slot of each chosen unit's ket by its bytes, first seen first, and each unit's slots.
+def _table_side(units, chosen) -> tuple[list, list]:
+    """The chosen units' distinct kets, first seen first, and each unit's (slots, weights).
 
     A unit that is not chosen keeps the empty expansion ([], []).
     """
@@ -280,35 +278,21 @@ def _table_side(units, chosen) -> tuple[dict, list]:
     for k in dict.fromkeys(chosen.tolist()):
         slots = [slot.setdefault(ket.tobytes(), len(slot)) for ket in units[k].states]
         expansions[k] = (slots, units[k].weights)
-    return slot, expansions
+    return [np.frombuffer(ket, complex) for ket in slot], expansions
 
 
-def _choi_four(channel, config, units, inputs, observables, tp_shortcut=False):
+def _choi_four(channel, config, units, inputs, observables):
     """Every target's estimate and variance, from one table of input kets x observable kets.
 
     Target t is the expand_choi_four unit units[inputs[t]] measured with
-    units[observables[t]].  With tp_shortcut the projector onto |D-1> is
-    inferred as 1 minus the row's partials |0>..|D-2>, not measured: one
-    tp_complete call fills its column, and the one _combine call reads the
-    variance through _inferred_substituted.
+    units[observables[t]]; measure_table checks and encodes the units' kets
+    per call.  Full choi-four reads _choi_four_design, which does so once.
     """
-    dim = channel.dim
     inputs, observables = np.asarray(inputs), np.asarray(observables)
-    row_slot, row_units = _table_side(units, inputs)
-    col_slot, col_units = _table_side(units, observables)
-    row_kets, col_kets = ([np.frombuffer(k, complex) for k in s] for s in (row_slot, col_slot))
-    if tp_shortcut:
-        *partials, last = [col_slot[basis_state(lvl, dim).tobytes()] for lvl in range(dim)]
-        del col_kets[last]
+    row_kets, row_units = _table_side(units, inputs)
+    col_kets, col_units = _table_side(units, observables)
     values, errs = measure_table(channel, row_kets, col_kets, config)
-    cols, var_cols = _padded(col_units, observables), None
-    if tp_shortcut:
-        values = np.insert(values, last, 0.0, axis=1)
-        errs = np.insert(errs, last, 0.0, axis=1)
-        values[:, last] = tp_complete(dict(enumerate(values[:, partials].T)), dim)
-        substituted = [_inferred_substituted(*unit, last, partials) for unit in col_units]
-        var_cols = _padded(substituted, observables)
-    return _combine(values, errs, _padded(row_units, inputs), cols, var_cols)
+    return _combine(values, errs, _padded(row_units, inputs), _padded(col_units, observables))
 
 
 def reconstruct_element(
@@ -316,14 +300,17 @@ def reconstruct_element(
 ) -> ChiElementEstimate:
     """Measure a plan's <= 4 x 4 table and combine it into the chi element.
 
-    The one-target case of _choi_four, over the plan's own two expansions:
+    The one-target case of _choi_four, over the plan's own kets, in order:
     the channel is applied once per input state of the plan (1 or 4 times).
     """
     if channel.dim != plan.dim:
         raise ValueError(
             f"plan dimension {plan.dim} does not match channel dimension {channel.dim}"
         )
-    lam, var = _choi_four(channel, config, (plan.inputs, plan.observables), [0], [1])
+    units = plan.inputs, plan.observables
+    values, errs = measure_table(channel, *(u.states for u in units), config)
+    sides = [(np.arange(len(u.states))[None], np.array([u.weights], dtype=complex)) for u in units]
+    lam, var = _combine(values, errs, *sides)
     return ChiElementEstimate(
         complex(lam[0]), float(np.sqrt(var[0])), plan.settings_count, config.descriptor
     )
@@ -386,11 +373,16 @@ def full_sqpt(
     if strategy == "choi-four":
         if local_dim is not None or n_sites is not None:
             raise ValueError("local_dim and n_sites are defined only for product-hermitian")
-        # chi[e*D+f, g*D+h] takes the input unit |f><h| and the observable unit |g><e|
         d, n = channel.dim, channel.dim**2
-        units = [expand_choi_four(x, y, d) for x, y in np.ndindex(d, d)]
+        table, sides, last, partials = _choi_four_design(d, bool(tp_shortcut))
+        values, errs = _read_table(channel, table, config)
+        if tp_shortcut:
+            values, errs = (np.insert(x, last, 0.0, axis=1) for x in (values, errs))
+            values[:, last] = tp_complete(dict(enumerate(values[:, partials].T)), d)
+        # chi[e*D+f, g*D+h] takes the input unit |f><h| and the observable unit |g><e|
         e, f, g, h = np.indices((d, d, d, d)).reshape(4, -1)
-        chi, var = _choi_four(channel, config, units, f * d + h, g * d + e, tp_shortcut)
+        units = f * d + h, g * d + e, g * d + e
+        chi, var = _combine(values, errs, *[(s[u], w[u]) for (s, w), u in zip(sides, units)])
         inferred = n if tp_shortcut else 0
         chi, err = chi.reshape(n, n), np.sqrt(var).reshape(n, n)
         return SqptResult(chi, err, "choi-four", n * n, n * n - inferred, inferred)
@@ -431,8 +423,8 @@ def _full_product_hermitian(
             f"local_dim**n_sites = {local_dim}**{n_sites} does not equal "
             f"the channel dimension {dim}"
         )
-    states, observables, r_mat, s_mat = _product_hermitian_design(local_dim, n_sites)
-    data, errs = measure_table(channel, states, observables, config)
+    table, r_mat, s_mat = _product_hermitian_design(local_dim, n_sites)
+    data, errs = _read_table(channel, table, config)
     n = dim * dim
     lam = r_mat.T @ data @ s_mat
     lam_var = (np.abs(r_mat.T) ** 2) @ np.square(errs) @ (np.abs(s_mat) ** 2)
@@ -441,11 +433,40 @@ def _full_product_hermitian(
 
 
 @lru_cache(maxsize=_DESIGN_CACHE_SIZE)
+def _choi_four_design(dim: int, tp_shortcut: bool):
+    """The channel-independent half of full choi-four: (table, sides, last, partials).
+
+    The table holds the D^2 expand_choi_four units' kets, each side first
+    seen first in full_sqpt's target order; sides, per unit x*D+y, its
+    padded (slots, weights) as an input, as an observable and as the side
+    the variance is read through, D^2 x 4 each, gathered per request by
+    f*D+h and g*D+e.  With tp_shortcut column last (|D-1>) is inferred from
+    the columns partials, and the variance side expands it into them (D^2 x
+    (D+1)).  Built, checked and encoded once per key; every array read-only.
+    """
+    units = [expand_choi_four(x, y, dim) for x, y in np.ndindex(dim, dim)]
+    every = np.arange(dim * dim)
+    # the targets meet the input units in order, the observable units g*D+e e-outer
+    row_kets, row_units = _table_side(units, every)
+    col_kets, col_units = _table_side(units, every.reshape(dim, dim).T.ravel())
+    sides = [_padded(row_units, every), _padded(col_units, every)]
+    last = partials = None
+    if tp_shortcut:
+        # the unit |l><l| is the one ket |l>
+        *partials, last = [col_units[lvl * dim + lvl][0][0] for lvl in range(dim)]
+        del col_kets[last]
+        col_units = [_inferred_substituted(*unit, last, partials) for unit in col_units]
+        partials = tuple(partials)
+    sides.append(_padded(col_units, every) if tp_shortcut else sides[1])
+    return _table(row_kets, col_kets, dim, sampled=True), tuple(sides), last, partials
+
+
+@lru_cache(maxsize=_DESIGN_CACHE_SIZE)
 def _product_hermitian_design(local_dim: int, n_sites: int):
-    """The channel-independent half of product-hermitian: (states, observables, R, S).
+    """The channel-independent half of product-hermitian: (table, R, S).
 
     lambda = R^T T S for the table T of the product states x the tensor
-    products of SU(d) generators.  Built and verified once per
+    products of SU(d) generators.  Built, checked and encoded once per
     (local_dim, n_sites) and process; every array is read-only.
     """
     states = _tensor_products(input_state_set(local_dim), n_sites)
@@ -462,10 +483,7 @@ def _product_hermitian_design(local_dim: int, n_sites: int):
     obs_cols = np.stack([o.reshape(-1) for o in observables], axis=1)
     targets = np.eye(n, dtype=complex).reshape(dim, dim, n).transpose(1, 0, 2).reshape(n, n)
     s_mat = _solve_expansion(obs_cols, targets, "basis operators")
-    return (
-        tuple(map(_frozen, states)), tuple(map(_frozen, observables)),
-        _frozen(r_mat), _frozen(s_mat),
-    )
+    return _table(states, observables, dim, sampled=True), _frozen(r_mat), _frozen(s_mat)
 
 
 # --- multi-qudit index utilities ----------------------------------------------

@@ -208,9 +208,9 @@ def test_solve_expansion_refuses_dependent_columns():
 @pytest.mark.parametrize("local_dim, n_sites", [(2, 1), (3, 1), (2, 2)])
 def test_design_r_expands_each_unit_over_the_state_projectors(local_dim, n_sites):
     # column a*D+b of R holds the weights of |a><b| over the product-state projectors
-    states, _, r_mat, _ = tomo._product_hermitian_design(local_dim, n_sites)
+    table, r_mat, _ = tomo._product_hermitian_design(local_dim, n_sites)
     dim = local_dim**n_sites
-    projectors = np.stack([np.outer(s, s.conj()) for s in states])
+    projectors = np.stack([np.outer(s, s.conj()) for s in table.states])
     for (a, b), column in zip(np.ndindex(dim, dim), r_mat.T):
         got = np.tensordot(column, projectors, axes=1)
         assert np.max(np.abs(got - choi_op(a, b, dim))) < 1e-12
@@ -218,7 +218,7 @@ def test_design_r_expands_each_unit_over_the_state_projectors(local_dim, n_sites
 
 def test_design_r_recovers_the_four_state_weights():
     # at D = 2 the states are |0>, |1>, |+>, |+i>: the solve finds expand_choi_four's weights
-    _, _, r_mat, _ = tomo._product_hermitian_design(2, 1)
+    r_mat = tomo._product_hermitian_design(2, 1)[1]
     np.testing.assert_allclose(r_mat[:, 0], [1, 0, 0, 0], atol=1e-12)
     np.testing.assert_allclose(
         r_mat[:, 1], [-(1 + 1j) / 2, -(1 + 1j) / 2, 1, 1j], atol=1e-12
@@ -227,7 +227,7 @@ def test_design_r_recovers_the_four_state_weights():
 
 def _generator_weights(target: np.ndarray, local_dim: int) -> np.ndarray:
     # column c*D+d of S expands the adjoint unit |d><c|, so target[d, c] weighs it
-    s_mat = tomo._product_hermitian_design(local_dim, 1)[3]
+    s_mat = tomo._product_hermitian_design(local_dim, 1)[2]
     return s_mat @ target.T.reshape(-1)
 
 
@@ -293,9 +293,9 @@ def test_sud_generators_span(d):
     # column c*D+d of S expands the adjoint unit |d><c| over the generator
     # products, on one site and on two
     for n_sites in (1, 2):
-        _, observables, _, s_mat = tomo._product_hermitian_design(d, n_sites)
+        table, _, s_mat = tomo._product_hermitian_design(d, n_sites)
         dim = d**n_sites
-        ops = np.stack(observables)
+        ops = table.ops
         for (c, e), column in zip(np.ndindex(dim, dim), s_mat.T):
             got = np.tensordot(column, ops, axes=1)
             assert np.max(np.abs(got - choi_op(e, c, dim))) < 1e-12

@@ -17,7 +17,7 @@ from choi_sqpt import (
     reconstruct_element,
     save_channel,
 )
-from choi_sqpt.cli import main
+from choi_sqpt.cli import build_parser, main
 
 
 def _run(tmp_path, *argv):
@@ -438,6 +438,42 @@ def test_reports_are_byte_identical_modulo_duration(tmp_path):
     blob1 = json.dumps(doc1, sort_keys=True)
     blob2 = json.dumps(doc2, sort_keys=True)
     assert blob1 == blob2
+
+
+# consecutive requests of one process: --param values, then the append
+# default [] (a parser that kept the values would hand them on), and every
+# subcommand
+_CONSECUTIVE = [
+    ["full", "--preset", "random-cptp", "--param", "5", "--param", "2", "--dim", "3",
+     "--backend", "sampled", "--shots", "1000", "--seed", "4"],
+    ["full", "--preset", "identity", "--dim", "2", "--tp-shortcut"],
+    ["element", "--preset", "amplitude-damping", "--param", "0.3", "--target", "0,1,0,1"],
+    ["element", "--preset", "identity", "--dim", "3", "--target", "0,1,2,0"],
+    ["plan", "--dim", "3", "--target", "0,1,2,0"],
+    ["validate", "--preset", "bit-flip", "--param", "0.25"],
+    ["convert", "--preset", "depolarizing", "--param", "0.1", "--to", "pauli"],
+]
+
+
+def _report_text(argv, capsys) -> str:
+    assert main(list(argv)) == 0
+    report = json.loads(capsys.readouterr().out)
+    report["duration_seconds"] = 0.0
+    return json.dumps(report, sort_keys=True)
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
+def test_consecutive_requests_match_a_fresh_parser(order, capsys):
+    # main builds its parser once per process; each report is the one a
+    # fresh parser gives, whichever request came before it
+    requests = _CONSECUTIVE[::order]
+    fresh = []
+    for argv in requests:
+        build_parser.cache_clear()
+        fresh.append(_report_text(argv, capsys))
+    build_parser.cache_clear()
+    assert [_report_text(argv, capsys) for argv in requests] == fresh
+    assert build_parser.cache_info().misses == 1
 
 
 _SAMPLED = ["--backend", "sampled", "--shots", "10000", "--seed", "7"]

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -9,6 +13,7 @@ from choi_sqpt import (
     QuantumChannel,
     QuditIndexMap,
     apply_channel,
+    basis_state,
     beta_entry,
     beta_permutation,
     chi_from_json,
@@ -23,6 +28,7 @@ from choi_sqpt import (
     lambda_from_chi,
     lambda_index,
     lambda_oracle,
+    measure_table,
     plan_element,
     preset_channel,
     reconstruct_element,
@@ -523,20 +529,25 @@ def _count_canonical_keys(monkeypatch) -> tuple[list[int], list[int]]:
     ("choi-four", False), ("choi-four", True), ("product-hermitian", False),
 ])
 def test_full_canonical_key_budget(monkeypatch, strategy, tp_shortcut):
-    # the exact backend builds no key at all and full reconstruction plans
-    # no element; the sampled one builds one key per measured cell, for its
-    # random stream, from one encoding per input state and per observable
+    # full reconstruction plans no element.  Its design encodes each input
+    # state and each observable once, on its first run at a dimension; the
+    # sampled backend then builds one key per measured cell, for its random
+    # stream, and the exact one none
     def no_plans(*args):
         raise AssertionError("full_sqpt must not plan single elements")
 
     monkeypatch.setattr(tomo, "plan_element", no_plans)
+    _clear_designs()
     calls, encodings = _count_canonical_keys(monkeypatch)
     ch = preset_channel("random-cptp", [76, 2], 3)
-    full_sqpt(ch, EXACT, strategy, tp_shortcut)
-    assert calls[0] == 0 and encodings[0] == 0
-    result = full_sqpt(ch, BackendConfig("sampled", 100, 1), strategy, tp_shortcut)
-    assert calls[0] == result.settings_measured
+    sampled = BackendConfig("sampled", 100, 1)
     n_observables = 3**2 - 1 if tp_shortcut else 3**2
+    result = full_sqpt(ch, sampled, strategy, tp_shortcut)
+    assert calls[0] == result.settings_measured
+    assert encodings[0] == 3**2 + n_observables
+    full_sqpt(ch, sampled, strategy, tp_shortcut)
+    full_sqpt(ch, EXACT, strategy, tp_shortcut)
+    assert calls[0] == 2 * result.settings_measured
     assert encodings[0] == 3**2 + n_observables
 
 
@@ -564,19 +575,22 @@ def test_shortcut_run_combines_once(monkeypatch, config):
     assert combines[0] == completions[0] == 1
 
 
-@pytest.mark.parametrize("config, decompositions", [
-    (EXACT, 0), (BackendConfig("sampled", 100, 1), 3**2),
-], ids=["exact", "sampled"])
-def test_full_eigendecomposition_budget(monkeypatch, config, decompositions):
-    # the sampled backend eigendecomposes each Hermitian observable once per
-    # table, not once per cell; the exact backend never does
+@pytest.mark.parametrize("config", [EXACT, BackendConfig("sampled", 100, 1)],
+                         ids=["exact", "sampled"])
+def test_full_eigendecomposition_budget(monkeypatch, config):
+    # the design eigendecomposes each Hermitian observable once, on its
+    # first run at a dimension on either backend, and never per table or cell
+    _clear_designs()
     calls = _count_calls(monkeypatch, np.linalg, "eigh")
     full_sqpt(preset_channel("random-cptp", [80, 2], 3), config, "product-hermitian")
-    assert calls[0] == decompositions
+    assert calls[0] == 3**2
+    full_sqpt(preset_channel("random-cptp", [81, 2], 3), config, "product-hermitian")
+    assert calls[0] == 3**2
 
 
 def _clear_designs():
     basis._choi_four_unit.cache_clear()
+    tomo._choi_four_design.cache_clear()
     tomo._product_hermitian_design.cache_clear()
 
 
@@ -585,8 +599,9 @@ def test_design_caches_give_the_same_bytes_cold_and_warm():
     sampled = BackendConfig("sampled", 1000, 7)
 
     def run() -> bytes:
-        parts = [full_sqpt(ch, EXACT), full_sqpt(ch, EXACT, "product-hermitian"),
-                 full_sqpt(ch, sampled, "product-hermitian")]
+        parts = [full_sqpt(ch, config, strategy, tp_shortcut)
+                 for config in (EXACT, sampled)
+                 for strategy, tp_shortcut in CALIBRATION_CASES]
         est = reconstruct_element(plan_element(0, 1, 2, 0, 3), ch, sampled)
         return b"".join(r.chi.tobytes() + r.std_errors.tobytes() for r in parts) + \
             repr((est.value, est.std_error)).encode()
@@ -614,19 +629,101 @@ def test_a_second_run_at_the_same_dimension_rebuilds_no_design(monkeypatch, stra
     assert (expansions[0], solves[0]) == ((3**2, 0) if strategy == "choi-four" else (0, 2))
 
 
+def _design_arrays(design) -> list[np.ndarray]:
+    # every array a design holds, in its table and its other tuples
+    found = []
+    for part in design:
+        if isinstance(part, np.ndarray):
+            found.append(part)
+        elif isinstance(part, tuple):
+            found.extend(_design_arrays(part))
+    return found
+
+
 def test_product_hermitian_design_is_read_only_and_bounded():
-    states, observables, r_mat, s_mat = tomo._product_hermitian_design(2, 2)
-    assert len(states) == len(observables) == 16 and r_mat.shape == s_mat.shape == (16, 16)
-    for arr in (*states, *observables, r_mat, s_mat):
-        with pytest.raises(ValueError, match="read-only"):
-            arr.flat[0] = 0.5
-    assert tomo._product_hermitian_design(2, 2)[2] is r_mat
+    table, r_mat, s_mat = tomo._product_hermitian_design(2, 2)
+    assert len(table.states) == 16 and table.ops.shape == (16, 4, 4) and table.proj == ()
+    assert r_mat.shape == s_mat.shape == (16, 16)
+    # the 16 states, kets, bras, ops, the eigendecomposition's three arrays, R and S
+    arrays = _design_arrays(tomo._product_hermitian_design(2, 2))
+    assert len(arrays) == 16 + 8 and not any(arr.flags.writeable for arr in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        table.ops[0, 0, 0] = 0.5
+    assert tomo._product_hermitian_design(2, 2)[1] is r_mat
     assert tomo._product_hermitian_design.cache_info().maxsize == tomo._DESIGN_CACHE_SIZE == 8
     # the site arguments are checked before the cache is looked up
     ch = preset_channel("identity", dim=4)
     for local_dim, n_sites in [(2.0, 2), (2, 2.0), (2, True)]:
         with pytest.raises(ValueError, match="must be an integer"):
             full_sqpt(ch, EXACT, "product-hermitian", local_dim=local_dim, n_sites=n_sites)
+
+
+@pytest.mark.parametrize("tp_shortcut", [False, True])
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_choi_four_design_is_read_only_and_bounded(dim, tp_shortcut):
+    # O(D^2) entries: D^2 kets of D entries, and a D^2 x 4 (slots, weights)
+    # pair per side; the shortcut's variance side is D^2 x (D + 1)
+    design = tomo._choi_four_design(dim, tp_shortcut)
+    table, (rows, cols, var_cols), last, partials = design
+    n_cols = dim**2 - tp_shortcut
+    assert len(table.states) == dim**2 and table.kets.shape == (n_cols, dim, 1)
+    assert table.herm == () and len(table.codes[0]) == dim**2 and len(table.codes[1]) == n_cols
+    for side in (rows, cols):
+        assert side[0].shape == side[1].shape == (dim**2, 4)
+    if tp_shortcut:
+        assert var_cols[0].shape == var_cols[1].shape == (dim**2, dim + 1)
+        # the column of |D-1> is left out; partials are those of |0> .. |D-2>
+        kets = np.insert(table.kets[..., 0], last, basis_state(dim - 1, dim), axis=0)
+        for level, column in enumerate(partials):
+            assert np.array_equal(kets[column], basis_state(level, dim))
+    else:
+        assert var_cols is cols and last is partials is None
+    # the D^2 states, kets, bras, ops, three empty eigendecomposition arrays
+    # and the three sides' (slots, weights)
+    arrays = _design_arrays(design)
+    assert len(arrays) == dim**2 + 12 and not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        rows[1][0, 0] = 0.5
+    assert tomo._choi_four_design(dim, tp_shortcut) is design
+    assert tomo._choi_four_design.cache_info().maxsize == tomo._DESIGN_CACHE_SIZE == 8
+
+
+@pytest.mark.parametrize("strategy", ["choi-four", "product-hermitian"])
+@pytest.mark.parametrize("config", [EXACT, BackendConfig("sampled", 100, 1)],
+                         ids=["exact", "sampled"])
+def test_a_warm_run_checks_no_design_vector(monkeypatch, strategy, config):
+    # the design's kets and observables are checked when it is built, not per request
+    ch = preset_channel("random-cptp", [84, 2], 3)
+    full_sqpt(ch, config, strategy)
+    checks = [_count_calls(monkeypatch, module, name)
+              for module in (basis, measure) for name in ("_unit_vector", "_hermitian")]
+    full_sqpt(ch, config, strategy)
+    assert [c[0] for c in checks] == [0, 0, 0, 0]
+
+
+def test_measure_table_still_checks_vectors_after_a_warm_design():
+    # a design built for D = 2 does not let a caller's vectors skip their checks
+    ch = preset_channel("identity", dim=2)
+    full_sqpt(ch, EXACT)
+    full_sqpt(ch, EXACT, "product-hermitian")
+    plus = np.array([1.0, 1.0]) / np.sqrt(2)
+    with pytest.raises(ValueError, match="input state must be a unit vector"):
+        measure_table(ch, [np.array([1.0, 1.0])], [plus], EXACT)
+    with pytest.raises(ValueError, match="observable must be Hermitian"):
+        measure_table(ch, [plus], [np.array([[0, 1], [0, 0]], dtype=complex)], EXACT)
+
+
+def test_importing_the_library_builds_no_design():
+    code = (
+        "import choi_sqpt\n"
+        "from choi_sqpt import basis, tomo\n"
+        "caches = (basis._choi_four_unit, tomo._choi_four_design, tomo._product_hermitian_design)\n"
+        "print([c.cache_info().currsize for c in caches])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(tomo.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[0, 0, 0]"
 
 
 def _count_channel_applications(monkeypatch) -> list[int]:
