@@ -5,8 +5,8 @@ validates each vector once and stacks them; for the sampled backend it also
 encodes each vector for the stream keys and eigendecomposes each Hermitian
 observable once.  _read_table applies the channel once per input state (D^2
 applications for D^2 input states).  measure_table does both for a caller's
-vectors; full reconstruction builds its table once per design, that is once
-per dimension and process, and only reads it per request.  The channel
+vectors; full reconstruction builds its table once per dimension, a lone
+element its rows and columns once per expansion, and reads them.  The channel
 acts on the input ket, not on its density matrix: eps(|psi><psi|) = A^T A*
 for the rank x D array A of kets E_m psi, O(rank D^2) per input state where
 the Kraus sum on |psi><psi| costs O(rank D^3).  channels.apply_channel
@@ -17,9 +17,10 @@ per cell as a single read.  measure_setting is the 1 x 1 table.
 Every sampled setting derives its own random stream by hashing a canonical
 byte encoding of the setting together with the master seed, so results are
 reproducible and independent of evaluation order or concurrent scheduling.
-The streams of a block of cells are derived in one vectorized pass that
-mirrors numpy's SeedSequence, so they are the streams a cell-by-cell
-derivation gives; only the draws are made cell by cell.
+A block of at most _CELL_POOLS = 16 cells mixes each seed pool in numpy's C
+SeedSequence (about 5 us a cell); a larger block mixes them all in one
+vectorized pass that mirrors it (about 100 us), 16 being the measured
+crossover.  Both give numpy's streams, bit for bit; only draws are per cell.
 """
 
 from __future__ import annotations
@@ -195,6 +196,9 @@ _MIX_CHAIN = _hash_chain(0x43B0D7E5, 0x931E8875, 24)
 _OUT_CHAIN = _hash_chain(0x8B51F9DD, 0x58F38DED, 8)
 _POOL_OTHERS = [np.array([i for i in range(4) if i != src]) for src in range(4)]
 
+# _seed_states mixes a block of at most this many cells cell by cell, in C
+_CELL_POOLS = 16
+
 
 def _hashmix(values: np.ndarray, chain: np.ndarray) -> np.ndarray:
     values = (values ^ chain[:-1]) * chain[1:]
@@ -210,18 +214,23 @@ def _seed_states(master_seed: int, words: np.ndarray) -> np.ndarray:
     """SeedSequence([master_seed, *w]).generate_state(4, np.uint64) per column w of words.
 
     A seed of 2**32 or more enters as two entropy words, low word first, as in numpy.
+    A block of at most _CELL_POOLS cells mixes each cell's pool in numpy's C SeedSequence,
+    a larger block all pools at once in the vectorized mirror; both share the output hash.
     """
     seed_words = [master_seed & 0xFFFFFFFF] + ([master_seed >> 32] if master_seed >> 32 else [])
     seed_rows = np.array(seed_words, dtype=np.uint32)[:, None].repeat(words.shape[1], 1)
     entropy = np.concatenate((seed_rows, words))
-    pool = _hashmix(entropy[:4], _MIX_CHAIN[:5])
-    step = 4
-    for src, others in enumerate(_POOL_OTHERS):
-        pool[others] = _mix(pool[others], _hashmix(pool[src], _MIX_CHAIN[step : step + 4]))
-        step += 3
-    for word in entropy[4:]:
-        pool = _mix(pool, _hashmix(word, _MIX_CHAIN[step : step + 5]))
-        step += 4
+    if words.shape[1] <= _CELL_POOLS:
+        pool = np.array([np.random.SeedSequence(column).pool for column in entropy.T]).T
+    else:
+        pool = _hashmix(entropy[:4], _MIX_CHAIN[:5])
+        step = 4
+        for src, others in enumerate(_POOL_OTHERS):
+            pool[others] = _mix(pool[others], _hashmix(pool[src], _MIX_CHAIN[step : step + 4]))
+            step += 3
+        for word in entropy[4:]:
+            pool = _mix(pool, _hashmix(word, _MIX_CHAIN[step : step + 5]))
+            step += 4
     state = _hashmix(np.concatenate((pool, pool)), _OUT_CHAIN)
     return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
 

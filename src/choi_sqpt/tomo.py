@@ -28,8 +28,8 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import (
-    PureStateExpansion, _frozen, _solve_expansion, _tensor_products, basis_state,
-    expand_choi_four, sud_generators,
+    _UNIT_CACHE_SIZE, PureStateExpansion, _frozen, _solve_expansion, _tensor_products,
+    basis_state, expand_choi_four, sud_generators,
 )
 from .channels import (
     QuantumChannel, _complex_from_pair, _complex_to_pair, _dimension, _index, _integer,
@@ -302,18 +302,34 @@ def reconstruct_element(
 
     The one-target case of _choi_four, over the plan's own kets, in order:
     the channel is applied once per input state of the plan (1 or 4 times).
+    Rows and columns are the expansions' tables, built once each (_unit_table).
     """
     if channel.dim != plan.dim:
         raise ValueError(
             f"plan dimension {plan.dim} does not match channel dimension {channel.dim}"
         )
+    rows, cols = _unit_table(plan.inputs), _unit_table(plan.observables)
+    if cols.kets.shape[1] != rows.kets.shape[1]:
+        raise ValueError("projector vector dimension mismatch")
+    table = cols._replace(states=rows.states, codes=(rows.codes[0], cols.codes[1]))
+    values, errs = _read_table(channel, table, config)
     units = plan.inputs, plan.observables
-    values, errs = measure_table(channel, *(u.states for u in units), config)
     sides = [(np.arange(len(u.states))[None], np.array([u.weights], dtype=complex)) for u in units]
     lam, var = _combine(values, errs, *sides)
     return ChiElementEstimate(
         complex(lam[0]), float(np.sqrt(var[0])), plan.settings_count, config.descriptor
     )
+
+
+@lru_cache(maxsize=_UNIT_CACHE_SIZE)
+def _unit_table(expansion: PureStateExpansion):
+    """An expansion's kets as a read-only table, rows and columns alike, keyed by the object.
+
+    _table checks, stacks and encodes each ket once; the rows view that stack and share its codes.
+    """
+    table = _table((), expansion.states, len(expansion.states[0]), sampled=True)
+    codes = tuple(code for _, code in table.codes[1])
+    return table._replace(states=tuple(table.kets[..., 0]), codes=(codes, table.codes[1]))
 
 
 # --- full reconstruction -------------------------------------------------------

@@ -364,13 +364,16 @@ _SEEDS = [0, 1, 2**32 - 1, 2**32, 2**40 + 11, 2**64 - 1]
 
 @pytest.mark.parametrize("seed", _SEEDS)
 def test_seed_states_match_seed_sequence(seed):
+    # blocks up to _CELL_POOLS cells mix each pool in numpy's SeedSequence,
+    # larger ones in the vectorized mirror: both give numpy's streams
     rng = np.random.default_rng(seed % 1000)
     words = rng.integers(0, 2**32, size=(1000, 4), dtype=np.uint32)
     words[:3] = [[0, 0, 0, 0], [2**32 - 1] * 4, [1, 2, 3, 4]]
-    states = measure._seed_states(seed, words.T)
     expected = [np.random.SeedSequence([seed, *map(int, w)]).generate_state(4, np.uint64)
                 for w in words]
-    assert states.tobytes() == np.array(expected).tobytes()
+    for cells in (1, 4, measure._CELL_POOLS, measure._CELL_POOLS + 1, 1000):
+        states = measure._seed_states(seed, words[:cells].T)
+        assert states.tobytes() == np.array(expected[:cells]).tobytes(), cells
 
 
 def _reference_rng(key: bytes, master_seed: int) -> np.random.Generator:

@@ -1,6 +1,8 @@
+import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from statistics import NormalDist
 
@@ -9,7 +11,9 @@ import pytest
 
 from choi_sqpt import (
     BackendConfig,
+    MeasurementPlan,
     PhysicalityError,
+    PureStateExpansion,
     QuantumChannel,
     QuditIndexMap,
     apply_channel,
@@ -552,6 +556,10 @@ def test_full_canonical_key_budget(monkeypatch, strategy, tp_shortcut):
 
 
 def test_element_canonical_key_budget(monkeypatch):
+    # planning builds no key.  A lone element's expansion tables encode each
+    # ket once, for rows and columns alike, on the first request that reads
+    # them; every request builds one key per cell, for its random stream
+    _clear_designs()
     calls, encodings = _count_canonical_keys(monkeypatch)
     for target in _all_targets(3):
         plan_element(*target, 3)
@@ -559,9 +567,81 @@ def test_element_canonical_key_budget(monkeypatch):
     plan = plan_element(0, 1, 2, 0, 3)
     assert plan.settings_count == 16
     ch = preset_channel("random-cptp", [77, 2], 3)
-    reconstruct_element(plan, ch, BackendConfig("sampled", 100, 1))
+    sampled = BackendConfig("sampled", 100, 1)
+    reconstruct_element(plan, ch, sampled)
     assert calls[0] == plan.settings_count
     assert encodings[0] == len(plan.inputs.states) + len(plan.observables.states) == 8
+    reconstruct_element(plan, ch, sampled)
+    assert calls[0] == 2 * plan.settings_count
+    assert encodings[0] == 8
+
+
+@pytest.mark.parametrize("config", [EXACT, BackendConfig("sampled", 100, 1)],
+                         ids=["exact", "sampled"])
+def test_a_warm_element_checks_no_ket(monkeypatch, config):
+    # an expansion's kets are checked when its table is built, not per request
+    ch = preset_channel("random-cptp", [79, 2], 3)
+    plan = plan_element(0, 1, 2, 0, 3)
+    reconstruct_element(plan, ch, config)
+    checks = [_count_calls(monkeypatch, module, "_unit_vector") for module in (basis, measure)]
+    reconstruct_element(plan, ch, config)
+    assert [c[0] for c in checks] == [0, 0]
+
+
+def _phased(expansion, phases):
+    # the same projectors, so the same identity, from kets with other phases
+    states = [np.exp(1j * p) * s for p, s in zip(phases, expansion.states)]
+    return PureStateExpansion(expansion.weights, states, expansion.target)
+
+
+@pytest.mark.parametrize("config", [EXACT, BackendConfig("sampled", 1000, 5)],
+                         ids=["exact", "sampled"])
+def test_a_hand_built_plan_reads_its_own_kets(config):
+    ch = preset_channel("random-cptp", [86, 2], 3)
+    canonical = plan_element(0, 1, 2, 0, 3)
+    reconstruct_element(canonical, ch, config)
+    inputs = _phased(canonical.inputs, [0.5, 1.0, 1.5, 2.0])
+    observables = _phased(canonical.observables, [-0.5, 0.25, 3.0, -1.0])
+    plan = MeasurementPlan(3, canonical.target, inputs, observables)
+    est = reconstruct_element(plan, ch, config)
+    # the reference: the plan's own kets read as one table, its weights added
+    # input-outer, left to right
+    values, errs = measure_table(ch, inputs.states, observables.states, config)
+    value = sum(w * values.flat[idx] for w, idx in plan.terms)
+    var = sum(abs(w) ** 2 * errs.flat[idx] ** 2 for w, idx in plan.terms)
+    assert est.value == complex(value) and est.std_error == float(np.sqrt(var))
+    if config.mode == "sampled":
+        assert est.value != reconstruct_element(canonical, ch, config).value
+
+
+@pytest.mark.parametrize("config", [EXACT, BackendConfig("sampled", 100, 1)],
+                         ids=["exact", "sampled"])
+def test_a_plan_whose_expansions_differ_in_dimension_is_refused(config):
+    ch = preset_channel("random-cptp", [87, 2], 3)
+    for inputs, observables in [(expand_choi_four(1, 0, 3), expand_choi_four(2, 0, 4)),
+                                (expand_choi_four(1, 0, 4), expand_choi_four(2, 0, 3))]:
+        plan = MeasurementPlan(3, (0, 1, 2, 0), inputs, observables)
+        with pytest.raises(ValueError, match="projector vector dimension mismatch"):
+            reconstruct_element(plan, ch, config)
+
+
+def test_unit_tables_are_read_only_and_bounded():
+    assert tomo._unit_table.cache_info().maxsize == basis._UNIT_CACHE_SIZE
+    unit = expand_choi_four(0, 1, 256)
+    tomo._unit_table.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        table = tomo._unit_table(unit)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one stacked copy of the four kets, their bras and one code per ket
+    assert size <= 320 * 256 + 4096
+    assert tomo._unit_table(unit) is table
+    assert table.codes[0] == tuple(code for _, code in table.codes[1])
+    assert all(np.array_equal(row, ket) for row, ket in zip(table.states, unit.states))
+    assert not any(a.flags.writeable for a in (*table.states, table.kets, table.bras))
 
 
 @pytest.mark.parametrize("config", [EXACT, BackendConfig("sampled", 100, 1)],
@@ -590,6 +670,7 @@ def test_full_eigendecomposition_budget(monkeypatch, config):
 
 def _clear_designs():
     basis._choi_four_unit.cache_clear()
+    tomo._unit_table.cache_clear()
     tomo._choi_four_design.cache_clear()
     tomo._product_hermitian_design.cache_clear()
 
@@ -602,9 +683,11 @@ def test_design_caches_give_the_same_bytes_cold_and_warm():
         parts = [full_sqpt(ch, config, strategy, tp_shortcut)
                  for config in (EXACT, sampled)
                  for strategy, tp_shortcut in CALIBRATION_CASES]
-        est = reconstruct_element(plan_element(0, 1, 2, 0, 3), ch, sampled)
+        ests = [reconstruct_element(plan_element(*target, 3), ch, config)
+                for config in (EXACT, sampled)
+                for target in ((0, 1, 2, 0), (0, 2, 1, 2), (1, 2, 1, 2))]
         return b"".join(r.chi.tobytes() + r.std_errors.tobytes() for r in parts) + \
-            repr((est.value, est.std_error)).encode()
+            repr([(est.value, est.std_error) for est in ests]).encode()
 
     _clear_designs()
     cold = run()
@@ -717,13 +800,14 @@ def test_importing_the_library_builds_no_design():
     code = (
         "import choi_sqpt\n"
         "from choi_sqpt import basis, tomo\n"
-        "caches = (basis._choi_four_unit, tomo._choi_four_design, tomo._product_hermitian_design)\n"
+        "caches = (basis._choi_four_unit, tomo._unit_table, tomo._choi_four_design,\n"
+        "          tomo._product_hermitian_design)\n"
         "print([c.cache_info().currsize for c in caches])\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(tomo.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[0, 0, 0]"
+    assert out.stdout.strip() == "[0, 0, 0, 0]"
 
 
 def _count_channel_applications(monkeypatch) -> list[int]:
