@@ -1,8 +1,10 @@
 """Command-line frontend emitting JSON run reports.
 
-Subcommands: element, full, validate, plan, convert.  Reports are JSON
-objects with sorted keys so identical invocations (with identical seeds)
-produce byte-identical output apart from the duration field.
+Subcommands: element, full, validate, plan, convert.  A report is the bytes
+of json.dumps(report, sort_keys=True, indent=2) + "\n", produced by _json, so
+identical invocations (with identical seeds) produce byte-identical output
+apart from the duration field.  --output overwrites an existing file in
+place and then truncates it to the report's length.
 
 Every request takes one path: its subparser names its handler, which times
 its library call with _timed and returns (exit code, report fields, --pretty
@@ -19,9 +21,12 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import os
+import stat
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -226,16 +231,44 @@ def _parse_target(text: str, as_lambda: bool) -> tuple[int, int, int, int]:
 
 def _chi_payload(chi: np.ndarray, std_errors: np.ndarray, convention: str) -> dict:
     payload = chi_to_json(chi, convention)
-    payload["std_errors"] = [float(v) for v in np.asarray(std_errors).reshape(-1)]
+    payload["std_errors"] = np.asarray(std_errors, dtype=float).reshape(-1).tolist()
     return payload
 
 
+def _json(obj, pad: str = "\n") -> str:
+    # json.dumps(obj, sort_keys=True, indent=2) for string keys, without the
+    # pure-Python encoder that indent selects: nan, inf, bools and None are
+    # json's to spell, and a list of finite floats is one join of their reprs
+    if type(obj) is str:
+        return encode_basestring_ascii(obj)
+    if type(obj) is int or type(obj) is float and math.isfinite(obj):
+        return repr(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        items = [encode_basestring_ascii(k) + ": " + _json(obj[k], inner) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if not isinstance(obj, (list, tuple)) or not obj:
+        return json.dumps(obj)
+    try:
+        body = ("," + inner).join(map(float.__repr__, obj))
+    except TypeError:  # an item that is not a float
+        body = "n"
+    if "n" in body:  # from the line above, or "inf" or "nan"
+        body = ("," + inner).join([_json(v, inner) for v in obj])
+    return "[" + inner + body + pad + "]"
+
+
 def _emit(report: dict, args, pretty_lines: list[str]) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = _json(report) + "\n"
     if args.output:
         try:
-            with open(args.output, "w", encoding="utf-8") as fh:
+            # written over, then cut to length: a truncate to zero, as "w" does,
+            # starts ext4's writeback on close, which the next truncate waits for
+            with open(args.output, "w", encoding="utf-8",
+                      opener=lambda path, flags: os.open(path, flags & ~os.O_TRUNC, 0o666)) as fh:
                 fh.write(text)
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # not a FIFO or /dev/null
+                    fh.truncate()
         except OSError as exc:
             raise ValueError(f"cannot write --output {args.output}: {exc.strerror}") from exc
     if args.pretty:

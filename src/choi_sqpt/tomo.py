@@ -32,7 +32,7 @@ from .basis import (
     basis_state, expand_choi_four, sud_generators,
 )
 from .channels import (
-    QuantumChannel, _complex_from_pair, _complex_to_pair, _dimension, _index, _integer,
+    QuantumChannel, _complex_from_pair, _dimension, _index, _integer,
 )
 from .measure import (
     BackendConfig, PhysicalityError, _read_table, _table, input_state_set, measure_table,
@@ -616,7 +616,7 @@ def chi_to_json(chi: np.ndarray, convention: str = CHI_CONVENTION) -> dict:
     d = math.isqrt(math.isqrt(chi.size))
     if chi.shape != (d * d, d * d):
         raise ValueError(f"chi must be D^2 x D^2, got shape {chi.shape}")
-    entries = [_complex_to_pair(z) for z in chi.reshape(-1)]
+    entries = np.stack((chi.real, chi.imag), axis=-1).reshape(-1, 2).tolist()
     return {"dim": d, "convention": convention, "entries": entries}
 
 

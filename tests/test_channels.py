@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import choi_sqpt
 from choi_sqpt import (
     BackendConfig,
     ChannelFormatError,
@@ -287,6 +292,31 @@ def test_random_cptp_takes_whole_floats_and_large_integers():
     assert preset_channel("random-cptp", [5.0, 2.0], 2).kraus_stack().tobytes() == \
         preset_channel("random-cptp", [5, 2], 2).kraus_stack().tobytes()
     assert len(preset_channel("random-cptp", [10**400, np.int64(2)], 2).kraus) == 2
+
+
+# random-cptp's QR gave the same Kraus bits on 1 and 2 OpenBLAS threads for
+# every isometry with rows x (cols - 1) <= 9,216 and differed above it (README,
+# "Bits and BLAS threads"); rank 164 at D = 8 is the largest D = 8 isometry
+# below that size, 1,312 x 8 with 9,184
+_KRAUS_DIGEST = """
+import hashlib
+from choi_sqpt import preset_channel
+for seed in (0, 1, 2):
+    kraus = preset_channel("random-cptp", [seed, 164], 8).kraus_stack()
+    print(hashlib.sha256(kraus.tobytes()).hexdigest())
+"""
+
+
+def test_random_cptp_bits_below_the_boundary_do_not_depend_on_blas_threads():
+    src = str(Path(choi_sqpt.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        run = subprocess.run([sys.executable, "-c", _KRAUS_DIGEST], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(run.stdout)
+    assert digests[0] == digests[1] and len(digests[0]) == 3 * 65
 
 
 def test_kron_identity_is_identity():

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +19,7 @@ from choi_sqpt import (
     reconstruct_element,
     save_channel,
 )
-from choi_sqpt.cli import build_parser, main
+from choi_sqpt.cli import _json, build_parser, main
 
 
 def _run(tmp_path, *argv):
@@ -295,8 +297,12 @@ def test_unwritable_output_exits_2(tmp_path, argv, capsys):
     assert main(argv + ["--output", str(out)]) == 2
     assert not out.exists()
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: cannot write --output")
-    assert "Traceback" not in captured.err and captured.out == ""
+    assert captured.err == f"error: cannot write --output {out}: No such file or directory\n"
+    assert captured.out == ""
+    assert main(argv + ["--output", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write --output {tmp_path}: Is a directory\n"
+    assert captured.out == ""
 
 
 def test_plan_counts(tmp_path):
@@ -431,13 +437,72 @@ def test_reports_are_byte_identical_modulo_duration(tmp_path):
     out = tmp_path / "report.json"
     argv = argv + ["--output", str(out)]
     assert main(argv) == 0
-    doc1 = json.loads(out.read_text(encoding="utf-8"))
-    assert main(argv) == 0
-    doc2 = json.loads(out.read_text(encoding="utf-8"))
-    doc1["duration_seconds"] = doc2["duration_seconds"] = 0.0
-    blob1 = json.dumps(doc1, sort_keys=True)
-    blob2 = json.dumps(doc2, sort_keys=True)
-    assert blob1 == blob2
+    blob1 = out.read_bytes()
+    assert main(argv) == 0  # written over the first report
+    blob2 = out.read_bytes()
+    assert _masked_duration(blob1) == _masked_duration(blob2)
+    assert blob2.decode() == json.dumps(json.loads(blob2), sort_keys=True, indent=2) + "\n"
+
+
+_DURATION = re.compile(rb'"duration_seconds": [^,\n]+')
+
+
+def _masked_duration(blob: bytes) -> bytes:
+    # the duration as a golden file stores it
+    masked, count = _DURATION.subn(b'"duration_seconds": 0.0', blob)
+    assert count == 1
+    return masked
+
+
+def test_output_over_a_longer_report_leaves_only_the_new_one(tmp_path, monkeypatch):
+    # the same relative --output in two directories, so the argv echo matches
+    long = ["full", "--preset", "random-cptp", "--param", "5", "--dim", "3",
+            "--strategy", "product-hermitian", "--output", "report.json"]
+    short = ["plan", "--dim", "2", "--target", "0,1,0,1", "--output", "report.json"]
+    (tmp_path / "reused").mkdir()
+    (tmp_path / "fresh").mkdir()
+    monkeypatch.chdir(tmp_path / "reused")
+    assert main(long) == 0
+    long_size = Path("report.json").stat().st_size
+    assert main(short) == 0
+    monkeypatch.chdir(tmp_path / "fresh")
+    assert main(short) == 0
+    reused, fresh = (tmp_path / d / "report.json" for d in ("reused", "fresh"))
+    assert reused.stat().st_size < long_size
+    assert _masked_duration(reused.read_bytes()) == _masked_duration(fresh.read_bytes())
+
+
+def test_output_to_devnull(capsys):
+    # not a regular file: written, never truncated
+    assert main(["plan", "--dim", "2", "--target", "0,0,0,0", "--output", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+# the emitter's corner cases: empty and nested-empty containers, a tuple,
+# float reprs, non-finite floats (which JSON spells NaN and Infinity), ints,
+# bools, None, a float subclass, and strings json escapes, a lone surrogate
+# among them (argv decoded from undecodable bytes)
+_EMITTER_CASES = [
+    [], {}, [[]], [{}], {"a": [], "b": {}}, (), (1.5, -2.0), [(), [[]]],
+    -0.0, [-0.0, 0.0], 5e-324, [5e-324, 1e16, 1e-7, 1e22, 0.1 + 0.2], 1e16, 1e-7,
+    math.inf, -math.inf, math.nan, [math.inf, 1.0], [1.0, -math.inf], [math.nan],
+    0, -3, [3, 1.0], [1.0, 3], True, [False, 1.0], None, [None, 1.0],
+    np.float64(0.1), [np.float64(0.1), 0.2],
+    "\u00e9\u4e2d\x00\x1f\t\n\"\\/", "\udcff", ["\udcff", 1.0],
+    {"\udcff": "\udcfe", "\u00e9": [1.0, "s"], "": None, "B": True, "a": 0},
+    {"z": 1, "a": {"m": [[1.0, 2.0], [3.0, math.nan]], "n": [[], [1]]}},
+]
+
+
+@pytest.mark.parametrize("obj", _EMITTER_CASES, ids=repr)
+def test_report_emitter_matches_json_dumps(obj):
+    assert _json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_report_emitter_matches_json_dumps_on_every_golden():
+    for path in sorted((Path(__file__).parent / "data").glob("*.json")):
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        assert _json(obj) == json.dumps(obj, sort_keys=True, indent=2), path.name
 
 
 # consecutive requests of one process: --param values, then the append
@@ -512,11 +577,9 @@ SAMPLED_GOLDENS = [
 
 
 def golden_report_text(argv, capsys, code=0) -> str:
-    """The CLI report for argv as a golden file stores it."""
+    """The CLI report for argv, its bytes as printed, as a golden file stores it."""
     assert main(list(argv)) == code
-    report = json.loads(capsys.readouterr().out)
-    report["duration_seconds"] = 0.0
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return _masked_duration(capsys.readouterr().out.encode()).decode()
 
 
 def test_golden_report_regenerates_identically(capsys):
