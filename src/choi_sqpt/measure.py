@@ -1,18 +1,18 @@
 """Measurement backends: exact expectation values and shot-noise sampling.
 
-Every measurement is a table of (input state, observable) cells.  _table
-validates each vector once and stacks them; for the sampled backend it also
-encodes each vector for the stream keys and eigendecomposes each Hermitian
-observable once.  _read_table applies the channel once per input state (D^2
-applications for D^2 input states).  measure_table does both for a caller's
-vectors; full reconstruction builds its table once per dimension, a lone
-element its rows and columns once per expansion, and reads them.  The channel
-acts on the input ket, not on its density matrix: eps(|psi><psi|) = A^T A*
-for the rank x D array A of kets E_m psi, O(rank D^2) per input state where
-the Kraus sum on |psi><psi| costs O(rank D^3).  channels.apply_channel
-stays the path for a general operator.  Rows are read in blocks with
-stacked products, one per observable kind, that make the same BLAS call
-per cell as a single read.  measure_setting is the 1 x 1 table.
+Every measurement is a table of (input state, observable) cells, read from
+two sides.  _side checks and stacks each vector of a side once, and for the
+sampled backend encodes it for the stream keys and eigendecomposes each
+Hermitian observable once.  _read_table reads any rows x columns, applying the
+channel once per input state (D^2 applications for D^2 input states).
+measure_table builds both sides from a caller's vectors; full reconstruction
+builds them once per dimension, a lone element once per expansion, rows and
+columns alike.  The channel acts on the input ket, not on its density
+matrix: eps(|psi><psi|) = A^T A* for the rank x D array A of kets E_m psi,
+O(rank D^2) per input state where the Kraus sum on |psi><psi| costs
+O(rank D^3).  channels.apply_channel stays the path for a general operator.
+Rows are read in blocks with stacked products, one per observable kind, that
+make the same BLAS call per cell as a single read; measure_setting is 1 x 1.
 
 Every sampled setting derives its own random stream by hashing a canonical
 byte encoding of the setting together with the master seed, so results are
@@ -87,11 +87,13 @@ def _setting_key(dim: int, state_code: str, projector: bool, obs_code: str) -> b
     return f"d={dim};in={state_code};obs={kind}:{obs_code}".encode("ascii")
 
 
-def _checked_state(state) -> np.ndarray:
+def _checked_state(state, dim: int | None = None) -> np.ndarray:
     state = np.array(state, dtype=complex)
     if state.ndim != 1:
         raise ValueError("input state must be a vector")
     _unit_vector(state, "input state")
+    if dim not in (None, len(state)):  # a table checks its rows against the channel
+        raise ValueError(f"setting dimension {len(state)} does not match channel dimension {dim}")
     state.setflags(write=False)
     return state
 
@@ -259,11 +261,11 @@ def _cell_streams(dim, state_codes, obs_codes, master_seed) -> np.ndarray:
 
     A cell draws from default_rng(SeedSequence([master_seed, *words])), the
     words being the first 16 bytes of the sha256 of its key as 4
-    little-endian uint32; obs_codes holds (is_projector, encoding) pairs.
+    little-endian uint32; both codes hold (is_projector, encoding) pairs.
     """
     digests = b"".join(
         hashlib.sha256(_setting_key(dim, s, projector, o)).digest()[:16]
-        for s in state_codes
+        for _, s in state_codes
         for projector, o in obs_codes
     )
     words = np.frombuffer(digests, dtype="<u4").reshape(-1, 4).T.astype(np.uint32)
@@ -278,11 +280,6 @@ def _output_state(channel: QuantumChannel, psi: np.ndarray) -> np.ndarray:
     O(rank D^2), where sum_m E_m rho E_m^dagger on rho = |psi><psi| is O(rank D^3).
     """
     dim = channel.dim
-    if psi.shape[0] != dim:
-        raise ValueError(
-            f"setting dimension {psi.shape[0]} does not match channel "
-            f"dimension {dim}"
-        )
     amps = (channel.kraus_stack().reshape(-1, dim) @ psi).reshape(-1, dim)
     return amps.T @ amps.conj()
 
@@ -327,37 +324,33 @@ def _probabilities(p, q, proj, herm) -> tuple[np.ndarray, np.ndarray | None]:
     return _clamped(p), (probs / totals if herm else None)
 
 
-_Table = namedtuple("_Table", "states proj herm kets bras ops codes eigs")
+_Side = namedtuple("_Side", "proj herm kets bras ops codes eigs")
 
 
-def _table(states, observables, dim: int, sampled: bool) -> _Table:
-    """Check each vector once, as MeasurementSetting does, and stack them as _read_table reads.
+def _side(vectors, dim: int, sampled: bool, check) -> _Side:
+    """Check each vector once, check(vector, dim), and stack it as _read_table reads a side.
 
-    The _Table holds the input kets, the projector and Hermitian observable
-    columns (proj, herm) stacked as kets, their bras, and ops, and for the
-    sampled backend the _canon_complex codes, (state codes, (is_projector,
-    code) per observable), and eigs (evals, evecs, evecs_h), otherwise None.
-    Every array is read-only.
+    proj and herm index the 1-d and the 2-d vectors, stacked as kets and their
+    bras, and as ops; for the sampled backend codes holds each vector's
+    (is_projector, _canon_complex code) and eigs the ops' (evals, evecs,
+    evecs_h), otherwise both are None.  Every array is read-only.
     """
-    states = tuple(_checked_state(s) for s in states)
-    dim = states[0].shape[0] if states else dim
-    observables = [_checked_observable(o, dim) for o in observables]
-    proj = tuple(k for k, o in enumerate(observables) if o.ndim == 1)
-    herm = tuple(k for k, o in enumerate(observables) if o.ndim == 2)
-    kets = np.array([observables[k] for k in proj]).reshape(len(proj), dim, 1)
-    ops = np.array([observables[k] for k in herm]).reshape(len(herm), dim, dim)
+    vectors = [check(v, dim) for v in vectors]
+    proj = tuple(k for k, v in enumerate(vectors) if v.ndim == 1)
+    herm = tuple(k for k, v in enumerate(vectors) if v.ndim == 2)
+    kets = np.array([vectors[k] for k in proj]).reshape(len(proj), dim, 1)
+    ops = np.array([vectors[k] for k in herm]).reshape(len(herm), dim, dim)
     codes = eigs = None
     if sampled:
-        codes = (tuple(map(_canon_complex, states)),
-                 tuple((o.ndim == 1, _canon_complex(o)) for o in observables))
+        codes = tuple((v.ndim == 1, _canon_complex(v)) for v in vectors)
         pairs = [np.linalg.eigh(o) for o in ops]
         evecs = np.array([v for _, v in pairs]).reshape(ops.shape)
         eigs = (np.array([e for e, _ in pairs]).reshape(len(herm), 1, dim),
                 evecs, evecs.conj().transpose(0, 2, 1))
-    table = _Table(states, proj, herm, kets, kets.conj().transpose(0, 2, 1), ops, codes, eigs)
-    for arr in (kets, table.bras, ops, *(eigs or ())):
+    side = _Side(proj, herm, kets, kets.conj().transpose(0, 2, 1), ops, codes, eigs)
+    for arr in (kets, side.bras, ops, *(eigs or ())):
         arr.setflags(write=False)
-    return table
+    return side
 
 
 def measure_table(
@@ -371,36 +364,39 @@ def measure_table(
     Cell (m, k) is the setting (states[m], observables[k]) and equals what
     measure_setting returns for it, bit for bit.  Each vector is validated,
     and on the sampled backend encoded and eigendecomposed, once per call
-    (_table); full reconstruction does this once per design.
+    (_side): the observables against the first state, as in its setting,
+    then each state against the channel.
     """
     sampled = config.mode == "sampled"
-    return _read_table(channel, _table(states, observables, channel.dim, sampled), config)
+    first = len(np.atleast_1d(states[0])) if len(states) else channel.dim
+    cols = _side(observables, first, sampled, _checked_observable)
+    return _read_table(channel, _side(states, channel.dim, sampled, _checked_state), cols, config)
 
 
 def _read_table(
-    channel: QuantumChannel, table: _Table, config: BackendConfig
+    channel: QuantumChannel, rows: _Side, cols: _Side, config: BackendConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Values and standard errors of every cell of a checked table.
+    """Values and standard errors of every cell of rows x cols, sides checked at the channel's D.
 
     Rows are read in blocks of at most _TABLE_BLOCK_ENTRIES stacked entries.
-    On the sampled backend each cell's key, built from the table's codes, is
+    On the sampled backend each cell's key, built from the sides' codes, is
     the setting's canonical_key; only the draws are made cell by cell.
     """
-    states, proj, herm, kets, bras, ops, codes, eigs = table
-    dim = states[0].shape[0] if states else channel.dim
-    values = np.zeros((len(states), len(proj) + len(herm)))
+    proj, herm, kets, bras, ops, obs_codes, eigs = cols
+    n_rows, dim = rows.kets.shape[:2]
+    values = np.zeros((n_rows, len(proj) + len(herm)))
     errs = np.zeros_like(values)
     if not values.shape[1]:
         return values, errs
     sampled = config.mode == "sampled"
     if sampled:
-        shots, (state_codes, obs_codes), (evals, evecs, evecs_h) = config.shots, codes, eigs
+        shots, (evals, evecs, evecs_h) = config.shots, eigs
     # per row: its output state, and a D-vector per projector or a D x D
     # matrix per Hermitian observable in the stacked products
-    rows = max(1, _TABLE_BLOCK_ENTRIES // ((1 + len(herm)) * dim * dim + len(proj) * dim))
-    for start in range(0, len(states), rows):
-        block = slice(start, start + rows)
-        outs = np.array([_output_state(channel, psi) for psi in states[block]])[:, None]
+    step = max(1, _TABLE_BLOCK_ENTRIES // ((1 + len(herm)) * dim * dim + len(proj) * dim))
+    for start in range(0, n_rows, step):
+        block = slice(start, start + step)
+        outs = np.array([_output_state(channel, psi) for psi in rows.kets[block, :, 0]])[:, None]
         p = ((bras @ outs) @ kets)[..., 0, 0].real
         if not sampled:
             values[block, proj] = p
@@ -408,7 +404,7 @@ def _read_table(
             continue
         q = np.diagonal(evecs_h @ outs @ evecs, axis1=2, axis2=3).real if herm else None
         p, pvals = _probabilities(p, q, proj, herm)
-        streams = _cell_streams(dim, state_codes[block], obs_codes, config.master_seed)
+        streams = _cell_streams(dim, rows.codes[block], obs_codes, config.master_seed)
         if proj:
             est = np.array([
                 [_rng(row[k]).binomial(shots, pk) / shots for k, pk in zip(proj, row_p)]

@@ -12,31 +12,32 @@ map between the two flattened matrices is a permutation whose inverse is
 its transpose, so reconstruction is index relabeling, never a dense solve.
 lambda_index and chi_index state that relabeling once, as a map of index
 slots; the matrix relabelings, the beta permutation and the element plans
-are all derived from it.  Every choi-four estimate, one element or all D^4,
-is one table of the targets' input kets x observable kets, combined pairwise
-by _combine, input-outer, left to right.  Full choi-four lists its D^4
-targets in row-major chi order and reads the table of its per-dimension
-design (_choi_four_design), checked and encoded once per process.
+are all derived from it.  Every choi-four estimate, one element, a set or all
+D^4, is _choi_four: the table of the input kets x observable kets (two checked
+sides) combined pairwise by _combine.  A lone element reads its expansions'
+sides (_unit_side), a set its _design, and full choi-four, its D^4 targets in
+row-major chi order, the _design cached per dimension (_choi_four_design).
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .basis import (
-    _UNIT_CACHE_SIZE, PureStateExpansion, _frozen, _solve_expansion, _tensor_products,
-    basis_state, expand_choi_four, sud_generators,
+    PureStateExpansion, _frozen, _solve_expansion, _tensor_products, basis_state,
+    expand_choi_four, sud_generators,
 )
 from .channels import (
     QuantumChannel, _complex_from_pair, _dimension, _index, _integer,
 )
 from .measure import (
-    BackendConfig, PhysicalityError, _read_table, _table, input_state_set, measure_table,
-    tp_complete,
+    BackendConfig, PhysicalityError, _checked_observable, _checked_state, _read_table, _side,
+    input_state_set, tp_complete,
 )
 
 __all__ = [
@@ -239,12 +240,12 @@ class ChiElementEstimate:
     backend: str
 
 
-def _padded(expansions, targets) -> tuple[np.ndarray, np.ndarray]:
-    # each target's (table slots, weights), padded with slot 0 and weight 0; read-only
+def _padded(expansions) -> tuple[np.ndarray, np.ndarray]:
+    # each expansion's (table slots, weights), padded with slot 0 and weight 0; read-only
     width = max(len(w) for _, w in expansions)
     slots = np.array([list(i) + [0] * (width - len(i)) for i, _ in expansions], dtype=np.intp)
     weights = np.array([list(w) + [0] * (width - len(w)) for _, w in expansions], dtype=complex)
-    return _frozen(slots[targets], np.intp), _frozen(weights[targets])
+    return _frozen(slots, np.intp), _frozen(weights)
 
 
 def _combine(values, errs, rows, cols, var_cols=None) -> tuple[np.ndarray, np.ndarray]:
@@ -269,30 +270,27 @@ def _combine(values, errs, rows, cols, var_cols=None) -> tuple[np.ndarray, np.nd
 
 
 def _table_side(units, chosen) -> tuple[list, list]:
-    """The chosen units' distinct kets, first seen first, and each unit's (slots, weights).
-
-    A unit that is not chosen keeps the empty expansion ([], []).
-    """
+    """The chosen units' distinct kets, first seen first; per unit, (slots, weights) or ([], [])."""
     slot: dict[bytes, int] = {}
     expansions = [([], [])] * len(units)
-    for k in dict.fromkeys(chosen.tolist()):
+    for k in dict.fromkeys(chosen):
         slots = [slot.setdefault(ket.tobytes(), len(slot)) for ket in units[k].states]
         expansions[k] = (slots, units[k].weights)
     return [np.frombuffer(ket, complex) for ket in slot], expansions
 
 
-def _choi_four(channel, config, units, inputs, observables):
-    """Every target's estimate and variance, from one table of input kets x observable kets.
+def _choi_four(channel, config, rows, cols, sides, last=None, partials=None):
+    """Every target's estimate and variance, from the table of the sides rows x cols.
 
-    Target t is the expand_choi_four unit units[inputs[t]] measured with
-    units[observables[t]]; measure_table checks and encodes the units' kets
-    per call.  Full choi-four reads _choi_four_design, which does so once.
+    sides holds the targets' padded (slots, weights) as _combine reads them,
+    gathered by the caller.  With last set, the unmeasured column last is
+    inferred from the columns partials by normalization (tp_complete).
     """
-    inputs, observables = np.asarray(inputs), np.asarray(observables)
-    row_kets, row_units = _table_side(units, inputs)
-    col_kets, col_units = _table_side(units, observables)
-    values, errs = measure_table(channel, row_kets, col_kets, config)
-    return _combine(values, errs, _padded(row_units, inputs), _padded(col_units, observables))
+    values, errs = _read_table(channel, rows, cols, config)
+    if last is not None:
+        values, errs = (np.insert(x, last, 0.0, axis=1) for x in (values, errs))
+        values[:, last] = tp_complete(dict(enumerate(values[:, partials].T)), channel.dim)
+    return _combine(values, errs, *sides)
 
 
 def reconstruct_element(
@@ -302,34 +300,32 @@ def reconstruct_element(
 
     The one-target case of _choi_four, over the plan's own kets, in order:
     the channel is applied once per input state of the plan (1 or 4 times).
-    Rows and columns are the expansions' tables, built once each (_unit_table).
+    Rows and columns are the expansions' sides, built once each (_unit_side).
     """
     if channel.dim != plan.dim:
         raise ValueError(
             f"plan dimension {plan.dim} does not match channel dimension {channel.dim}"
         )
-    rows, cols = _unit_table(plan.inputs), _unit_table(plan.observables)
-    if cols.kets.shape[1] != rows.kets.shape[1]:
+    (rows, inputs), (cols, observables) = _unit_side(plan.inputs), _unit_side(plan.observables)
+    if not rows.kets.shape[1] == cols.kets.shape[1] == channel.dim:
         raise ValueError("projector vector dimension mismatch")
-    table = cols._replace(states=rows.states, codes=(rows.codes[0], cols.codes[1]))
-    values, errs = _read_table(channel, table, config)
-    units = plan.inputs, plan.observables
-    sides = [(np.arange(len(u.states))[None], np.array([u.weights], dtype=complex)) for u in units]
-    lam, var = _combine(values, errs, *sides)
+    lam, var = _choi_four(channel, config, rows, cols, (inputs, observables))
     return ChiElementEstimate(
         complex(lam[0]), float(np.sqrt(var[0])), plan.settings_count, config.descriptor
     )
 
 
-@lru_cache(maxsize=_UNIT_CACHE_SIZE)
-def _unit_table(expansion: PureStateExpansion):
-    """An expansion's kets as a read-only table, rows and columns alike, keyed by the object.
+_UNIT_SIDES = weakref.WeakKeyDictionary()  # _unit_side's, kept as long as their expansion
 
-    _table checks, stacks and encodes each ket once; the rows view that stack and share its codes.
-    """
-    table = _table((), expansion.states, len(expansion.states[0]), sampled=True)
-    codes = tuple(code for _, code in table.codes[1])
-    return table._replace(states=tuple(table.kets[..., 0]), codes=(codes, table.codes[1]))
+
+def _unit_side(expansion: PureStateExpansion):
+    """An expansion's kets as a side, rows and columns alike, and its (1, n) slots and weights."""
+    found = _UNIT_SIDES.get(expansion)
+    if found is None:
+        side = _side(expansion.states, len(expansion.states[0]), True, _checked_observable)
+        slots = _frozen([range(len(expansion.weights))], np.intp), _frozen([expansion.weights])
+        found = _UNIT_SIDES[expansion] = side, slots
+    return found
 
 
 # --- full reconstruction -------------------------------------------------------
@@ -390,15 +386,12 @@ def full_sqpt(
         if local_dim is not None or n_sites is not None:
             raise ValueError("local_dim and n_sites are defined only for product-hermitian")
         d, n = channel.dim, channel.dim**2
-        table, sides, last, partials = _choi_four_design(d, bool(tp_shortcut))
-        values, errs = _read_table(channel, table, config)
-        if tp_shortcut:
-            values, errs = (np.insert(x, last, 0.0, axis=1) for x in (values, errs))
-            values[:, last] = tp_complete(dict(enumerate(values[:, partials].T)), d)
+        rows, cols, sides, last, partials = _choi_four_design(d, bool(tp_shortcut))
         # chi[e*D+f, g*D+h] takes the input unit |f><h| and the observable unit |g><e|
         e, f, g, h = np.indices((d, d, d, d)).reshape(4, -1)
         units = f * d + h, g * d + e, g * d + e
-        chi, var = _combine(values, errs, *[(s[u], w[u]) for (s, w), u in zip(sides, units)])
+        targets = [(s[u], w[u]) for (s, w), u in zip(sides, units)]
+        chi, var = _choi_four(channel, config, rows, cols, targets, last, partials)
         inferred = n if tp_shortcut else 0
         chi, err = chi.reshape(n, n), np.sqrt(var).reshape(n, n)
         return SqptResult(chi, err, "choi-four", n * n, n * n - inferred, inferred)
@@ -439,8 +432,8 @@ def _full_product_hermitian(
             f"local_dim**n_sites = {local_dim}**{n_sites} does not equal "
             f"the channel dimension {dim}"
         )
-    table, r_mat, s_mat = _product_hermitian_design(local_dim, n_sites)
-    data, errs = _read_table(channel, table, config)
+    (rows, cols), r_mat, s_mat = _product_hermitian_design(local_dim, n_sites)
+    data, errs = _read_table(channel, rows, cols, config)
     n = dim * dim
     lam = r_mat.T @ data @ s_mat
     lam_var = (np.abs(r_mat.T) ** 2) @ np.square(errs) @ (np.abs(s_mat) ** 2)
@@ -448,24 +441,19 @@ def _full_product_hermitian(
     return SqptResult(chi_from_lambda(lam), np.sqrt(chi_var), "product-hermitian", n * n, n * n, 0)
 
 
-@lru_cache(maxsize=_DESIGN_CACHE_SIZE)
-def _choi_four_design(dim: int, tp_shortcut: bool):
-    """The channel-independent half of full choi-four: (table, sides, last, partials).
+def _design(units, inputs, observables, tp_shortcut: bool):
+    """The channel-independent half of a choi-four set: (rows, cols, sides, last, partials).
 
-    The table holds the D^2 expand_choi_four units' kets, each side first
-    seen first in full_sqpt's target order; sides, per unit x*D+y, its
-    padded (slots, weights) as an input, as an observable and as the side
-    the variance is read through, D^2 x 4 each, gathered per request by
-    f*D+h and g*D+e.  With tp_shortcut column last (|D-1>) is inferred from
-    the columns partials, and the variance side expands it into them (D^2 x
-    (D+1)).  Built, checked and encoded once per key; every array read-only.
+    Target t measures unit units[inputs[t]] with units[observables[t]]; rows
+    and cols hold their distinct kets, first seen first, and sides per unit its
+    padded (slots, weights) as an input, as an observable and for the variance,
+    which the caller gathers per target.  With tp_shortcut (full choi-four's
+    D^2 units x*D+y) column last, |D-1>, is inferred from the columns partials.
     """
-    units = [expand_choi_four(x, y, dim) for x, y in np.ndindex(dim, dim)]
-    every = np.arange(dim * dim)
-    # the targets meet the input units in order, the observable units g*D+e e-outer
-    row_kets, row_units = _table_side(units, every)
-    col_kets, col_units = _table_side(units, every.reshape(dim, dim).T.ravel())
-    sides = [_padded(row_units, every), _padded(col_units, every)]
+    dim = len(units[0].states[0])
+    row_kets, row_units = _table_side(units, inputs)
+    col_kets, col_units = _table_side(units, observables)
+    sides = [_padded(row_units), _padded(col_units)]
     last = partials = None
     if tp_shortcut:
         # the unit |l><l| is the one ket |l>
@@ -473,17 +461,27 @@ def _choi_four_design(dim: int, tp_shortcut: bool):
         del col_kets[last]
         col_units = [_inferred_substituted(*unit, last, partials) for unit in col_units]
         partials = tuple(partials)
-    sides.append(_padded(col_units, every) if tp_shortcut else sides[1])
-    return _table(row_kets, col_kets, dim, sampled=True), tuple(sides), last, partials
+    sides.append(_padded(col_units) if tp_shortcut else sides[1])
+    rows = _side(row_kets, dim, True, _checked_state)
+    return rows, _side(col_kets, dim, True, _checked_observable), tuple(sides), last, partials
+
+
+@lru_cache(maxsize=_DESIGN_CACHE_SIZE)
+def _choi_four_design(dim: int, tp_shortcut: bool):
+    """Full choi-four's _design, its sides D^2 x 4 (D^2 x (D+1) for the shortcut's variance)."""
+    units = [expand_choi_four(x, y, dim) for x, y in np.ndindex(dim, dim)]
+    every = np.arange(dim * dim)
+    # the targets meet the input units in order, the observable units g*D+e e-outer
+    return _design(units, every, every.reshape(dim, dim).T.ravel(), tp_shortcut)
 
 
 @lru_cache(maxsize=_DESIGN_CACHE_SIZE)
 def _product_hermitian_design(local_dim: int, n_sites: int):
-    """The channel-independent half of product-hermitian: (table, R, S).
+    """The channel-independent half of product-hermitian: ((rows, cols), R, S).
 
-    lambda = R^T T S for the table T of the product states x the tensor
-    products of SU(d) generators.  Built, checked and encoded once per
-    (local_dim, n_sites) and process; every array is read-only.
+    lambda = R^T T S for the table T of the product states (rows) x the
+    tensor products of SU(d) generators (cols).  Built, checked and encoded
+    once per (local_dim, n_sites) and process; every array is read-only.
     """
     states = _tensor_products(input_state_set(local_dim), n_sites)
     observables = _tensor_products(list(sud_generators(local_dim).operators), n_sites)
@@ -499,7 +497,9 @@ def _product_hermitian_design(local_dim: int, n_sites: int):
     obs_cols = np.stack([o.reshape(-1) for o in observables], axis=1)
     targets = np.eye(n, dtype=complex).reshape(dim, dim, n).transpose(1, 0, 2).reshape(n, n)
     s_mat = _solve_expansion(obs_cols, targets, "basis operators")
-    return _table(states, observables, dim, sampled=True), _frozen(r_mat), _frozen(s_mat)
+    rows = _side(states, dim, True, _checked_state)
+    cols = _side(observables, dim, True, _checked_observable)
+    return (rows, cols), _frozen(r_mat), _frozen(s_mat)
 
 
 # --- multi-qudit index utilities ----------------------------------------------

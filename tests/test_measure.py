@@ -322,6 +322,20 @@ def test_measure_table_validates_like_a_setting():
         measure_table(preset_channel("identity", dim=3), [PLUS], [PLUS], BackendConfig())
 
 
+def test_input_states_of_mixed_dimension_keep_their_errors():
+    # the observables are checked against the first input state, then each
+    # input state against the channel
+    ch, zero = preset_channel("identity", dim=2), basis_state(0, 2)
+    cases = [
+        ([zero, basis_state(0, 3)], "setting dimension 3 does not match channel dimension 2"),
+        ([basis_state(0, 3), zero], "projector vector dimension mismatch"),
+    ]
+    for states, message in cases:
+        for config in (BackendConfig(), BackendConfig("sampled", 100, 1)):
+            with pytest.raises(ValueError, match=message):
+                measure_table(ch, states, [zero], config)
+
+
 def test_non_finite_inputs_are_refused():
     # NaN fails every tolerance comparison: these used to build, or read NaN
     ch, cfg = preset_channel("identity", dim=2), BackendConfig()
@@ -386,11 +400,11 @@ def _reference_rng(key: bytes, master_seed: int) -> np.random.Generator:
 @pytest.mark.parametrize("seed", _SEEDS)
 def test_cell_streams_draw_as_default_rng(seed):
     rng = np.random.default_rng(3)
-    state_codes = [measure._canon_complex(_random_state(3, rng)) for _ in range(3)]
+    state_codes = [(True, measure._canon_complex(_random_state(3, rng))) for _ in range(3)]
     obs_codes = [(True, measure._canon_complex(_random_state(3, rng))),
                  (False, measure._canon_complex(np.diag([1.0, 2.0, 3.0])))]
     streams = measure._cell_streams(3, state_codes, obs_codes, seed)
-    for row, state_code in zip(streams, state_codes):
+    for row, (_, state_code) in zip(streams, state_codes):
         for stream, (projector, obs_code) in zip(row, obs_codes):
             gen = measure._rng(stream)
             ref = _reference_rng(measure._setting_key(3, state_code, projector, obs_code), seed)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 from statistics import NormalDist
 
@@ -452,7 +453,8 @@ def test_combine_matches_the_per_term_sum():
     rows = [(list(rng.permutation(9)[: len(u.weights)]), u.weights) for u in units]
     cols = rows + [tomo._inferred_substituted(*row, 2, [0, 1]) for row in rows]
     x, y = np.indices((len(rows), len(cols))).reshape(2, -1)
-    lam, var = tomo._combine(values, errs, tomo._padded(rows, x), tomo._padded(cols, y))
+    sides = [[a[t] for a in tomo._padded(side)] for side, t in ((rows, x), (cols, y))]
+    lam, var = tomo._combine(values, errs, *sides)
     for t in range(x.size):
         value, variance = _combine_reference(values, errs, rows[x[t]], cols[y[t]])
         assert lam[t] == value and var[t] == variance, (x[t], y[t])
@@ -484,18 +486,20 @@ def test_choi_four_set_matches_lone_elements(monkeypatch, dim, config):
             units.append(expansion)
         return index[key]
 
-    inputs = [unit(p.inputs) for p in plans]
-    observables = [unit(p.observables) for p in plans]
+    inputs = np.array([unit(p.inputs) for p in plans])
+    observables = np.array([unit(p.observables) for p in plans])
     tables = []
-    read = tomo.measure_table
+    read = tomo._read_table
 
-    def recorded(channel, states, obs, cfg):
-        tables.append((len(states), len(obs)))
-        return read(channel, states, obs, cfg)
+    def recorded(channel, rows, cols, cfg):
+        tables.append((len(rows.kets), len(cols.proj) + len(cols.herm)))
+        return read(channel, rows, cols, cfg)
 
-    monkeypatch.setattr(tomo, "measure_table", recorded)
+    monkeypatch.setattr(tomo, "_read_table", recorded)
     ch = preset_channel("random-cptp", [17, 3], dim)
-    lam, var = tomo._choi_four(ch, config, units, inputs, observables)
+    rows, cols, sides, _, _ = tomo._design(units, inputs, observables, False)
+    gathered = [(s[u], w[u]) for (s, w), u in zip(sides, (inputs, observables, observables))]
+    lam, var = tomo._choi_four(ch, config, rows, cols, gathered)
 
     def union(expansions):
         return len({ket.tobytes() for u in expansions for ket in u.states})
@@ -617,31 +621,54 @@ def test_a_hand_built_plan_reads_its_own_kets(config):
 @pytest.mark.parametrize("config", [EXACT, BackendConfig("sampled", 100, 1)],
                          ids=["exact", "sampled"])
 def test_a_plan_whose_expansions_differ_in_dimension_is_refused(config):
+    # from each other or from the channel, before the channel is applied
     ch = preset_channel("random-cptp", [87, 2], 3)
     for inputs, observables in [(expand_choi_four(1, 0, 3), expand_choi_four(2, 0, 4)),
-                                (expand_choi_four(1, 0, 4), expand_choi_four(2, 0, 3))]:
+                                (expand_choi_four(1, 0, 4), expand_choi_four(2, 0, 3)),
+                                (expand_choi_four(1, 0, 4), expand_choi_four(2, 0, 4))]:
         plan = MeasurementPlan(3, (0, 1, 2, 0), inputs, observables)
         with pytest.raises(ValueError, match="projector vector dimension mismatch"):
             reconstruct_element(plan, ch, config)
 
 
 def test_unit_tables_are_read_only_and_bounded():
-    assert tomo._unit_table.cache_info().maxsize == basis._UNIT_CACHE_SIZE
+    # one side per live expansion: the cache holds no expansion alive
+    assert isinstance(tomo._UNIT_SIDES, weakref.WeakKeyDictionary)
     unit = expand_choi_four(0, 1, 256)
-    tomo._unit_table.cache_clear()
+    tomo._UNIT_SIDES.clear()
     gc.collect()
     tracemalloc.start()
     try:
-        table = tomo._unit_table(unit)
+        found = tomo._unit_side(unit)
         size, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one stacked copy of the four kets, their bras and one code per ket
+    # one stacked copy of the four kets, their bras, one code per ket and
+    # the (1, 4) slots and weights
     assert size <= 320 * 256 + 4096
-    assert tomo._unit_table(unit) is table
-    assert table.codes[0] == tuple(code for _, code in table.codes[1])
-    assert all(np.array_equal(row, ket) for row, ket in zip(table.states, unit.states))
-    assert not any(a.flags.writeable for a in (*table.states, table.kets, table.bras))
+    assert tomo._unit_side(unit) is found and len(tomo._UNIT_SIDES) == 1
+    side, (slots, weights) = found
+    assert side.proj == (0, 1, 2, 3) and side.herm == ()
+    assert [code for _, code in side.codes] == [measure._canon_complex(s) for s in unit.states]
+    assert all(np.array_equal(row, ket) for row, ket in zip(side.kets[..., 0], unit.states))
+    assert slots.tolist() == [[0, 1, 2, 3]] and weights.tolist() == [list(unit.weights)]
+    assert not any(a.flags.writeable for a in (side.kets, side.bras, slots, weights))
+
+
+def test_a_unit_side_lives_as_long_as_its_expansion():
+    # a hand-built expansion's side goes with it, not after 1,024 others
+    ch = preset_channel("random-cptp", [88, 2], 3)
+    canonical = plan_element(0, 1, 2, 0, 3)
+    plan = MeasurementPlan(3, canonical.target, _phased(canonical.inputs, [0.5, 1.0, 1.5, 2.0]),
+                           canonical.observables)
+    reconstruct_element(plan, ch, EXACT)
+    gc.collect()
+    before = len(tomo._UNIT_SIDES)
+    assert plan.inputs in tomo._UNIT_SIDES
+    del plan
+    gc.collect()
+    assert len(tomo._UNIT_SIDES) == before - 1
+    assert canonical.observables in tomo._UNIT_SIDES
 
 
 @pytest.mark.parametrize("config", [EXACT, BackendConfig("sampled", 100, 1)],
@@ -670,7 +697,7 @@ def test_full_eigendecomposition_budget(monkeypatch, config):
 
 def _clear_designs():
     basis._choi_four_unit.cache_clear()
-    tomo._unit_table.cache_clear()
+    tomo._UNIT_SIDES.clear()
     tomo._choi_four_design.cache_clear()
     tomo._product_hermitian_design.cache_clear()
 
@@ -724,14 +751,15 @@ def _design_arrays(design) -> list[np.ndarray]:
 
 
 def test_product_hermitian_design_is_read_only_and_bounded():
-    table, r_mat, s_mat = tomo._product_hermitian_design(2, 2)
-    assert len(table.states) == 16 and table.ops.shape == (16, 4, 4) and table.proj == ()
+    (rows, cols), r_mat, s_mat = tomo._product_hermitian_design(2, 2)
+    assert rows.kets.shape == (16, 4, 1) and rows.herm == ()
+    assert cols.ops.shape == (16, 4, 4) and cols.proj == ()
     assert r_mat.shape == s_mat.shape == (16, 16)
-    # the 16 states, kets, bras, ops, the eigendecomposition's three arrays, R and S
+    # per side its kets, bras, ops and the eigendecomposition's three arrays; R and S
     arrays = _design_arrays(tomo._product_hermitian_design(2, 2))
-    assert len(arrays) == 16 + 8 and not any(arr.flags.writeable for arr in arrays)
+    assert len(arrays) == 2 * 6 + 2 and not any(arr.flags.writeable for arr in arrays)
     with pytest.raises(ValueError, match="read-only"):
-        table.ops[0, 0, 0] = 0.5
+        cols.ops[0, 0, 0] = 0.5
     assert tomo._product_hermitian_design(2, 2)[1] is r_mat
     assert tomo._product_hermitian_design.cache_info().maxsize == tomo._DESIGN_CACHE_SIZE == 8
     # the site arguments are checked before the cache is looked up
@@ -747,24 +775,25 @@ def test_choi_four_design_is_read_only_and_bounded(dim, tp_shortcut):
     # O(D^2) entries: D^2 kets of D entries, and a D^2 x 4 (slots, weights)
     # pair per side; the shortcut's variance side is D^2 x (D + 1)
     design = tomo._choi_four_design(dim, tp_shortcut)
-    table, (rows, cols, var_cols), last, partials = design
+    row_side, col_side, (rows, cols, var_cols), last, partials = design
     n_cols = dim**2 - tp_shortcut
-    assert len(table.states) == dim**2 and table.kets.shape == (n_cols, dim, 1)
-    assert table.herm == () and len(table.codes[0]) == dim**2 and len(table.codes[1]) == n_cols
+    assert row_side.kets.shape == (dim**2, dim, 1) and col_side.kets.shape == (n_cols, dim, 1)
+    assert row_side.herm == col_side.herm == ()
+    assert len(row_side.codes) == dim**2 and len(col_side.codes) == n_cols
     for side in (rows, cols):
         assert side[0].shape == side[1].shape == (dim**2, 4)
     if tp_shortcut:
         assert var_cols[0].shape == var_cols[1].shape == (dim**2, dim + 1)
         # the column of |D-1> is left out; partials are those of |0> .. |D-2>
-        kets = np.insert(table.kets[..., 0], last, basis_state(dim - 1, dim), axis=0)
+        kets = np.insert(col_side.kets[..., 0], last, basis_state(dim - 1, dim), axis=0)
         for level, column in enumerate(partials):
             assert np.array_equal(kets[column], basis_state(level, dim))
     else:
         assert var_cols is cols and last is partials is None
-    # the D^2 states, kets, bras, ops, three empty eigendecomposition arrays
-    # and the three sides' (slots, weights)
+    # per table side its kets, bras, ops and three empty eigendecomposition
+    # arrays, and the three target sides' (slots, weights)
     arrays = _design_arrays(design)
-    assert len(arrays) == dim**2 + 12 and not any(a.flags.writeable for a in arrays)
+    assert len(arrays) == 2 * 6 + 6 and not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError, match="read-only"):
         rows[1][0, 0] = 0.5
     assert tomo._choi_four_design(dim, tp_shortcut) is design
@@ -800,9 +829,9 @@ def test_importing_the_library_builds_no_design():
     code = (
         "import choi_sqpt\n"
         "from choi_sqpt import basis, tomo\n"
-        "caches = (basis._choi_four_unit, tomo._unit_table, tomo._choi_four_design,\n"
+        "caches = (basis._choi_four_unit, tomo._choi_four_design,\n"
         "          tomo._product_hermitian_design)\n"
-        "print([c.cache_info().currsize for c in caches])\n"
+        "print([c.cache_info().currsize for c in caches] + [len(tomo._UNIT_SIDES)])\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(tomo.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
