@@ -211,6 +211,7 @@ def assert_density_matrix(rho: np.ndarray, atol: float = 1e-10) -> None:
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+    _finite(rho, "density matrix entries")
     if np.max(np.abs(rho - rho.conj().T)) > atol:
         raise ValueError("density matrix is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > atol or abs(np.trace(rho).imag) > atol:
@@ -408,9 +409,10 @@ def channel_from_json(obj) -> QuantumChannel:
     """Parse the channel JSON schema, rejecting malformed documents."""
     if not isinstance(obj, dict):
         raise ChannelFormatError("channel document must be a JSON object")
-    dim = obj.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ChannelFormatError(f"'dim' must be a positive integer, got {dim!r}")
+    try:
+        dim = _dimension(obj.get("dim"), "'dim'")
+    except ValueError as exc:
+        raise ChannelFormatError(str(exc)) from None
     kraus_raw = obj.get("kraus")
     if not isinstance(kraus_raw, list) or not kraus_raw:
         raise ChannelFormatError("'kraus' must be a non-empty list of matrices")

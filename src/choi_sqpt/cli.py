@@ -6,7 +6,8 @@ identical invocations (with identical seeds) produce byte-identical output
 apart from the duration field.  --output overwrites an existing file in
 place and then truncates it to the report's length.
 
-Every request takes one path: its subparser names its handler, which times
+Every request takes one path: main resolves its channel source once, and its
+subparser names its handler, which takes the channel and its descriptor, times
 its library call with _timed and returns (exit code, report fields, --pretty
 lines); main adds the tool and command header, emits the report with _emit
 and maps a ValueError to its exit code.
@@ -284,8 +285,7 @@ def _timed(fn, *args, **kwargs):
     return result, time.perf_counter() - started
 
 
-def _cmd_element(args) -> tuple[int, dict, list[str]]:
-    channel, descriptor = _resolve_channel(args)
+def _cmd_element(args, channel, descriptor) -> tuple[int, dict, list[str]]:
     config, backend_echo = _resolve_backend(args)
     target = _parse_target(args.target, args.lambda_indices)
     plan = plan_element(*target, channel.dim)
@@ -312,8 +312,7 @@ def _cmd_element(args) -> tuple[int, dict, list[str]]:
     return EXIT_OK, fields, lines
 
 
-def _cmd_full(args) -> tuple[int, dict, list[str]]:
-    channel, descriptor = _resolve_channel(args)
+def _cmd_full(args, channel, descriptor) -> tuple[int, dict, list[str]]:
     config, backend_echo = _resolve_backend(args)
     result, duration = _timed(
         full_sqpt,
@@ -349,8 +348,7 @@ def _cmd_full(args) -> tuple[int, dict, list[str]]:
     return EXIT_OK, fields, lines
 
 
-def _cmd_validate(args) -> tuple[int, dict, list[str]]:
-    channel, descriptor = _resolve_channel(args)
+def _cmd_validate(args, channel, descriptor) -> tuple[int, dict, list[str]]:
     if not (np.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be a finite positive number, got {args.tol}")
     verdict, duration = _timed(validate_cptp, channel, args.tol)
@@ -378,8 +376,7 @@ def _cmd_validate(args) -> tuple[int, dict, list[str]]:
     return EXIT_OK if verdict.cptp else EXIT_PHYSICALITY, fields, lines
 
 
-def _cmd_plan(args) -> tuple[int, dict, list[str]]:
-    channel, descriptor = _resolve_channel(args)
+def _cmd_plan(args, channel, descriptor) -> tuple[int, dict, list[str]]:
     if channel is not None:
         dim = channel.dim
     elif args.dim is not None:
@@ -417,8 +414,7 @@ def _cmd_plan(args) -> tuple[int, dict, list[str]]:
     return EXIT_OK, fields, lines
 
 
-def _cmd_convert(args) -> tuple[int, dict, list[str]]:
-    channel, descriptor = _resolve_channel(args)
+def _cmd_convert(args, channel, descriptor) -> tuple[int, dict, list[str]]:
     if args.chi and channel is not None:
         raise ValueError("pass either --chi or a channel source, not both")
     if args.chi:
@@ -479,7 +475,7 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
     try:
-        exit_code, fields, pretty_lines = args.run(args)
+        exit_code, fields, pretty_lines = args.run(args, *_resolve_channel(args))
         header = {"tool": {"name": "choi-sqpt", "version": __version__}, "command": list(argv)}
         _emit({**header, **fields}, args, pretty_lines)
     except ValueError as exc:

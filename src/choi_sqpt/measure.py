@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .basis import basis_state, superposition_states
+from .basis import _frozen, basis_state, superposition_states
 from .channels import QuantumChannel, _dimension, _hermitian, _index, _integer, _unit_vector
 
 __all__ = [
@@ -88,18 +88,17 @@ def _setting_key(dim: int, state_code: str, projector: bool, obs_code: str) -> b
 
 
 def _checked_state(state, dim: int | None = None) -> np.ndarray:
-    state = np.array(state, dtype=complex)
+    state = _frozen(state)
     if state.ndim != 1:
         raise ValueError("input state must be a vector")
     _unit_vector(state, "input state")
     if dim not in (None, len(state)):  # a table checks its rows against the channel
         raise ValueError(f"setting dimension {len(state)} does not match channel dimension {dim}")
-    state.setflags(write=False)
     return state
 
 
 def _checked_observable(obs, dim: int) -> np.ndarray:
-    obs = np.array(obs, dtype=complex)
+    obs = _frozen(obs)
     if obs.ndim == 1:
         if obs.shape[0] != dim:
             raise ValueError("projector vector dimension mismatch")
@@ -110,7 +109,6 @@ def _checked_observable(obs, dim: int) -> np.ndarray:
         _hermitian(obs, "observable")
     else:
         raise ValueError("observable must be a vector or a matrix")
-    obs.setflags(write=False)
     return obs
 
 

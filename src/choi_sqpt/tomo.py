@@ -11,12 +11,13 @@ the process matrix entrywise by lambda_{ab;cd} = chi_{ca;db}; the linear
 map between the two flattened matrices is a permutation whose inverse is
 its transpose, so reconstruction is index relabeling, never a dense solve.
 lambda_index and chi_index state that relabeling once, as a map of index
-slots; the matrix relabelings, the beta permutation and the element plans
-are all derived from it.  Every choi-four estimate, one element, a set or all
-D^4, is _choi_four: the table of the input kets x observable kets (two checked
-sides) combined pairwise by _combine.  A lone element reads its expansions'
-sides (_unit_side), a set its _design, and full choi-four, its D^4 targets in
-row-major chi order, the _design cached per dimension (_choi_four_design).
+slots; the matrix relabelings, the beta permutation, the element plans and
+full choi-four's units (_chi_units) are all derived from it.  Every choi-four
+estimate, one element, a set or all D^4, is _choi_four: the table of the input
+kets x observable kets (two checked sides) combined pairwise by _combine.  A
+lone element reads its expansions' sides (_unit_side), a set its _design, and
+full choi-four, its D^4 targets in row-major chi order, the _design cached per
+dimension (_choi_four_design).
 """
 
 from __future__ import annotations
@@ -86,6 +87,12 @@ def lambda_index(target: tuple[int, int, int, int]) -> tuple[int, int, int, int]
 def chi_index(target: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
     """Process-matrix indices (e, f, g, h) of the lambda entry (a, b, c, d)."""
     return tuple(target[k] for k in _CHI_SLOTS)
+
+
+def _chi_units(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per chi entry, row-major: its input unit a*D+b and observable unit d*D+c."""
+    a, b, c, d = lambda_index(np.indices((dim,) * 4).reshape(4, -1))
+    return a * dim + b, d * dim + c
 
 
 def beta_entry(
@@ -387,9 +394,8 @@ def full_sqpt(
             raise ValueError("local_dim and n_sites are defined only for product-hermitian")
         d, n = channel.dim, channel.dim**2
         rows, cols, sides, last, partials = _choi_four_design(d, bool(tp_shortcut))
-        # chi[e*D+f, g*D+h] takes the input unit |f><h| and the observable unit |g><e|
-        e, f, g, h = np.indices((d, d, d, d)).reshape(4, -1)
-        units = f * d + h, g * d + e, g * d + e
+        inputs, observables = _chi_units(d)
+        units = inputs, observables, observables
         targets = [(s[u], w[u]) for (s, w), u in zip(sides, units)]
         chi, var = _choi_four(channel, config, rows, cols, targets, last, partials)
         inferred = n if tp_shortcut else 0
@@ -470,9 +476,7 @@ def _design(units, inputs, observables, tp_shortcut: bool):
 def _choi_four_design(dim: int, tp_shortcut: bool):
     """Full choi-four's _design, its sides D^2 x 4 (D^2 x (D+1) for the shortcut's variance)."""
     units = [expand_choi_four(x, y, dim) for x, y in np.ndindex(dim, dim)]
-    every = np.arange(dim * dim)
-    # the targets meet the input units in order, the observable units g*D+e e-outer
-    return _design(units, every, every.reshape(dim, dim).T.ravel(), tp_shortcut)
+    return _design(units, *_chi_units(dim), tp_shortcut)
 
 
 @lru_cache(maxsize=_DESIGN_CACHE_SIZE)

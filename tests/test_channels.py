@@ -130,6 +130,17 @@ def test_trace_preserved_on_random_states(dim):
         assert_density_matrix(out)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["every", "off-diagonal"])
+def test_density_matrix_refuses_non_finite_entries(bad, where):
+    # a NaN passes every tolerance comparison and an inf warns before it
+    # fails one, so the finite rule comes first, under CI's warning flags too
+    rho = np.full((2, 2), bad) if where == "every" else np.array([[0.5, bad], [bad, 0.5]])
+    with pytest.raises(ValueError, match="^density matrix entries must be finite$"):
+        assert_density_matrix(rho)
+
+
 def test_chi_oracle_identity():
     chi = chi_oracle(preset_channel("identity", dim=2))
     expected = np.zeros((4, 4), dtype=complex)
@@ -471,6 +482,28 @@ def test_channel_json_rejects_bad_entries():
         doc["kraus"][0][0][0] = [bad, 0.0]
         with pytest.raises(ChannelFormatError, match="pair"):
             channel_from_json(doc)
+
+
+@pytest.mark.parametrize("dim, message", [
+    ("two", "'dim' must be an integer, got 'two'"),
+    (None, "'dim' must be an integer, got None"),
+    (True, "'dim' must be an integer, got True"),
+    (2.0, "'dim' must be an integer, got 2.0"),
+    (0, "'dim' must be positive, got 0"),
+    (-3, "'dim' must be positive, got -3"),
+])
+def test_channel_json_dimension_is_the_dimension_rule(dim, message):
+    # every dimension's rule and message, raised as a parse failure (exit code 3)
+    with pytest.raises(ChannelFormatError, match=f"^{message}$"):
+        channel_from_json({"dim": dim, "kraus": [[[[1.0, 0.0]]]]})
+
+
+def test_package_names_are_the_modules_public_names():
+    # __init__ re-exports each module's __all__; its other public names are submodules
+    modules = (choi_sqpt.basis, choi_sqpt.channels, choi_sqpt.measure, choi_sqpt.tomo)
+    public = {name for name, value in vars(choi_sqpt).items()
+              if not name.startswith("_") and not isinstance(value, type(choi_sqpt))}
+    assert public == {name for module in modules for name in module.__all__}
 
 
 def test_load_channel_rejects_invalid_json(tmp_path):

@@ -243,6 +243,18 @@ def test_full_tp_shortcut_counts(tmp_path):
     assert report["settings"] == {"total": 16, "measured": 12, "inferred": 4}
 
 
+@pytest.mark.parametrize("backend", [["--backend", "exact"], ["--backend", "sampled", "--shots", "100"]],
+                         ids=["exact", "sampled"])
+def test_full_tp_shortcut_at_dimension_one(tmp_path, backend):
+    # the one projector |0><0| is inferred, so the table has no measured column
+    code, report = _run(tmp_path, "full", "--preset", "identity", "--dim", "1",
+                        "--tp-shortcut", *backend)
+    assert code == 0
+    chi = report["results"]["chi"]
+    assert (chi["entries"], chi["std_errors"]) == ([[1.0, 0.0]], [0.0])
+    assert report["settings"] == {"total": 1, "measured": 0, "inferred": 1}
+
+
 def test_full_product_hermitian_strategy(tmp_path):
     code, report = _run(
         tmp_path,
@@ -336,6 +348,50 @@ def test_plan_exit_2_on_non_positive_dim(tmp_path, capsys, dim):
     assert (code, report) == (2, None)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.endswith(f"got {dim}\n")
+
+
+# (argv, $CHOI_SQPT_SEED, exit code, stderr): ch2.json holds a D = 2 channel,
+# ch3.json a D = 3 one, and missing.json does not exist
+_REQUEST_CHECKS = [
+    (["element", "--channel", "ch2.json", "--dim", "3", "--target", "0,0,0,0"], None, 2,
+     "error: --dim 3 contradicts channel file dimension 2\n"),
+    (["element", "--preset", "identity", "--target", "0,0,0,0"], "forty-two", 2,
+     "error: $CHOI_SQPT_SEED must be an integer, got 'forty-two'\n"),
+    (["full", "--preset", "identity", "--backend", "sampled"], None, 2,
+     "error: --backend sampled requires --shots\n"),
+    (["element", "--preset", "identity", "--target", "0,x,0,0"], None, 2,
+     "error: --target indices must be integers, got '0,x,0,0'\n"),
+    (["convert", "--chi", "missing.json", "--channel", "ch2.json"], None, 2,
+     "error: pass either --chi or a channel source, not both\n"),
+    (["convert", "--chi", "missing.json"], None, 3,
+     "error: cannot read chi file missing.json: [Errno 2] No such file or directory: "
+     "'missing.json'\n"),
+    (["convert", "--channel", "ch2.json", "--to", "choi"], None, 2,
+     "error: a channel source already yields the Choi form\n"),
+    (["convert"], None, 2, "error: convert needs --chi or a channel source\n"),
+    # the dimension comes from the file: index 2 exists only at D = 3
+    (["plan", "--channel", "ch3.json", "--target", "0,0,2,0"], None, 0, ""),
+]
+
+
+@pytest.mark.parametrize("argv, seed, code, err", _REQUEST_CHECKS,
+                         ids=[" ".join(c[0]) for c in _REQUEST_CHECKS])
+def test_request_checks_exit_codes_and_messages(argv, seed, code, err, tmp_path, monkeypatch,
+                                                capsys):
+    monkeypatch.chdir(tmp_path)
+    if seed is None:
+        monkeypatch.delenv("CHOI_SQPT_SEED", raising=False)
+    else:
+        monkeypatch.setenv("CHOI_SQPT_SEED", seed)
+    save_channel(preset_channel("bit-flip", [0.25]), "ch2.json")
+    save_channel(preset_channel("depolarizing", [0.1], 3), "ch3.json")
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    if code == 0:
+        assert json.loads(captured.out)["channel"] == {"source": "file", "path": "ch3.json", "dim": 3}
+    else:
+        assert captured.out == ""
 
 
 def test_convert_round_trip(tmp_path):
