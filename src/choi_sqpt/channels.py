@@ -211,6 +211,7 @@ def assert_density_matrix(rho: np.ndarray, atol: float = 1e-10) -> None:
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+    _dimension(rho.shape[0], "density matrix dimension")
     _finite(rho, "density matrix entries")
     if np.max(np.abs(rho - rho.conj().T)) > atol:
         raise ValueError("density matrix is not Hermitian")

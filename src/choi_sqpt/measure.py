@@ -1,9 +1,9 @@
 """Measurement backends: exact expectation values and shot-noise sampling.
 
 Every measurement is a table of (input state, observable) cells, read from
-two sides.  _side checks and stacks each vector of a side once, and for the
-sampled backend encodes it for the stream keys and eigendecomposes each
-Hermitian observable once.  _read_table reads any rows x columns, applying the
+two sides.  A _Side checks and stacks each vector once; the first sampled
+read encodes it for the stream keys and eigendecomposes each Hermitian
+observable, once.  _read_table reads any rows x columns, applying the
 channel once per input state (D^2 applications for D^2 input states).
 measure_table builds both sides from a caller's vectors; full reconstruction
 builds them once per dimension, a lone element once per expansion, rows and
@@ -26,8 +26,8 @@ crossover.  Both give numpy's streams, bit for bit; only draws are per cell.
 from __future__ import annotations
 
 import hashlib
-from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -322,33 +322,36 @@ def _probabilities(p, q, proj, herm) -> tuple[np.ndarray, np.ndarray | None]:
     return _clamped(p), (probs / totals if herm else None)
 
 
-_Side = namedtuple("_Side", "proj herm kets bras ops codes eigs")
+class _Side:
+    """A table side: each vector checked once, check(vector, dim), and stacked read-only.
 
-
-def _side(vectors, dim: int, sampled: bool, check) -> _Side:
-    """Check each vector once, check(vector, dim), and stack it as _read_table reads a side.
-
-    proj and herm index the 1-d and the 2-d vectors, stacked as kets and their
-    bras, and as ops; for the sampled backend codes holds each vector's
-    (is_projector, _canon_complex code) and eigs the ops' (evals, evecs,
-    evecs_h), otherwise both are None.  Every array is read-only.
+    proj and herm index the 1-d and 2-d vectors, stacked as kets and ops.  The first read
+    to use it builds a column's bras, or for the sampled backend codes (each vector's
+    (is_projector, _canon_complex code), in order) or eigs (the ops' evals, evecs, evecs_h).
     """
-    vectors = [check(v, dim) for v in vectors]
-    proj = tuple(k for k, v in enumerate(vectors) if v.ndim == 1)
-    herm = tuple(k for k, v in enumerate(vectors) if v.ndim == 2)
-    kets = np.array([vectors[k] for k in proj]).reshape(len(proj), dim, 1)
-    ops = np.array([vectors[k] for k in herm]).reshape(len(herm), dim, dim)
-    codes = eigs = None
-    if sampled:
-        codes = tuple((v.ndim == 1, _canon_complex(v)) for v in vectors)
-        pairs = [np.linalg.eigh(o) for o in ops]
-        evecs = np.array([v for _, v in pairs]).reshape(ops.shape)
-        eigs = (np.array([e for e, _ in pairs]).reshape(len(herm), 1, dim),
-                evecs, evecs.conj().transpose(0, 2, 1))
-    side = _Side(proj, herm, kets, kets.conj().transpose(0, 2, 1), ops, codes, eigs)
-    for arr in (kets, side.bras, ops, *(eigs or ())):
-        arr.setflags(write=False)
-    return side
+
+    def __init__(self, vectors, dim: int, check):
+        vectors = [check(v, dim) for v in vectors]
+        self.proj = tuple(k for k, v in enumerate(vectors) if v.ndim == 1)
+        self.herm = tuple(k for k, v in enumerate(vectors) if v.ndim == 2)
+        self.kets = _frozen([vectors[k] for k in self.proj]).reshape(-1, dim, 1)
+        self.ops = _frozen([vectors[k] for k in self.herm]).reshape(-1, dim, dim)
+
+    @cached_property
+    def bras(self) -> np.ndarray:
+        return _frozen(self.kets.conj()).transpose(0, 2, 1)
+
+    @cached_property
+    def codes(self) -> tuple[tuple[bool, str], ...]:
+        by_index = dict(zip(self.proj + self.herm, [*self.kets[..., 0], *self.ops]))
+        return tuple((v.ndim == 1, _canon_complex(v)) for _, v in sorted(by_index.items()))
+
+    @cached_property
+    def eigs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        pairs = [np.linalg.eigh(o) for o in self.ops]
+        evals = _frozen([e for e, _ in pairs], float).reshape(-1, 1, self.ops.shape[2])
+        evecs = _frozen([v for _, v in pairs]).reshape(self.ops.shape)
+        return evals, evecs, _frozen(evecs.conj()).transpose(0, 2, 1)
 
 
 def measure_table(
@@ -362,13 +365,12 @@ def measure_table(
     Cell (m, k) is the setting (states[m], observables[k]) and equals what
     measure_setting returns for it, bit for bit.  Each vector is validated,
     and on the sampled backend encoded and eigendecomposed, once per call
-    (_side): the observables against the first state, as in its setting,
+    (_Side): the observables against the first state, as in its setting,
     then each state against the channel.
     """
-    sampled = config.mode == "sampled"
     first = len(np.atleast_1d(states[0])) if len(states) else channel.dim
-    cols = _side(observables, first, sampled, _checked_observable)
-    return _read_table(channel, _side(states, channel.dim, sampled, _checked_state), cols, config)
+    cols = _Side(observables, first, _checked_observable)
+    return _read_table(channel, _Side(states, channel.dim, _checked_state), cols, config)
 
 
 def _read_table(
@@ -380,29 +382,28 @@ def _read_table(
     On the sampled backend each cell's key, built from the sides' codes, is
     the setting's canonical_key; only the draws are made cell by cell.
     """
-    proj, herm, kets, bras, ops, obs_codes, eigs = cols
+    proj, herm, kets, ops = cols.proj, cols.herm, cols.kets, cols.ops
     n_rows, dim = rows.kets.shape[:2]
     values = np.zeros((n_rows, len(proj) + len(herm)))
     errs = np.zeros_like(values)
     if not values.shape[1]:
         return values, errs
-    sampled = config.mode == "sampled"
-    if sampled:
-        shots, (evals, evecs, evecs_h) = config.shots, eigs
+    sampled, shots = config.mode == "sampled", config.shots
+    evals, evecs, evecs_h = cols.eigs if sampled and herm else (None, None, None)
     # per row: its output state, and a D-vector per projector or a D x D
     # matrix per Hermitian observable in the stacked products
     step = max(1, _TABLE_BLOCK_ENTRIES // ((1 + len(herm)) * dim * dim + len(proj) * dim))
     for start in range(0, n_rows, step):
         block = slice(start, start + step)
         outs = np.array([_output_state(channel, psi) for psi in rows.kets[block, :, 0]])[:, None]
-        p = ((bras @ outs) @ kets)[..., 0, 0].real
+        p = ((cols.bras @ outs) @ kets)[..., 0, 0].real
         if not sampled:
             values[block, proj] = p
             values[block, herm] = np.trace(ops @ outs, axis1=2, axis2=3).real
             continue
         q = np.diagonal(evecs_h @ outs @ evecs, axis1=2, axis2=3).real if herm else None
         p, pvals = _probabilities(p, q, proj, herm)
-        streams = _cell_streams(dim, rows.codes[block], obs_codes, config.master_seed)
+        streams = _cell_streams(dim, rows.codes[block], cols.codes, config.master_seed)
         if proj:
             est = np.array([
                 [_rng(row[k]).binomial(shots, pk) / shots for k, pk in zip(proj, row_p)]

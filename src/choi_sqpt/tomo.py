@@ -37,7 +37,7 @@ from .channels import (
     QuantumChannel, _complex_from_pair, _dimension, _index, _integer,
 )
 from .measure import (
-    BackendConfig, PhysicalityError, _checked_observable, _checked_state, _read_table, _side,
+    BackendConfig, PhysicalityError, _Side, _checked_observable, _checked_state, _read_table,
     input_state_set, tp_complete,
 )
 
@@ -255,20 +255,19 @@ def _padded(expansions) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(slots, np.intp), _frozen(weights)
 
 
-def _combine(values, errs, rows, cols, var_cols=None) -> tuple[np.ndarray, np.ndarray]:
+def _combine(values, errs, rows, cols, var_cols) -> tuple[np.ndarray, np.ndarray]:
     """Weighted sums of table cells and their quadrature variances, one per target.
 
     rows = (i, r) and cols = (j, s) hold, row t, the padded (table slots,
-    weights) of target t's input and observable expansion; var_cols, cols
-    by default, is the observable side the variance is read through.  Entry
-    t is sum_pq r_p s_q T[i_p, j_q], its variance sum_pq |r_p s'_q|**2
-    se[i_p, j'_q]**2 over var_cols = (j', s'), both added input-outer, left
-    to right, starting from 0.  The weights are dyadic, so every product is
-    exact and only that order decides the bits; a padding term adds an
-    exact zero.
+    weights) of target t's input and observable expansion, and var_cols the
+    observable side the variance is read through (cols, or the shortcut's
+    substitution).  Entry t is sum_pq r_p s_q T[i_p, j_q], its variance
+    sum_pq |r_p s'_q|**2 se[i_p, j'_q]**2 over var_cols = (j', s'), both
+    added input-outer, left to right, starting from 0.  The weights are
+    dyadic, so every product is exact and only that order decides the bits;
+    a padding term adds an exact zero.
     """
-    (i, r), (j, s) = rows, cols
-    jv, sv = cols if var_cols is None else var_cols
+    (i, r), (j, s), (jv, sv) = rows, cols, var_cols
     w, wv = (r[:, :, None] * x[:, None, :] for x in (s, sv))
     # one row per (p, q), input-outer: sum() adds them left to right from 0
     terms = (w * values[i[:, :, None], j[:, None, :]]).reshape(len(w), -1).T
@@ -316,7 +315,7 @@ def reconstruct_element(
     (rows, inputs), (cols, observables) = _unit_side(plan.inputs), _unit_side(plan.observables)
     if not rows.kets.shape[1] == cols.kets.shape[1] == channel.dim:
         raise ValueError("projector vector dimension mismatch")
-    lam, var = _choi_four(channel, config, rows, cols, (inputs, observables))
+    lam, var = _choi_four(channel, config, rows, cols, (inputs, observables, observables))
     return ChiElementEstimate(
         complex(lam[0]), float(np.sqrt(var[0])), plan.settings_count, config.descriptor
     )
@@ -329,7 +328,7 @@ def _unit_side(expansion: PureStateExpansion):
     """An expansion's kets as a side, rows and columns alike, and its (1, n) slots and weights."""
     found = _UNIT_SIDES.get(expansion)
     if found is None:
-        side = _side(expansion.states, len(expansion.states[0]), True, _checked_observable)
+        side = _Side(expansion.states, len(expansion.states[0]), _checked_observable)
         slots = _frozen([range(len(expansion.weights))], np.intp), _frozen([expansion.weights])
         found = _UNIT_SIDES[expansion] = side, slots
     return found
@@ -468,8 +467,8 @@ def _design(units, inputs, observables, tp_shortcut: bool):
         col_units = [_inferred_substituted(*unit, last, partials) for unit in col_units]
         partials = tuple(partials)
     sides.append(_padded(col_units) if tp_shortcut else sides[1])
-    rows = _side(row_kets, dim, True, _checked_state)
-    return rows, _side(col_kets, dim, True, _checked_observable), tuple(sides), last, partials
+    rows = _Side(row_kets, dim, _checked_state)
+    return rows, _Side(col_kets, dim, _checked_observable), tuple(sides), last, partials
 
 
 @lru_cache(maxsize=_DESIGN_CACHE_SIZE)
@@ -484,8 +483,8 @@ def _product_hermitian_design(local_dim: int, n_sites: int):
     """The channel-independent half of product-hermitian: ((rows, cols), R, S).
 
     lambda = R^T T S for the table T of the product states (rows) x the
-    tensor products of SU(d) generators (cols).  Built, checked and encoded
-    once per (local_dim, n_sites) and process; every array is read-only.
+    tensor products of SU(d) generators (cols).  Built and checked once per
+    (local_dim, n_sites) and process; every array is read-only.
     """
     states = _tensor_products(input_state_set(local_dim), n_sites)
     observables = _tensor_products(list(sud_generators(local_dim).operators), n_sites)
@@ -501,9 +500,8 @@ def _product_hermitian_design(local_dim: int, n_sites: int):
     obs_cols = np.stack([o.reshape(-1) for o in observables], axis=1)
     targets = np.eye(n, dtype=complex).reshape(dim, dim, n).transpose(1, 0, 2).reshape(n, n)
     s_mat = _solve_expansion(obs_cols, targets, "basis operators")
-    rows = _side(states, dim, True, _checked_state)
-    cols = _side(observables, dim, True, _checked_observable)
-    return (rows, cols), _frozen(r_mat), _frozen(s_mat)
+    sides = _Side(states, dim, _checked_state), _Side(observables, dim, _checked_observable)
+    return sides, _frozen(r_mat), _frozen(s_mat)
 
 
 # --- multi-qudit index utilities ----------------------------------------------

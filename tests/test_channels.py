@@ -141,6 +141,12 @@ def test_density_matrix_refuses_non_finite_entries(bad, where):
         assert_density_matrix(rho)
 
 
+def test_density_matrix_refuses_an_empty_matrix():
+    # a 0 x 0 matrix is square, so the dimension rule names it before a reduction fails
+    with pytest.raises(ValueError, match="^density matrix dimension must be positive, got 0$"):
+        assert_density_matrix(np.zeros((0, 0)))
+
+
 def test_chi_oracle_identity():
     chi = chi_oracle(preset_channel("identity", dim=2))
     expected = np.zeros((4, 4), dtype=complex)

@@ -2,8 +2,11 @@ import gc
 import os
 import subprocess
 import sys
+import textwrap
+import threading
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from statistics import NormalDist
 
@@ -454,7 +457,7 @@ def test_combine_matches_the_per_term_sum():
     cols = rows + [tomo._inferred_substituted(*row, 2, [0, 1]) for row in rows]
     x, y = np.indices((len(rows), len(cols))).reshape(2, -1)
     sides = [[a[t] for a in tomo._padded(side)] for side, t in ((rows, x), (cols, y))]
-    lam, var = tomo._combine(values, errs, *sides)
+    lam, var = tomo._combine(values, errs, *sides, sides[1])
     for t in range(x.size):
         value, variance = _combine_reference(values, errs, rows[x[t]], cols[y[t]])
         assert lam[t] == value and var[t] == variance, (x[t], y[t])
@@ -640,6 +643,10 @@ def test_unit_tables_are_read_only_and_bounded():
     tracemalloc.start()
     try:
         found = tomo._unit_side(unit)
+        side, (slots, weights) = found
+        # the bras and the codes are built by the first read that uses them
+        assert not {"bras", "codes"} & vars(side).keys()
+        assert side.bras.shape == (4, 1, 256) and len(side.codes) == 4
         size, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -647,7 +654,6 @@ def test_unit_tables_are_read_only_and_bounded():
     # the (1, 4) slots and weights
     assert size <= 320 * 256 + 4096
     assert tomo._unit_side(unit) is found and len(tomo._UNIT_SIDES) == 1
-    side, (slots, weights) = found
     assert side.proj == (0, 1, 2, 3) and side.herm == ()
     assert [code for _, code in side.codes] == [measure._canon_complex(s) for s in unit.states]
     assert all(np.array_equal(row, ket) for row, ket in zip(side.kets[..., 0], unit.states))
@@ -685,14 +691,15 @@ def test_shortcut_run_combines_once(monkeypatch, config):
 @pytest.mark.parametrize("config", [EXACT, BackendConfig("sampled", 100, 1)],
                          ids=["exact", "sampled"])
 def test_full_eigendecomposition_budget(monkeypatch, config):
-    # the design eigendecomposes each Hermitian observable once, on its
-    # first run at a dimension on either backend, and never per table or cell
+    # the design eigendecomposes each Hermitian observable once, on its first
+    # sampled read at a dimension, never on an exact one, per table or per cell
     _clear_designs()
     calls = _count_calls(monkeypatch, np.linalg, "eigh")
+    budget = 3**2 if config.mode == "sampled" else 0
     full_sqpt(preset_channel("random-cptp", [80, 2], 3), config, "product-hermitian")
-    assert calls[0] == 3**2
+    assert calls[0] == budget
     full_sqpt(preset_channel("random-cptp", [81, 2], 3), config, "product-hermitian")
-    assert calls[0] == 3**2
+    assert calls[0] == budget
 
 
 def _clear_designs():
@@ -706,21 +713,57 @@ def test_design_caches_give_the_same_bytes_cold_and_warm():
     ch = preset_channel("random-cptp", [81, 2], 3)
     sampled = BackendConfig("sampled", 1000, 7)
 
-    def run() -> bytes:
-        parts = [full_sqpt(ch, config, strategy, tp_shortcut)
-                 for config in (EXACT, sampled)
-                 for strategy, tp_shortcut in CALIBRATION_CASES]
-        ests = [reconstruct_element(plan_element(*target, 3), ch, config)
-                for config in (EXACT, sampled)
-                for target in ((0, 1, 2, 0), (0, 2, 1, 2), (1, 2, 1, 2))]
-        return b"".join(r.chi.tobytes() + r.std_errors.tobytes() for r in parts) + \
-            repr([(est.value, est.std_error) for est in ests]).encode()
+    def run(first, second) -> bytes:
+        # every design is read on `first` before `second`; the bytes are in backend order
+        out = {}
+        for config in (first, second):
+            parts = [full_sqpt(ch, config, strategy, tp_shortcut)
+                     for strategy, tp_shortcut in CALIBRATION_CASES]
+            ests = [reconstruct_element(plan_element(*target, 3), ch, config)
+                    for target in ((0, 1, 2, 0), (0, 2, 1, 2), (1, 2, 1, 2))]
+            out[config.mode] = b"".join(r.chi.tobytes() + r.std_errors.tobytes() for r in parts) \
+                + repr([(est.value, est.std_error) for est in ests]).encode()
+        return out["exact"] + out["sampled"]
 
     _clear_designs()
-    cold = run()
-    assert run() == cold
+    cold = run(EXACT, sampled)
+    assert run(EXACT, sampled) == cold
     _clear_designs()
-    assert run() == cold
+    assert run(EXACT, sampled) == cold
+    # and with every design's first read sampled
+    _clear_designs()
+    assert run(sampled, EXACT) == cold
+    assert run(sampled, EXACT) == cold
+
+
+def test_first_sampled_reads_of_an_exact_warm_design_agree_across_threads():
+    # the sampled parts of a design built by exact runs are made by whichever
+    # thread reads them first; racing threads get the sequential bytes
+    ch = preset_channel("random-cptp", [86, 2], 3)
+    sampled = BackendConfig("sampled", 1000, 9)
+    _clear_designs()
+    for strategy, tp_shortcut in CALIBRATION_CASES:
+        full_sqpt(ch, EXACT, strategy, tp_shortcut)
+    sides = [*tomo._choi_four_design(3, False)[:2], *tomo._choi_four_design(3, True)[:2],
+             *tomo._product_hermitian_design(3, 1)[0]]
+    assert not any({"codes", "eigs"} & vars(side).keys() for side in sides)
+
+    def read(start: threading.Barrier) -> bytes:
+        start.wait(timeout=30)
+        parts = [full_sqpt(ch, sampled, strategy, tp_shortcut)
+                 for strategy, tp_shortcut in CALIBRATION_CASES]
+        return b"".join(r.chi.tobytes() + r.std_errors.tobytes() for r in parts)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            start = threading.Barrier(8)
+            threaded = [pool.submit(read, start) for _ in range(8)]
+            results = [future.result(timeout=60) for future in threaded]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [read(threading.Barrier(1))] * 8
 
 
 @pytest.mark.parametrize("strategy", ["choi-four", "product-hermitian"])
@@ -740,13 +783,15 @@ def test_a_second_run_at_the_same_dimension_rebuilds_no_design(monkeypatch, stra
 
 
 def _design_arrays(design) -> list[np.ndarray]:
-    # every array a design holds, in its table and its other tuples
+    # every array a design holds, in its sides (the parts built so far) and its other tuples
     found = []
     for part in design:
         if isinstance(part, np.ndarray):
             found.append(part)
         elif isinstance(part, tuple):
             found.extend(_design_arrays(part))
+        elif isinstance(part, measure._Side):
+            found.extend(_design_arrays(tuple(vars(part).values())))
     return found
 
 
@@ -755,9 +800,12 @@ def test_product_hermitian_design_is_read_only_and_bounded():
     assert rows.kets.shape == (16, 4, 1) and rows.herm == ()
     assert cols.ops.shape == (16, 4, 4) and cols.proj == ()
     assert r_mat.shape == s_mat.shape == (16, 16)
-    # per side its kets, bras, ops and the eigendecomposition's three arrays; R and S
+    full_sqpt(preset_channel("random-cptp", [87, 2], 4), BackendConfig("sampled", 100, 1),
+              "product-hermitian", local_dim=2, n_sites=2)
+    # after a sampled read: per side its kets and ops, the columns' (empty) bras
+    # and eigendecomposition's three arrays; R and S
     arrays = _design_arrays(tomo._product_hermitian_design(2, 2))
-    assert len(arrays) == 2 * 6 + 2 and not any(arr.flags.writeable for arr in arrays)
+    assert len(arrays) == 2 * 2 + 4 + 2 and not any(arr.flags.writeable for arr in arrays)
     with pytest.raises(ValueError, match="read-only"):
         cols.ops[0, 0, 0] = 0.5
     assert tomo._product_hermitian_design(2, 2)[1] is r_mat
@@ -776,6 +824,8 @@ def test_choi_four_design_is_read_only_and_bounded(dim, tp_shortcut):
     # pair per side; the shortcut's variance side is D^2 x (D + 1)
     design = tomo._choi_four_design(dim, tp_shortcut)
     row_side, col_side, (rows, cols, var_cols), last, partials = design
+    full_sqpt(preset_channel("random-cptp", [88, 2], dim), BackendConfig("sampled", 100, 1),
+              tp_shortcut=tp_shortcut)
     n_cols = dim**2 - tp_shortcut
     assert row_side.kets.shape == (dim**2, dim, 1) and col_side.kets.shape == (n_cols, dim, 1)
     assert row_side.herm == col_side.herm == ()
@@ -790,10 +840,11 @@ def test_choi_four_design_is_read_only_and_bounded(dim, tp_shortcut):
             assert np.array_equal(kets[column], basis_state(level, dim))
     else:
         assert var_cols is cols and last is partials is None
-    # per table side its kets, bras, ops and three empty eigendecomposition
-    # arrays, and the three target sides' (slots, weights)
+    # after a sampled read: per table side its kets and ops, the columns'
+    # bras (no Hermitian column, so no eigendecomposition), and the three
+    # target sides' (slots, weights)
     arrays = _design_arrays(design)
-    assert len(arrays) == 2 * 6 + 6 and not any(a.flags.writeable for a in arrays)
+    assert len(arrays) == 2 * 2 + 1 + 6 and not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError, match="read-only"):
         rows[1][0, 0] = 0.5
     assert tomo._choi_four_design(dim, tp_shortcut) is design
@@ -837,6 +888,50 @@ def test_importing_the_library_builds_no_design():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[0, 0, 0, 0]"
+
+
+def test_an_exact_only_process_builds_no_sampled_part():
+    # no stream key is encoded and no observable eigendecomposed without a
+    # sampled read; the cached designs hold kets, ops, a column's bras and weights
+    code = textwrap.dedent(f"""
+        import gc, tracemalloc
+        import numpy as np
+        from choi_sqpt import (BackendConfig, expand_choi_four, full_sqpt, plan_element,
+                               preset_channel, reconstruct_element)
+        from choi_sqpt import measure, tomo
+        calls = []
+        def counted(original):
+            return lambda *args: calls.append(original) or original(*args)
+        measure._canon_complex = counted(measure._canon_complex)
+        np.linalg.eigh = counted(np.linalg.eigh)
+        exact = BackendConfig()
+        for strategy, tp_shortcut in {CALIBRATION_CASES!r}:
+            full_sqpt(preset_channel('random-cptp', [89, 2], 3), exact, strategy, tp_shortcut)
+        full_sqpt(preset_channel('random-cptp', [89, 2], 4), exact, 'product-hermitian',
+                  local_dim=2, n_sites=2)
+        reconstruct_element(plan_element(0, 1, 2, 0, 3), preset_channel('random-cptp', [89, 2], 3),
+                            exact)
+        channel = preset_channel('random-cptp', [89, 2], 16)
+        channel.kraus_stack()
+        units = [expand_choi_four(x, y, 16) for x, y in np.ndindex(16, 16)]
+        gc.collect()
+        tracemalloc.start()
+        tomo._choi_four_design(16, False)
+        full_sqpt(channel, exact)
+        gc.collect()
+        choi_four = tracemalloc.get_traced_memory()[0]
+        tracemalloc.stop()
+        tracemalloc.start()
+        tomo._product_hermitian_design(2, 4)
+        print(len(calls), choi_four, tracemalloc.get_traced_memory()[0])
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(tomo.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    calls, choi_four, product_hermitian = map(int, out.stdout.split())
+    assert calls == 0
+    # the design and a D = 16 run's bras; the weight matrices R and S are 2 MB
+    assert choi_four <= 0.35e6 and product_hermitian <= 3.5e6, (choi_four, product_hermitian)
 
 
 def _count_channel_applications(monkeypatch) -> list[int]:
