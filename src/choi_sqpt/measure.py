@@ -11,8 +11,8 @@ columns alike.  The channel acts on the input ket, not on its density
 matrix: eps(|psi><psi|) = A^T A* for the rank x D array A of kets E_m psi,
 O(rank D^2) per input state where the Kraus sum on |psi><psi| costs
 O(rank D^3).  channels.apply_channel stays the path for a general operator.
-Rows are read in blocks with stacked products, one per observable kind, that
-make the same BLAS call per cell as a single read; measure_setting is 1 x 1.
+Rows are read in blocks with a stacked product per observable kind present;
+each makes a single read's BLAS call per cell, and measure_setting is 1 x 1.
 
 Every sampled setting derives its own random stream by hashing a canonical
 byte encoding of the setting together with the master seed, so results are
@@ -396,10 +396,12 @@ def _read_table(
     for start in range(0, n_rows, step):
         block = slice(start, start + step)
         outs = np.array([_output_state(channel, psi) for psi in rows.kets[block, :, 0]])[:, None]
-        p = ((cols.bras @ outs) @ kets)[..., 0, 0].real
+        p = ((cols.bras @ outs) @ kets)[..., 0, 0].real if proj or sampled else None
         if not sampled:
-            values[block, proj] = p
-            values[block, herm] = np.trace(ops @ outs, axis1=2, axis2=3).real
+            if proj:
+                values[block, proj] = p
+            if herm:
+                values[block, herm] = np.trace(ops @ outs, axis1=2, axis2=3).real
             continue
         q = np.diagonal(evecs_h @ outs @ evecs, axis1=2, axis2=3).real if herm else None
         p, pvals = _probabilities(p, q, proj, herm)

@@ -11,13 +11,13 @@ the process matrix entrywise by lambda_{ab;cd} = chi_{ca;db}; the linear
 map between the two flattened matrices is a permutation whose inverse is
 its transpose, so reconstruction is index relabeling, never a dense solve.
 lambda_index and chi_index state that relabeling once, as a map of index
-slots; the matrix relabelings, the beta permutation, the element plans and
-full choi-four's units (_chi_units) are all derived from it.  Every choi-four
-estimate, one element, a set or all D^4, is _choi_four: the table of the input
-kets x observable kets (two checked sides) combined pairwise by _combine.  A
-lone element reads its expansions' sides (_unit_side), a set its _design, and
-full choi-four, its D^4 targets in row-major chi order, the _design cached per
-dimension (_choi_four_design).
+slots; the matrix relabelings, the beta permutation and the element plans
+are all derived from it.  Every choi-four estimate is an entry of a grid of
+input units |a><b| x observable units |d><c| (_choi_four): the table of their
+kets (two checked sides) combined by _combine, in blocks of input units.  A
+lone element is its expansions' 1 x 1 grid (_unit_side), a set the grid of its
+distinct units (_design), and full choi-four every unit x*D+y on both sides
+(_choi_four_design), relabeled to chi.
 """
 
 from __future__ import annotations
@@ -69,6 +69,9 @@ PAULI_CONVENTION = "pauli-row-ixyz"
 # full_sqpt keeps this many designs of each strategy, keyed by dimension integers
 _DESIGN_CACHE_SIZE = 8
 
+# _combine forms at most this many terms at once (one input unit's if more), bounding its memory
+_COMBINE_BLOCK_TERMS = 1 << 15
+
 
 # --- lambda/chi index algebra -------------------------------------------------
 
@@ -87,12 +90,6 @@ def lambda_index(target: tuple[int, int, int, int]) -> tuple[int, int, int, int]
 def chi_index(target: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
     """Process-matrix indices (e, f, g, h) of the lambda entry (a, b, c, d)."""
     return tuple(target[k] for k in _CHI_SLOTS)
-
-
-def _chi_units(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per chi entry, row-major: its input unit a*D+b and observable unit d*D+c."""
-    a, b, c, d = lambda_index(np.indices((dim,) * 4).reshape(4, -1))
-    return a * dim + b, d * dim + c
 
 
 def beta_entry(
@@ -250,51 +247,57 @@ class ChiElementEstimate:
 def _padded(expansions) -> tuple[np.ndarray, np.ndarray]:
     # each expansion's (table slots, weights), padded with slot 0 and weight 0; read-only
     width = max(len(w) for _, w in expansions)
-    slots = np.array([list(i) + [0] * (width - len(i)) for i, _ in expansions], dtype=np.intp)
-    weights = np.array([list(w) + [0] * (width - len(w)) for _, w in expansions], dtype=complex)
+    slots, weights = ([[*x] + [0] * (width - len(x)) for x in part] for part in zip(*expansions))
     return _frozen(slots, np.intp), _frozen(weights)
 
 
 def _combine(values, errs, rows, cols, var_cols) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted sums of table cells and their quadrature variances, one per target.
+    """Weighted sums of table cells and their quadrature variances over a grid of units.
 
-    rows = (i, r) and cols = (j, s) hold, row t, the padded (table slots,
-    weights) of target t's input and observable expansion, and var_cols the
-    observable side the variance is read through (cols, or the shortcut's
-    substitution).  Entry t is sum_pq r_p s_q T[i_p, j_q], its variance
-    sum_pq |r_p s'_q|**2 se[i_p, j'_q]**2 over var_cols = (j', s'), both
-    added input-outer, left to right, starting from 0.  The weights are
-    dyadic, so every product is exact and only that order decides the bits;
-    a padding term adds an exact zero.
+    rows = (i, r) holds, row u, input unit u's padded (table slots, weights),
+    cols = (j, s) observable unit v's and var_cols = (j', s') those the
+    variance is read through (cols, or the shortcut's substitution).  Entry
+    (u, v) is sum_pq r_up s_vq T[i_up, j_vq], its variance sum_pq |r_up s'_vq|**2
+    se[i_up, j'_vq]**2, both added input-outer, left to right, from 0, a block
+    of input units at a time.  The weights are dyadic, so every product is
+    exact and only that order decides the bits; a padding term adds an exact
+    zero, and a table without errors (the exact backend's) adds no variance term.
     """
     (i, r), (j, s), (jv, sv) = rows, cols, var_cols
-    w, wv = (r[:, :, None] * x[:, None, :] for x in (s, sv))
-    # one row per (p, q), input-outer: sum() adds them left to right from 0
-    terms = (w * values[i[:, :, None], j[:, None, :]]).reshape(len(w), -1).T
-    sq_terms = np.abs(wv) ** 2 * np.square(errs)[i[:, :, None], jv[:, None, :]]
-    return sum(terms), sum(sq_terms.reshape(len(w), -1).T)
+    step = max(1, _COMBINE_BLOCK_TERMS // (len(j) * i.shape[1] * max(j.shape[1], jv.shape[1])))
+    lam, var = np.empty((len(i), len(j)), complex), np.zeros((len(i), len(j)))
+    # axes (p, q, u, v): one row per (p, q), input-outer, which sum() adds left to right from 0
+    i, r = i.T[:, None, :, None], r.T[:, None, :, None]
+    j, s, jv, sv = (x.T[None, :, None, :] for x in (j, s, jv, sv))
+    sq_errs = np.square(errs) if np.count_nonzero(errs) else None
+    for block in (slice(start, start + step) for start in range(0, len(lam), step)):
+        ib, rb = i[:, :, block], r[:, :, block]
+        terms = rb * s * values[ib, j]
+        lam[block] = sum(terms.reshape(-1, *terms.shape[2:]))
+        if sq_errs is not None:
+            sq_terms = np.abs(rb * sv) ** 2 * sq_errs[ib, jv]
+            var[block] = sum(sq_terms.reshape(-1, *sq_terms.shape[2:]))
+    return lam, var
 
 
-def _table_side(units, chosen) -> tuple[list, list]:
-    """The chosen units' distinct kets, first seen first; per unit, (slots, weights) or ([], [])."""
+def _table_side(units) -> tuple[list, list]:
+    """The units' distinct kets, first seen first, and per unit its (slots, weights)."""
     slot: dict[bytes, int] = {}
-    expansions = [([], [])] * len(units)
-    for k in dict.fromkeys(chosen):
-        slots = [slot.setdefault(ket.tobytes(), len(slot)) for ket in units[k].states]
-        expansions[k] = (slots, units[k].weights)
-    return [np.frombuffer(ket, complex) for ket in slot], expansions
+    slots = [[slot.setdefault(ket.tobytes(), len(slot)) for ket in u.states] for u in units]
+    return [np.frombuffer(ket, complex) for ket in slot], [*zip(slots, (u.weights for u in units))]
 
 
 def _choi_four(channel, config, rows, cols, sides, last=None, partials=None):
-    """Every target's estimate and variance, from the table of the sides rows x cols.
+    """The grid of estimates and variances, from the table of the sides rows x cols.
 
-    sides holds the targets' padded (slots, weights) as _combine reads them,
-    gathered by the caller.  With last set, the unmeasured column last is
-    inferred from the columns partials by normalization (tp_complete).
+    sides holds the grid's input, observable and variance sides as _combine
+    reads them.  With last set, the unmeasured column last is inferred from
+    the columns partials by normalization (tp_complete).
     """
     values, errs = _read_table(channel, rows, cols, config)
     if last is not None:
-        values, errs = (np.insert(x, last, 0.0, axis=1) for x in (values, errs))
+        gap = np.zeros((len(values), 1))
+        values, errs = (np.concatenate((x[:, :last], gap, x[:, last:]), 1) for x in (values, errs))
         values[:, last] = tp_complete(dict(enumerate(values[:, partials].T)), channel.dim)
     return _combine(values, errs, *sides)
 
@@ -304,8 +307,8 @@ def reconstruct_element(
 ) -> ChiElementEstimate:
     """Measure a plan's <= 4 x 4 table and combine it into the chi element.
 
-    The one-target case of _choi_four, over the plan's own kets, in order:
-    the channel is applied once per input state of the plan (1 or 4 times).
+    The 1 x 1 grid of _choi_four, over the plan's own kets, in order: the
+    channel is applied once per input state of the plan (1 or 4 times).
     Rows and columns are the expansions' sides, built once each (_unit_side).
     """
     if channel.dim != plan.dim:
@@ -317,7 +320,7 @@ def reconstruct_element(
         raise ValueError("projector vector dimension mismatch")
     lam, var = _choi_four(channel, config, rows, cols, (inputs, observables, observables))
     return ChiElementEstimate(
-        complex(lam[0]), float(np.sqrt(var[0])), plan.settings_count, config.descriptor
+        complex(lam[0, 0]), float(np.sqrt(var[0, 0])), plan.settings_count, config.descriptor
     )
 
 
@@ -365,11 +368,11 @@ def full_sqpt(
 
     Both strategies measure a D^2 x D^2 table T[m, k] =
     Tr[O_k eps(|psi_m><psi_m|)] once per cell, applying the channel once
-    per input state (one row of the table).  "choi-four" is the all-D^4
-    case of the path reconstruct_element takes for one element: the D^2
+    per input state (one row of the table).  "choi-four" is the D^2 x D^2
+    grid of the path reconstruct_element takes for one element: the D^2
     kets of the matrix-unit expansions (the set input_state_set(D)) meet
-    projectors onto the same kets, and every chi entry is its element's
-    plan combined input-outer, bit for bit the single-element estimate.
+    projectors onto the same kets, every input unit meets every observable
+    unit, and the grid relabeled to chi is bit for bit each element's estimate.
     "product-hermitian" pairs product states with tensor products of SU(d)
     generators, solves lambda = R^T T S and relabels it to chi; pass it
     local_dim and n_sites, with local_dim**n_sites == dim, for qudit sites.
@@ -391,15 +394,11 @@ def full_sqpt(
     if strategy == "choi-four":
         if local_dim is not None or n_sites is not None:
             raise ValueError("local_dim and n_sites are defined only for product-hermitian")
-        d, n = channel.dim, channel.dim**2
-        rows, cols, sides, last, partials = _choi_four_design(d, bool(tp_shortcut))
-        inputs, observables = _chi_units(d)
-        units = inputs, observables, observables
-        targets = [(s[u], w[u]) for (s, w), u in zip(sides, units)]
-        chi, var = _choi_four(channel, config, rows, cols, targets, last, partials)
-        inferred = n if tp_shortcut else 0
-        chi, err = chi.reshape(n, n), np.sqrt(var).reshape(n, n)
-        return SqptResult(chi, err, "choi-four", n * n, n * n - inferred, inferred)
+        lam, var = _choi_four(channel, config, *_choi_four_design(channel.dim, bool(tp_shortcut)))
+        # grid[a*D+b, d*D+c] = lambda_{ab;cd} = chi_{ca;db}: an exact transpose
+        chi, err = (_relabel(x, (3, 0, 2, 1), "grid") for x in (lam, np.sqrt(var)))
+        inferred = len(lam) if tp_shortcut else 0
+        return SqptResult(chi, err, "choi-four", lam.size, lam.size - inferred, inferred)
     if strategy == "product-hermitian":
         return _full_product_hermitian(channel, config, local_dim, n_sites)
     raise ValueError(f"unknown strategy {strategy!r}")
@@ -439,25 +438,23 @@ def _full_product_hermitian(
         )
     (rows, cols), r_mat, s_mat = _product_hermitian_design(local_dim, n_sites)
     data, errs = _read_table(channel, rows, cols, config)
-    n = dim * dim
     lam = r_mat.T @ data @ s_mat
     lam_var = (np.abs(r_mat.T) ** 2) @ np.square(errs) @ (np.abs(s_mat) ** 2)
-    chi_var = chi_from_lambda(lam_var)
-    return SqptResult(chi_from_lambda(lam), np.sqrt(chi_var), "product-hermitian", n * n, n * n, 0)
+    chi, err = chi_from_lambda(lam), np.sqrt(chi_from_lambda(lam_var))
+    return SqptResult(chi, err, "product-hermitian", lam.size, lam.size, 0)
 
 
-def _design(units, inputs, observables, tp_shortcut: bool):
-    """The channel-independent half of a choi-four set: (rows, cols, sides, last, partials).
+def _design(inputs, observables, tp_shortcut: bool):
+    """The channel-independent half of a choi-four grid: (rows, cols, sides, last, partials).
 
-    Target t measures unit units[inputs[t]] with units[observables[t]]; rows
-    and cols hold their distinct kets, first seen first, and sides per unit its
-    padded (slots, weights) as an input, as an observable and for the variance,
-    which the caller gathers per target.  With tp_shortcut (full choi-four's
-    D^2 units x*D+y) column last, |D-1>, is inferred from the columns partials.
+    The grid pairs every expansion of inputs with every one of observables;
+    rows and cols hold their distinct kets, first seen first, and sides per
+    grid row and column its padded (slots, weights) as an input, as an
+    observable and for the variance.  With tp_shortcut (full choi-four's D^2
+    units x*D+y) column last, |D-1>, is inferred from the columns partials.
     """
-    dim = len(units[0].states[0])
-    row_kets, row_units = _table_side(units, inputs)
-    col_kets, col_units = _table_side(units, observables)
+    dim = len(inputs[0].states[0])
+    (row_kets, row_units), (col_kets, col_units) = map(_table_side, (inputs, observables))
     sides = [_padded(row_units), _padded(col_units)]
     last = partials = None
     if tp_shortcut:
@@ -475,7 +472,7 @@ def _design(units, inputs, observables, tp_shortcut: bool):
 def _choi_four_design(dim: int, tp_shortcut: bool):
     """Full choi-four's _design, its sides D^2 x 4 (D^2 x (D+1) for the shortcut's variance)."""
     units = [expand_choi_four(x, y, dim) for x, y in np.ndindex(dim, dim)]
-    return _design(units, *_chi_units(dim), tp_shortcut)
+    return _design(units, units, tp_shortcut)
 
 
 @lru_cache(maxsize=_DESIGN_CACHE_SIZE)

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import os
 import subprocess
 import sys
@@ -455,20 +456,26 @@ def test_combine_matches_the_per_term_sum():
     units = [expand_choi_four(a, b, dim) for a, b in np.ndindex(dim, dim)]
     rows = [(list(rng.permutation(9)[: len(u.weights)]), u.weights) for u in units]
     cols = rows + [tomo._inferred_substituted(*row, 2, [0, 1]) for row in rows]
-    x, y = np.indices((len(rows), len(cols))).reshape(2, -1)
-    sides = [[a[t] for a in tomo._padded(side)] for side, t in ((rows, x), (cols, y))]
-    lam, var = tomo._combine(values, errs, *sides, sides[1])
-    for t in range(x.size):
-        value, variance = _combine_reference(values, errs, rows[x[t]], cols[y[t]])
-        assert lam[t] == value and var[t] == variance, (x[t], y[t])
+    # the grid of every row x every column, the variance read through the
+    # columns; a table without errors, as the exact backend reads, too
+    sides = [tomo._padded(side) for side in (rows, cols)]
+    for table_errs in (errs, np.zeros_like(errs)):
+        lam, var = tomo._combine(values, table_errs, *sides, sides[1])
+        assert lam.shape == var.shape == (len(rows), len(cols))
+        for x, y in np.ndindex(lam.shape):
+            value, variance = _combine_reference(values, table_errs, rows[x], cols[y])
+            assert lam[x, y] == value and var[x, y] == variance, (x, y)
+    assert not np.signbit(var).any()
 
 
 @pytest.mark.parametrize("config", [EXACT, BackendConfig("sampled", 10**4, 2**32 + 7)],
                          ids=["exact", "sampled"])
 @pytest.mark.parametrize("dim", [3, 4])
 def test_choi_four_set_matches_lone_elements(monkeypatch, dim, config):
-    # one table for a mixed set: each entry is its lone element's estimate,
-    # and the table is the union of input kets x the union of observable kets
+    # one table for a mixed set: the grid of its distinct input units x its
+    # distinct observable units, each target read out of it is its lone
+    # element's estimate, and the table is the union of input kets x the
+    # union of observable kets
     targets = [
         (1, 2, 1, 2),  # diagonal
         (0, 1, 2, 1),  # input unit |1><1| diagonal
@@ -480,17 +487,9 @@ def test_choi_four_set_matches_lone_elements(monkeypatch, dim, config):
         (dim - 1, 0, 1, dim - 1),
     ]
     plans = [plan_element(*t, dim) for t in targets]
-    units, index = [], {}
-
-    def unit(expansion):
-        key = expansion.target
-        if key not in index:
-            index[key] = len(units)
-            units.append(expansion)
-        return index[key]
-
-    inputs = np.array([unit(p.inputs) for p in plans])
-    observables = np.array([unit(p.observables) for p in plans])
+    # expansions are cached, so a unit is one object
+    inputs = list(dict.fromkeys(p.inputs for p in plans))
+    observables = list(dict.fromkeys(p.observables for p in plans))
     tables = []
     read = tomo._read_table
 
@@ -500,9 +499,12 @@ def test_choi_four_set_matches_lone_elements(monkeypatch, dim, config):
 
     monkeypatch.setattr(tomo, "_read_table", recorded)
     ch = preset_channel("random-cptp", [17, 3], dim)
-    rows, cols, sides, _, _ = tomo._design(units, inputs, observables, False)
-    gathered = [(s[u], w[u]) for (s, w), u in zip(sides, (inputs, observables, observables))]
-    lam, var = tomo._choi_four(ch, config, rows, cols, gathered)
+    rows, cols, sides, _, _ = tomo._design(inputs, observables, False)
+    grid = tomo._choi_four(ch, config, rows, cols, sides)
+    assert grid[0].shape == grid[1].shape == (len(inputs), len(observables))
+    # each target's entry: its input unit's row, its observable unit's column
+    at = [inputs.index(p.inputs) for p in plans], [observables.index(p.observables) for p in plans]
+    lam, var = (x[at] for x in grid)
 
     def union(expansions):
         return len({ket.tobytes() for u in expansions for ket in u.states})
@@ -514,6 +516,38 @@ def test_choi_four_set_matches_lone_elements(monkeypatch, dim, config):
         assert lam[t] == est.value and float(np.sqrt(var[t])) == est.std_error, targets[t]
     if config.mode == "sampled":
         assert np.all(var > 0)
+
+
+@pytest.mark.parametrize("block_terms", [1, 4 * 9 * 4 * 4], ids=["unit", "uneven"])
+@pytest.mark.parametrize("tp_shortcut", [False, True])
+@pytest.mark.parametrize("config", [EXACT, BackendConfig("sampled", 1000, 3)],
+                         ids=["exact", "sampled"])
+def test_combine_blocks_give_the_same_bytes(monkeypatch, config, tp_shortcut, block_terms):
+    # D = 3 has 9 input units of 9 x 4 x 4 terms each: blocks of one unit,
+    # or of 4, 4 and 1 units, give the one-block bytes in one _combine call
+    ch = preset_channel("random-cptp", [91, 2], 3)
+    whole = full_sqpt(ch, config, "choi-four", tp_shortcut)
+    combines = _count_calls(monkeypatch, tomo, "_combine")
+    monkeypatch.setattr(tomo, "_COMBINE_BLOCK_TERMS", block_terms)
+    blocked = full_sqpt(ch, config, "choi-four", tp_shortcut)
+    assert combines[0] == 1
+    assert blocked.chi.tobytes() == whole.chi.tobytes()
+    assert blocked.std_errors.tobytes() == whole.std_errors.tobytes()
+
+
+def test_full_choi_four_in_two_blocks_matches_lone_elements():
+    # at D = 8 the default block holds 32 of the 64 input units |f><h|; the
+    # targets cover both blocks, diagonal and off-diagonal units
+    dim = 8
+    assert tomo._COMBINE_BLOCK_TERMS // (dim**2 * 4 * 4) == dim**2 // 2
+    ch = preset_channel("random-cptp", [92, 2], dim)
+    result = full_sqpt(ch, EXACT)
+    targets = list(itertools.product((0, 7), (0, 3, 4, 7), (0, 6), (0, 2, 5, 7)))
+    assert len(targets) == 64
+    for e, f, g, h in targets:
+        est = reconstruct_element(plan_element(e, f, g, h, dim), ch, EXACT)
+        assert result.chi[e * dim + f, g * dim + h] == est.value, (e, f, g, h)
+        assert result.std_errors[e * dim + f, g * dim + h] == est.std_error == 0.0
 
 
 def _count_calls(monkeypatch, owner, name) -> list[int]:
@@ -842,7 +876,7 @@ def test_choi_four_design_is_read_only_and_bounded(dim, tp_shortcut):
         assert var_cols is cols and last is partials is None
     # after a sampled read: per table side its kets and ops, the columns'
     # bras (no Hermitian column, so no eigendecomposition), and the three
-    # target sides' (slots, weights)
+    # grid sides' (slots, weights)
     arrays = _design_arrays(design)
     assert len(arrays) == 2 * 2 + 1 + 6 and not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError, match="read-only"):
@@ -932,6 +966,21 @@ def test_an_exact_only_process_builds_no_sampled_part():
     assert calls == 0
     # the design and a D = 16 run's bras; the weight matrices R and S are 2 MB
     assert choi_four <= 0.35e6 and product_hermitian <= 3.5e6, (choi_four, product_hermitian)
+
+
+def test_a_warm_full_choi_four_at_dimension_16_stays_under_8_mib():
+    # the grid is combined in blocks of input units, so no D^4 x 16 array is
+    # formed: the table, the grid and the result are O(D^4), about 4.6 MiB
+    ch = preset_channel("random-cptp", [93, 4], 16)
+    full_sqpt(ch, EXACT)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        full_sqpt(ch, EXACT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 def _count_channel_applications(monkeypatch) -> list[int]:
