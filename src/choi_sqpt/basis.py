@@ -47,8 +47,8 @@ _EXPANSION_ATOL = 1e-12
 _UNIT_CACHE_SIZE = 1024
 
 
-def _frozen(arr: np.ndarray, dtype=complex) -> np.ndarray:
-    out = np.array(arr, dtype=dtype)
+def _frozen(arr: np.ndarray, dtype=complex, copy: bool = True) -> np.ndarray:
+    out = np.array(arr, dtype=dtype) if copy else np.asarray(arr, dtype)
     out.setflags(write=False)
     return out
 

@@ -100,7 +100,7 @@ class QuantumChannel:
         return float(np.max(np.abs(acc - np.eye(self.dim))))
 
     def is_trace_preserving(self, atol: float = 1e-10) -> bool:
-        return self.tp_deviation() <= atol
+        return self.tp_deviation() <= _tolerance(atol, "atol")
 
 
 def apply_channel(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
@@ -168,8 +168,7 @@ def validate_cptp(channel: QuantumChannel, tol: float = 1e-10) -> ValidationRepo
     Never raises on an unphysical channel: failures are carried in the
     report so callers can decide what to do with them.
     """
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError("tolerance must be a finite positive number")
+    tol = _tolerance(tol, "tolerance")
     dev = channel.tp_deviation()
     chi = chi_oracle(channel)
     eigs = np.linalg.eigvalsh(chi)
@@ -213,6 +212,7 @@ def assert_density_matrix(rho: np.ndarray, atol: float = 1e-10) -> None:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     _dimension(rho.shape[0], "density matrix dimension")
     _finite(rho, "density matrix entries")
+    atol = _tolerance(atol, "atol")
     if np.max(np.abs(rho - rho.conj().T)) > atol:
         raise ValueError("density matrix is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > atol or abs(np.trace(rho).imag) > atol:
@@ -261,6 +261,13 @@ def _finite(arr: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} must be finite")
     return arr
+
+
+def _tolerance(value, name: str) -> float:
+    # a real number, never a bool, finite and positive
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+        raise ValueError(f"{name} must be a finite positive number")
+    return value
 
 
 def _unit_vector(vec: np.ndarray, what: str, entries: str | None = None) -> np.ndarray:

@@ -17,7 +17,7 @@ input units |a><b| x observable units |d><c| (_choi_four): the table of their
 kets (two checked sides) combined by _combine, in blocks of input units.  A
 lone element is its expansions' 1 x 1 grid (_unit_side), a set the grid of its
 distinct units (_design), and full choi-four every unit x*D+y on both sides
-(_choi_four_design), relabeled to chi.
+(_choi_four_design).  full_sqpt relabels either strategy to chi in one tail.
 """
 
 from __future__ import annotations
@@ -332,7 +332,7 @@ def _unit_side(expansion: PureStateExpansion):
     found = _UNIT_SIDES.get(expansion)
     if found is None:
         side = _Side(expansion.states, len(expansion.states[0]), _checked_observable)
-        slots = _frozen([range(len(expansion.weights))], np.intp), _frozen([expansion.weights])
+        slots = _padded([(range(len(expansion.weights)), expansion.weights)])
         found = _UNIT_SIDES[expansion] = side, slots
     return found
 
@@ -342,7 +342,10 @@ def _unit_side(expansion: PureStateExpansion):
 
 @dataclass(frozen=True, eq=False)
 class SqptResult:
-    """A fully reconstructed process matrix plus measurement accounting."""
+    """A fully reconstructed process matrix plus measurement accounting.
+
+    Holds the given chi and std_errors read-only, copied only to change dtype.
+    """
 
     chi: np.ndarray
     std_errors: np.ndarray
@@ -352,8 +355,8 @@ class SqptResult:
     settings_inferred: int
 
     def __post_init__(self):
-        object.__setattr__(self, "chi", _frozen(self.chi))
-        object.__setattr__(self, "std_errors", _frozen(self.std_errors, float))
+        object.__setattr__(self, "chi", _frozen(self.chi, copy=False))
+        object.__setattr__(self, "std_errors", _frozen(self.std_errors, float, copy=False))
 
 
 def full_sqpt(
@@ -374,8 +377,9 @@ def full_sqpt(
     projectors onto the same kets, every input unit meets every observable
     unit, and the grid relabeled to chi is bit for bit each element's estimate.
     "product-hermitian" pairs product states with tensor products of SU(d)
-    generators, solves lambda = R^T T S and relabels it to chi; pass it
-    local_dim and n_sites, with local_dim**n_sites == dim, for qudit sites.
+    generators and solves lambda = R^T T S; pass it local_dim and n_sites,
+    with local_dim**n_sites == dim, for qudit sites.  One tail relabels either
+    estimate and its standard errors to chi and counts the settings.
 
     With tp_shortcut (choi-four only) the computational-basis projector for
     the highest level is never measured: its expectation for each input
@@ -395,13 +399,21 @@ def full_sqpt(
         if local_dim is not None or n_sites is not None:
             raise ValueError("local_dim and n_sites are defined only for product-hermitian")
         lam, var = _choi_four(channel, config, *_choi_four_design(channel.dim, bool(tp_shortcut)))
-        # grid[a*D+b, d*D+c] = lambda_{ab;cd} = chi_{ca;db}: an exact transpose
-        chi, err = (_relabel(x, (3, 0, 2, 1), "grid") for x in (lam, np.sqrt(var)))
-        inferred = len(lam) if tp_shortcut else 0
-        return SqptResult(chi, err, "choi-four", lam.size, lam.size - inferred, inferred)
-    if strategy == "product-hermitian":
-        return _full_product_hermitian(channel, config, local_dim, n_sites)
-    raise ValueError(f"unknown strategy {strategy!r}")
+        # grid[a*D+b, d*D+c] = lambda_{ab;cd}: lambda with its c and d slots swapped
+        slots = tuple((0, 1, 3, 2)[k] for k in _CHI_SLOTS)
+    elif strategy == "product-hermitian":
+        sites = _sites(channel.dim, local_dim, n_sites)
+        (rows, cols), r_mat, s_mat = _product_hermitian_design(*sites)
+        data, errs = _read_table(channel, rows, cols, config)
+        lam, slots = r_mat.T @ data @ s_mat, _CHI_SLOTS
+        var = np.zeros(lam.shape)  # a table without errors (the exact backend's) adds no term
+        if np.count_nonzero(errs):
+            var = (np.abs(r_mat.T) ** 2) @ np.square(errs) @ (np.abs(s_mat) ** 2)
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    chi, err = (_relabel(x, slots, "grid") for x in (lam, np.sqrt(var)))
+    inferred = len(lam) if tp_shortcut else 0
+    return SqptResult(chi, err, strategy, lam.size, lam.size - inferred, inferred)
 
 
 def _inferred_substituted(slots, weights, last: int, partials: list[int]):
@@ -419,29 +431,19 @@ def _inferred_substituted(slots, weights, last: int, partials: list[int]):
     return list(merged), list(merged.values())
 
 
-def _full_product_hermitian(
-    channel: QuantumChannel,
-    config: BackendConfig,
-    local_dim: int | None,
-    n_sites: int | None,
-) -> SqptResult:
-    dim = channel.dim
+def _sites(dim: int, local_dim, n_sites) -> tuple[int, int]:
+    """Product-hermitian's (local_dim, n_sites): one site of dim levels unless both are given."""
     if (local_dim is None) != (n_sites is None):
         raise ValueError("pass local_dim and n_sites together or not at all")
     if local_dim is None:
-        local_dim, n_sites = dim, 1
+        return dim, 1
     local_dim, n_sites = _integer(local_dim, "local_dim"), _integer(n_sites, "n_sites")
     if local_dim**n_sites != dim:
         raise ValueError(
             f"local_dim**n_sites = {local_dim}**{n_sites} does not equal "
             f"the channel dimension {dim}"
         )
-    (rows, cols), r_mat, s_mat = _product_hermitian_design(local_dim, n_sites)
-    data, errs = _read_table(channel, rows, cols, config)
-    lam = r_mat.T @ data @ s_mat
-    lam_var = (np.abs(r_mat.T) ** 2) @ np.square(errs) @ (np.abs(s_mat) ** 2)
-    chi, err = chi_from_lambda(lam), np.sqrt(chi_from_lambda(lam_var))
-    return SqptResult(chi, err, "product-hermitian", lam.size, lam.size, 0)
+    return local_dim, n_sites
 
 
 def _design(inputs, observables, tp_shortcut: bool):
@@ -563,36 +565,26 @@ class GhzProfile:
 
 def ghz_profile(a: int, b: int, index_map: QuditIndexMap) -> GhzProfile:
     """Locate and verify the GHZ factorization of the (a, b) input states."""
-    n, d = index_map.n_sites, index_map.local_dim
-    dim = index_map.dim
-    da = index_map.decompose(a)
-    db = index_map.decompose(b)
+    n, d, dim = index_map.n_sites, index_map.local_dim, index_map.dim
+    da, db = index_map.decompose(a), index_map.decompose(b)
     diff = tuple(j for j in range(n) if da[j] != db[j])
     agree = tuple(j for j in range(n) if da[j] == db[j])
     m = len(diff)
 
     if a == b:
-        full = basis_state(a, dim)
-        return GhzProfile(a, b, 0, (), np.ones(1, dtype=complex),
-                          np.ones(1, dtype=complex), full, 0.0)
+        return GhzProfile(a, b, 0, (), np.ones(1, dtype=complex), np.ones(1, dtype=complex),
+                          basis_state(a, dim), 0.0)
 
     va, vb = basis_state(a, dim), basis_state(b, dim)
     plus = (va + vb) / np.sqrt(2)
     minus = (va + 1j * vb) / np.sqrt(2)
 
-    ia = ib = 0
-    for j in diff:
-        ia = ia * d + da[j]
-        ib = ib * d + db[j]
-    ghz_plus = np.zeros(d**m, dtype=complex)
-    ghz_minus = np.zeros(d**m, dtype=complex)
-    ghz_plus[ia] = ghz_minus[ia] = 1 / np.sqrt(2)
-    ghz_plus[ib] = 1 / np.sqrt(2)
-    ghz_minus[ib] = 1j / np.sqrt(2)
+    ia, ib = (QuditIndexMap(m, d).compose(x[j] for j in diff) for x in (da, db))
+    ghz_plus, ghz_minus = np.zeros((2, d**m), dtype=complex)
+    ghz_plus[[ia, ib]] = 1 / np.sqrt(2)
+    ghz_minus[[ia, ib]] = 1 / np.sqrt(2), 1j / np.sqrt(2)
 
-    ip = 0
-    for j in agree:
-        ip = ip * d + da[j]
+    ip = QuditIndexMap(n - m, d).compose(da[j] for j in agree) if agree else 0
     product_part = np.zeros(d ** (n - m), dtype=complex)
     product_part[ip] = 1.0
 

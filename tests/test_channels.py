@@ -230,12 +230,24 @@ def test_validate_flags_non_tp():
     assert not report.cptp
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, float("inf"), float("nan")])
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("inf"), float("nan"), True])
 def test_validate_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
-    # an infinite tolerance would pass 0.5 I as trace preserving
+    # an infinite tolerance, or True read as 1.0, would pass 0.5 I as trace preserving
     ch = QuantumChannel(2, (0.5 * np.eye(2, dtype=complex),))
     with pytest.raises(ValueError, match="finite positive"):
         validate_cptp(ch, tol)
+
+
+@pytest.mark.parametrize("atol", [0.0, -1.0, float("inf"), float("nan"), True, "1e-3", 1e-3j])
+def test_every_tolerance_is_a_finite_positive_real(atol):
+    # the rule validate_cptp applies holds for the other two tolerances too
+    ch = QuantumChannel(2, (0.5 * np.eye(2, dtype=complex),))
+    with pytest.raises(ValueError, match="^atol must be a finite positive number$"):
+        ch.is_trace_preserving(atol)
+    with pytest.raises(ValueError, match="^atol must be a finite positive number$"):
+        assert_density_matrix(np.eye(2) / 2, atol=atol)
+    assert not ch.is_trace_preserving(0.5) and ch.is_trace_preserving(np.float32(1))
+    assert_density_matrix(np.eye(2) / 2, atol=np.float64(1e-12))
 
 
 def test_validate_random_stinespring():

@@ -21,6 +21,7 @@ from choi_sqpt import (
     PureStateExpansion,
     QuantumChannel,
     QuditIndexMap,
+    SqptResult,
     apply_channel,
     basis_state,
     beta_entry,
@@ -406,6 +407,22 @@ def test_full_product_hermitian_sampled():
     err = np.abs(result.chi - chi_oracle(ch))
     assert np.all(err <= 6 * result.std_errors + 1e-9)
     assert np.max(result.std_errors) > 0
+
+
+def test_sqpt_result_holds_its_arrays_read_only():
+    # the given complex and float arrays are kept, not copied; other dtypes are converted
+    chi, err = np.eye(4, dtype=complex), np.zeros((4, 4))
+    result = SqptResult(chi, err, "choi-four", 16, 16, 0)
+    assert result.chi is chi and result.std_errors is err
+    assert not chi.flags.writeable and not err.flags.writeable
+    ints = np.eye(4, dtype=int), np.zeros((4, 4), dtype=int)
+    converted = SqptResult(*ints, "choi-four", 16, 16, 0)
+    assert converted.chi.dtype == complex and converted.std_errors.dtype == float
+    assert not converted.chi.flags.writeable and not converted.std_errors.flags.writeable
+    assert all(x.flags.writeable for x in ints)
+    full = full_sqpt(preset_channel("random-cptp", [74, 2], 2), EXACT)
+    with pytest.raises(ValueError, match="read-only"):
+        full.chi[0, 0] = 0
 
 
 def test_full_product_hermitian_dimension_mismatch():
