@@ -47,8 +47,10 @@ _EXPANSION_ATOL = 1e-12
 _UNIT_CACHE_SIZE = 1024
 
 
-def _frozen(arr: np.ndarray, dtype=complex, copy: bool = True) -> np.ndarray:
-    out = np.array(arr, dtype=dtype) if copy else np.asarray(arr, dtype)
+def _frozen(arr: np.ndarray, dtype=complex) -> np.ndarray:
+    # a read-only copy; an array already read-only, of dtype and owning its data is kept
+    kept = isinstance(arr, np.ndarray) and arr.flags.owndata and not arr.flags.writeable
+    out = arr if kept and arr.dtype == dtype else np.array(arr, dtype=dtype)
     out.setflags(write=False)
     return out
 

@@ -171,7 +171,9 @@ def _relabel(mat: np.ndarray, slots: tuple[int, ...], name: str) -> np.ndarray:
     d = math.isqrt(math.isqrt(mat.size))
     if mat.shape != (d * d, d * d):
         raise ValueError(f"{name} must be D^2 x D^2, got shape {mat.shape}")
-    return mat.reshape(d, d, d, d).transpose(slots).reshape(d * d, d * d)
+    out = np.empty(mat.shape, mat.dtype)
+    np.copyto(out.reshape(d, d, d, d), mat.reshape(d, d, d, d).transpose(slots))
+    return out
 
 
 def chi_from_lambda(lam: np.ndarray) -> np.ndarray:
@@ -344,7 +346,7 @@ def _unit_side(expansion: PureStateExpansion):
 class SqptResult:
     """A fully reconstructed process matrix plus measurement accounting.
 
-    Holds the given chi and std_errors read-only, copied only to change dtype.
+    chi and std_errors go through _frozen: full_sqpt's read-only arrays are kept.
     """
 
     chi: np.ndarray
@@ -355,8 +357,8 @@ class SqptResult:
     settings_inferred: int
 
     def __post_init__(self):
-        object.__setattr__(self, "chi", _frozen(self.chi, copy=False))
-        object.__setattr__(self, "std_errors", _frozen(self.std_errors, float, copy=False))
+        object.__setattr__(self, "chi", _frozen(self.chi))
+        object.__setattr__(self, "std_errors", _frozen(self.std_errors, float))
 
 
 def full_sqpt(
@@ -406,12 +408,12 @@ def full_sqpt(
         (rows, cols), r_mat, s_mat = _product_hermitian_design(*sites)
         data, errs = _read_table(channel, rows, cols, config)
         lam, slots = r_mat.T @ data @ s_mat, _CHI_SLOTS
-        var = np.zeros(lam.shape)  # a table without errors (the exact backend's) adds no term
-        if np.count_nonzero(errs):
-            var = (np.abs(r_mat.T) ** 2) @ np.square(errs) @ (np.abs(s_mat) ** 2)
+        var = (np.abs(r_mat.T) ** 2) @ np.square(errs) @ (np.abs(s_mat) ** 2)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     chi, err = (_relabel(x, slots, "grid") for x in (lam, np.sqrt(var)))
+    for x in (chi, err):
+        x.setflags(write=False)
     inferred = len(lam) if tp_shortcut else 0
     return SqptResult(chi, err, strategy, lam.size, lam.size - inferred, inferred)
 
@@ -565,24 +567,29 @@ class GhzProfile:
 
 def ghz_profile(a: int, b: int, index_map: QuditIndexMap) -> GhzProfile:
     """Locate and verify the GHZ factorization of the (a, b) input states."""
-    n, d, dim = index_map.n_sites, index_map.local_dim, index_map.dim
-    da, db = index_map.decompose(a), index_map.decompose(b)
+    n, d = index_map.n_sites, index_map.local_dim
+    dim = index_map.dim
+    da = index_map.decompose(a)
+    db = index_map.decompose(b)
     diff = tuple(j for j in range(n) if da[j] != db[j])
     agree = tuple(j for j in range(n) if da[j] == db[j])
     m = len(diff)
 
     if a == b:
-        return GhzProfile(a, b, 0, (), np.ones(1, dtype=complex), np.ones(1, dtype=complex),
-                          basis_state(a, dim), 0.0)
+        full = basis_state(a, dim)
+        return GhzProfile(a, b, 0, (), np.ones(1, dtype=complex),
+                          np.ones(1, dtype=complex), full, 0.0)
 
     va, vb = basis_state(a, dim), basis_state(b, dim)
     plus = (va + vb) / np.sqrt(2)
     minus = (va + 1j * vb) / np.sqrt(2)
 
     ia, ib = (QuditIndexMap(m, d).compose(x[j] for j in diff) for x in (da, db))
-    ghz_plus, ghz_minus = np.zeros((2, d**m), dtype=complex)
-    ghz_plus[[ia, ib]] = 1 / np.sqrt(2)
-    ghz_minus[[ia, ib]] = 1 / np.sqrt(2), 1j / np.sqrt(2)
+    ghz_plus = np.zeros(d**m, dtype=complex)
+    ghz_minus = np.zeros(d**m, dtype=complex)
+    ghz_plus[ia] = ghz_minus[ia] = 1 / np.sqrt(2)
+    ghz_plus[ib] = 1 / np.sqrt(2)
+    ghz_minus[ib] = 1j / np.sqrt(2)
 
     ip = QuditIndexMap(n - m, d).compose(da[j] for j in agree) if agree else 0
     product_part = np.zeros(d ** (n - m), dtype=complex)

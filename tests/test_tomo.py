@@ -410,17 +410,23 @@ def test_full_product_hermitian_sampled():
 
 
 def test_sqpt_result_holds_its_arrays_read_only():
-    # the given complex and float arrays are kept, not copied; other dtypes are converted
+    # read-only arrays that own their data and have the field's dtype are kept, not copied
     chi, err = np.eye(4, dtype=complex), np.zeros((4, 4))
+    for x in (chi, err):
+        x.setflags(write=False)
     result = SqptResult(chi, err, "choi-four", 16, 16, 0)
     assert result.chi is chi and result.std_errors is err
-    assert not chi.flags.writeable and not err.flags.writeable
-    ints = np.eye(4, dtype=int), np.zeros((4, 4), dtype=int)
-    converted = SqptResult(*ints, "choi-four", 16, 16, 0)
-    assert converted.chi.dtype == complex and converted.std_errors.dtype == float
-    assert not converted.chi.flags.writeable and not converted.std_errors.flags.writeable
-    assert all(x.flags.writeable for x in ints)
+    # a caller's writable array, a view of a writable base and other dtypes are copied
+    base = np.zeros((8, 8), dtype=complex)
+    view, ints = base[:4, :4], np.eye(4, dtype=int)
+    copied = SqptResult(view, ints, "choi-four", 16, 16, 0)
+    assert copied.chi is not view and copied.std_errors.dtype == float
+    assert view.flags.writeable and ints.flags.writeable
+    base[0, 0] = 5
+    assert copied.chi[0, 0] == 0 and copied.std_errors[0, 0] == 1
+    assert not copied.chi.flags.writeable and not copied.std_errors.flags.writeable
     full = full_sqpt(preset_channel("random-cptp", [74, 2], 2), EXACT)
+    assert full.chi.flags.owndata and full.std_errors.flags.owndata
     with pytest.raises(ValueError, match="read-only"):
         full.chi[0, 0] = 0
 
