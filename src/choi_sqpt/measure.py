@@ -11,8 +11,13 @@ columns alike.  The channel acts on the input ket, not on its density
 matrix: eps(|psi><psi|) = A^T A* for the rank x D array A of kets E_m psi,
 O(rank D^2) per input state where the Kraus sum on |psi><psi| costs
 O(rank D^3).  channels.apply_channel stays the path for a general operator.
-Rows are read in blocks with a stacked product per observable kind present;
-each makes a single read's BLAS call per cell, and measure_setting is 1 x 1.
+Rows are read in blocks: a block reads its channel in stacked calls
+(_output_states), each slice the BLAS calls of one ket read alone, then
+makes a stacked product per observable kind present, again a single read's
+BLAS call per cell.  On the exact backend a Hermitian cell whose observable
+has at most one nonzero per row, as every SU(d) generator and tensor product
+of them, is a gather of D products, not a D x D x D product; measure_setting
+is 1 x 1.
 
 Every sampled setting derives its own random stream by hashing a canonical
 byte encoding of the setting together with the master seed, so results are
@@ -271,15 +276,22 @@ def _cell_streams(dim, state_codes, obs_codes, master_seed) -> np.ndarray:
     return _seed_states(master_seed, words).reshape(len(state_codes), len(obs_codes), 4)
 
 
-def _output_state(channel: QuantumChannel, psi: np.ndarray) -> np.ndarray:
-    """eps(|psi><psi|) = sum_m (E_m psi)(E_m psi)^dagger = A^T A*, A's rows E_m psi.
+def _output_states(channel: QuantumChannel, kets: np.ndarray) -> np.ndarray:
+    """eps(|psi><psi|) = sum_m (E_m psi)(E_m psi)^dagger = A^T A* for each psi of kets (n, D, 1).
 
-    One gemv over the stacked Kraus operators and one D x rank x D gemm:
-    O(rank D^2), where sum_m E_m rho E_m^dagger on rho = |psi><psi| is O(rank D^3).
+    A's rows are the kets E_m psi.  Stacked calls over at most
+    _TABLE_BLOCK_ENTRIES // (2 rank D) kets, each slice the gemv over the stacked
+    Kraus operators and the D x rank x D gemm that one ket makes alone: O(rank D^2)
+    a ket, where sum_m E_m rho E_m^dagger on rho = |psi><psi| is O(rank D^3).
     """
     dim = channel.dim
-    amps = (channel.kraus_stack().reshape(-1, dim) @ psi).reshape(-1, dim)
-    return amps.T @ amps.conj()
+    stack = channel.kraus_stack().reshape(-1, dim)
+    outs = np.empty((len(kets), dim, dim), dtype=complex)
+    chunk = max(1, _TABLE_BLOCK_ENTRIES // (2 * len(stack)))
+    for start in range(0, len(kets), chunk):
+        amps = (stack @ kets[start : start + chunk]).reshape(-1, len(stack) // dim, dim)
+        np.matmul(amps.transpose(0, 2, 1), amps.conj(), out=outs[start : start + chunk])
+    return outs
 
 
 def _outside(p: np.ndarray) -> np.ndarray:
@@ -326,8 +338,9 @@ class _Side:
     """A table side: each vector checked once, check(vector, dim), and stacked read-only.
 
     proj and herm index the 1-d and 2-d vectors, stacked as kets and ops.  The first read
-    to use it builds a column's bras, or for the sampled backend codes (each vector's
-    (is_projector, _canon_complex code), in order) or eigs (the ops' evals, evecs, evecs_h).
+    to use it builds a column's bras, for the exact backend the ops' nonzeros, or for the
+    sampled backend codes (each vector's (is_projector, _canon_complex code), in order)
+    or eigs (the ops' evals, evecs, evecs_h).
     """
 
     def __init__(self, vectors, dim: int, check):
@@ -340,6 +353,18 @@ class _Side:
     @cached_property
     def bras(self) -> np.ndarray:
         return _frozen(self.kets.conj()).transpose(0, 2, 1)
+
+    @cached_property
+    def nonzeros(self) -> tuple[np.ndarray, np.ndarray] | None:
+        # each op row's one nonzero as (flat index k*D + i of rho[k, i], value O[i, k]),
+        # (0, 0) for an empty row; None unless every row has at most one, real or imaginary
+        nonzero = self.ops != 0
+        cols = nonzero.argmax(axis=2)
+        values = np.take_along_axis(self.ops, cols[..., None], 2)[..., 0]
+        if (nonzero.sum(axis=2) > 1).any() or ((values.real != 0) & (values.imag != 0)).any():
+            return None
+        dim = self.ops.shape[2]
+        return _frozen(cols * dim + np.arange(dim), np.intp), _frozen(values)
 
     @cached_property
     def codes(self) -> tuple[tuple[bool, str], ...]:
@@ -382,7 +407,7 @@ def _read_table(
     On the sampled backend each cell's key, built from the sides' codes, is
     the setting's canonical_key; only the draws are made cell by cell.
     """
-    proj, herm, kets, ops = cols.proj, cols.herm, cols.kets, cols.ops
+    proj, herm, kets = cols.proj, cols.herm, cols.kets
     n_rows, dim = rows.kets.shape[:2]
     values = np.zeros((n_rows, len(proj) + len(herm)))
     errs = np.zeros_like(values)
@@ -395,13 +420,13 @@ def _read_table(
     step = max(1, _TABLE_BLOCK_ENTRIES // ((1 + len(herm)) * dim * dim + len(proj) * dim))
     for start in range(0, n_rows, step):
         block = slice(start, start + step)
-        outs = np.array([_output_state(channel, psi) for psi in rows.kets[block, :, 0]])[:, None]
+        outs = _output_states(channel, rows.kets[block])[:, None]
         p = ((cols.bras @ outs) @ kets)[..., 0, 0].real if proj or sampled else None
         if not sampled:
             if proj:
                 values[block, proj] = p
             if herm:
-                values[block, herm] = np.trace(ops @ outs, axis1=2, axis2=3).real
+                values[block, herm] = _traces(cols, outs)
             continue
         q = np.diagonal(evecs_h @ outs @ evecs, axis1=2, axis2=3).real if herm else None
         p, pvals = _probabilities(p, q, proj, herm)
@@ -424,6 +449,25 @@ def _read_table(
             values[block, herm] = est
             errs[block, herm] = np.sqrt(np.maximum(var, 0.0) / shots)
     return values, errs
+
+
+def _traces(cols: _Side, outs: np.ndarray) -> np.ndarray:
+    """Tr[O rho] for each output state rho of outs (n, 1, D, D) and op O of cols: the bits
+    of np.trace(O @ rho).real.
+
+    A side whose op rows have at most one nonzero each, as every generalized
+    Gell-Mann generator, tensor product of them and the identity, gathers
+    sum_i O[i, k_i] rho[k_i, i]: each product has one real or imaginary factor,
+    so it rounds once, as the gemm's row sum of it and zeros does, and the D
+    products are reduced over a strided view, as np.trace reduces its
+    diagonal.  Any other side forms O @ rho.
+    """
+    if cols.nonzeros is None:
+        return np.trace(cols.ops @ outs, axis1=2, axis2=3).real
+    index, weights = cols.nonzeros
+    products = np.empty((len(outs), *index.shape, 2), dtype=complex)[..., 0]
+    np.multiply(outs.reshape(len(outs), -1)[:, index], weights, out=products)
+    return products.sum(axis=-1).real
 
 
 def measure_setting(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import choi_sqpt
-from choi_sqpt import measure
+from choi_sqpt import measure, tomo
 from choi_sqpt import (
     BackendConfig,
     MeasurementSetting,
@@ -216,6 +216,34 @@ def _kraus_loop(channel, rho):
     return out
 
 
+def _output_state(channel, psi):
+    # the output state of one ket, read as a one-ket batch
+    return measure._output_states(channel, psi.reshape(1, -1, 1))[0]
+
+
+def _one_ket_read(channel, psi):
+    # the read of one ket alone: one gemv over the stacked Kraus operators, then
+    # one D x rank x D gemm
+    dim = channel.dim
+    amps = (channel.kraus_stack().reshape(-1, dim) @ psi).reshape(-1, dim)
+    return amps.T @ amps.conj()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 8, 16])
+def test_output_states_match_one_ket_reads(dim):
+    # each stacked call makes, per ket, the gemv and gemm of a one-ket read,
+    # whether the batch fits in one call or is chunked
+    rng = np.random.default_rng(dim + 80)
+    every = np.array(input_state_set(dim))
+    for rank in sorted({1, 2, dim, dim * dim}):
+        ch = preset_channel("random-cptp", [dim, rank], dim)
+        for kets in ([_random_state(dim, rng)], [_random_state(dim, rng) for _ in range(3)], every):
+            kets = np.array(kets)
+            outs = measure._output_states(ch, kets[:, :, None])
+            expected = np.array([_one_ket_read(ch, psi) for psi in kets])
+            assert outs.tobytes() == expected.tobytes(), (rank, len(kets))
+
+
 # (preset, params, dim): random channels at ranks 1, 2, D and D^2, and
 # channels with a zero Kraus operator (p = 0, gamma = 0) or a zeroed entry
 # (gamma = 1)
@@ -235,7 +263,7 @@ def test_output_state_matches_the_kraus_loop(name, params, dim):
     rng = np.random.default_rng(dim + 60)
     for psi in (_random_state(dim, rng), basis_state(0, dim), basis_state(dim - 1, dim)):
         rho = np.outer(psi, psi.conj())
-        out = measure._output_state(ch, psi)
+        out = _output_state(ch, psi)
         assert out.shape == (dim, dim) and out.dtype == complex
         np.testing.assert_allclose(out, _kraus_loop(ch, rho), rtol=0, atol=1e-14)
         np.testing.assert_allclose(out, apply_channel(ch, rho), rtol=0, atol=1e-14)
@@ -288,10 +316,10 @@ def test_measure_table_equals_per_setting_measurement(monkeypatch, config):
                    np.diag([1.0, -1.0, 0.5])]
     keys = _recorded(monkeypatch, "_setting_key")
     checked = _recorded(monkeypatch, "_checked_state"), _recorded(monkeypatch, "_checked_observable")
-    outputs = _recorded(monkeypatch, "_output_state")
+    outputs = _recorded(monkeypatch, "_output_states")
     values, errs = measure_table(ch, states, observables, config)
     assert [len(c) for c in checked] == [len(states), len(observables)]
-    assert len(outputs) == len(states)
+    assert sum(map(len, outputs)) == len(states)
     table_keys = list(keys)
     settings = [MeasurementSetting(psi, o) for psi in states for o in observables]
     expected_keys = [s.canonical_key() for s in settings] if config.mode == "sampled" else []
@@ -418,7 +446,7 @@ def _reference_cell(channel, psi, obs, config) -> tuple[float, float]:
     # one cell read alone: its own stream, then a binomial draw for a
     # projector or a multinomial one over a Hermitian observable's eigenvalues
     rng = _reference_rng(MeasurementSetting(psi, obs).canonical_key(), config.master_seed)
-    out = measure._output_state(channel, psi)
+    out = _output_state(channel, psi)
     shots = config.shots
     if obs.ndim == 1:
         p = min(max(float((obs.conj() @ out @ obs).real), 0.0), 1.0)
@@ -476,7 +504,7 @@ def test_stacked_readout_matches_per_cell_reads(monkeypatch, dim, block):
              (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(3))]
     observables = [kets[0], herms[0], herms[1], kets[1], kets[2], herms[2]]
     proj, herm = [0, 3, 4], [1, 2, 5]
-    outs = [measure._output_state(ch, psi) for psi in states]
+    outs = [_output_state(ch, psi) for psi in states]
 
     exact, _ = measure_table(ch, states, observables, BackendConfig())
     expected = np.array([[(phi.conj() @ out @ phi).real if phi.ndim == 1
@@ -496,6 +524,47 @@ def test_stacked_readout_matches_per_cell_reads(monkeypatch, dim, block):
     assert q.tobytes() == np.array(
         [[np.diag(v.conj().T @ out @ v).real for _, v in eigs] for out in outs]
     ).tobytes()
+
+
+# every product-hermitian design: (local_dim, n_sites)
+GENERATOR_DESIGNS = [(d, 1) for d in (2, 3, 4, 5, 6, 7, 16)] + [(2, 2), (3, 2), (2, 3), (4, 2), (2, 4)]
+
+
+@pytest.mark.parametrize("local_dim, n_sites", GENERATOR_DESIGNS,
+                         ids=[f"{d}^{n}" for d, n in GENERATOR_DESIGNS])
+def test_generator_gather_matches_the_trace(local_dim, n_sites):
+    # a generator cell gathers one nonzero per row, with np.trace(O @ rho)'s bits,
+    # signed zeros included, on every output state of the design's input states
+    (rows, cols), _, _ = tomo._product_hermitian_design(local_dim, n_sites)
+    assert cols.nonzeros is not None
+    dim = local_dim**n_sites
+    for rank in (1, 3, dim * dim):
+        ch = preset_channel("random-cptp", [dim + 90, rank], dim)
+        outs = measure._output_states(ch, rows.kets)
+        for start in range(0, len(outs), 8):  # the dense products, 8 rows at a time
+            block = outs[start : start + 8, None]
+            expected = np.trace(cols.ops @ block, axis1=2, axis2=3).real
+            assert measure._traces(cols, block).tobytes() == expected.tobytes(), (rank, start)
+
+
+def test_only_sides_of_one_real_or_imaginary_nonzero_per_row_gather():
+    # a caller's dense Hermitian, or a row's one nonzero both real and
+    # imaginary, keeps the dense product; an empty row gathers weight 0
+    rng = np.random.default_rng(17)
+    herm = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    skew = np.array([[0, 1 + 1j, 0], [1 - 1j, 0, 0], [0, 0, 2]])
+    for observables, gathered in [
+        (list(choi_sqpt.sud_generators(3).operators), True),
+        ([np.zeros((3, 3)), np.diag([1.0, 0.0, -1.0])], True),
+        ([np.diag([1.0, 2.0, 3.0]), herm + herm.conj().T], False),
+        ([skew], False),
+    ]:
+        side = measure._Side(observables, 3, measure._checked_observable)
+        assert (side.nonzeros is not None) == gathered
+        outs = measure._output_states(preset_channel("random-cptp", [5, 2], 3),
+                                      np.array(input_state_set(3))[:, :, None])[:, None]
+        expected = np.trace(side.ops @ outs, axis1=2, axis2=3).real
+        assert measure._traces(side, outs).tobytes() == expected.tobytes()
 
 
 def test_table_raises_what_its_first_unphysical_cell_raises():
@@ -541,16 +610,22 @@ def test_table_raises_what_its_first_unphysical_cell_raises():
         assert str(raised.value) == message == first_error(names), names
 
 
-# one exact 40 x 40 table at D = 16 through a rank-256 channel; the Kraus
-# operators are integer-seeded normal arrays, so no LAPACK call builds them
+# exact tables at D = 16 through a rank-256 channel: 40 input states x 40
+# projectors, then x the 256 Gell-Mann generators and the 256 Pauli products,
+# which gather one nonzero per row; the Kraus operators are integer-seeded
+# normal arrays, so no LAPACK call builds them
 _TABLE_DIGEST = """
 import hashlib, numpy as np
-from choi_sqpt import BackendConfig, QuantumChannel, input_state_set, measure_table
+from choi_sqpt import (BackendConfig, QuantumChannel, input_state_set, measure_table,
+                       pauli_basis, sud_generators)
 rng = np.random.default_rng(16)
 kraus = rng.normal(size=(256, 16, 16)) + 1j * rng.normal(size=(256, 16, 16))
-kets = input_state_set(16)[:40]
-values, errs = measure_table(QuantumChannel(16, tuple(kraus)), kets, kets, BackendConfig())
-print(hashlib.sha256(values.tobytes() + errs.tobytes()).hexdigest())
+ch, kets = QuantumChannel(16, tuple(kraus)), input_state_set(16)[:40]
+digest = hashlib.sha256()
+for cols in (kets, list(sud_generators(16).operators), pauli_basis(4)):
+    values, errs = measure_table(ch, kets, cols, BackendConfig())
+    digest.update(values.tobytes() + errs.tobytes())
+print(digest.hexdigest())
 """
 
 

@@ -1007,15 +1007,16 @@ def test_a_warm_full_choi_four_at_dimension_16_stays_under_8_mib():
 
 
 def _count_channel_applications(monkeypatch) -> list[int]:
-    # measurement applies the channel to an input ket through _output_state
+    # measurement applies the channel to input kets through _output_states;
+    # each ket passed is one application
     calls = [0]
-    original = measure._output_state
+    original = measure._output_states
 
-    def counted(channel, psi):
-        calls[0] += 1
-        return original(channel, psi)
+    def counted(channel, kets):
+        calls[0] += len(kets)
+        return original(channel, kets)
 
-    monkeypatch.setattr(measure, "_output_state", counted)
+    monkeypatch.setattr(measure, "_output_states", counted)
     return calls
 
 
