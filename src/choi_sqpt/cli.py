@@ -38,6 +38,7 @@ from .channels import (
     QuantumChannel,
     _complex_to_pair,
     _read_json,
+    _tolerance,
     chi_oracle,
     load_channel,
     preset_channel,
@@ -349,9 +350,7 @@ def _cmd_full(args, channel, descriptor) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_validate(args, channel, descriptor) -> tuple[int, dict, list[str]]:
-    if not (np.isfinite(args.tol) and args.tol > 0):
-        raise ValueError(f"--tol must be a finite positive number, got {args.tol}")
-    verdict, duration = _timed(validate_cptp, channel, args.tol)
+    verdict, duration = _timed(validate_cptp, channel, _tolerance(args.tol, "--tol"))
     fields = dict(
         channel=descriptor,
         results={
