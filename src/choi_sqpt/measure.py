@@ -284,12 +284,12 @@ def _output_states(channel: QuantumChannel, kets: np.ndarray) -> np.ndarray:
     Kraus operators and the D x rank x D gemm that one ket makes alone: O(rank D^2)
     a ket, where sum_m E_m rho E_m^dagger on rho = |psi><psi| is O(rank D^3).
     """
-    dim = channel.dim
+    rank, dim, _ = channel.kraus_stack().shape
     stack = channel.kraus_stack().reshape(-1, dim)
     outs = np.empty((len(kets), dim, dim), dtype=complex)
-    chunk = max(1, _TABLE_BLOCK_ENTRIES // (2 * len(stack)))
+    chunk = max(1, _TABLE_BLOCK_ENTRIES // (2 * rank * dim))
     for start in range(0, len(kets), chunk):
-        amps = (stack @ kets[start : start + chunk]).reshape(-1, len(stack) // dim, dim)
+        amps = (stack @ kets[start : start + chunk]).reshape(-1, rank, dim)
         np.matmul(amps.transpose(0, 2, 1), amps.conj(), out=outs[start : start + chunk])
     return outs
 
