@@ -553,6 +553,8 @@ def test_only_sides_of_one_real_or_imaginary_nonzero_per_row_gather():
     rng = np.random.default_rng(17)
     herm = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     skew = np.array([[0, 1 + 1j, 0], [1 - 1j, 0, 0], [0, 0, 2]])
+    outs = measure._output_states(preset_channel("random-cptp", [5, 2], 3),
+                                  np.array(input_state_set(3))[:, :, None])[:, None]
     for observables, gathered in [
         (list(choi_sqpt.sud_generators(3).operators), True),
         ([np.zeros((3, 3)), np.diag([1.0, 0.0, -1.0])], True),
@@ -561,8 +563,6 @@ def test_only_sides_of_one_real_or_imaginary_nonzero_per_row_gather():
     ]:
         side = measure._Side(observables, 3, measure._checked_observable)
         assert (side.nonzeros is not None) == gathered
-        outs = measure._output_states(preset_channel("random-cptp", [5, 2], 3),
-                                      np.array(input_state_set(3))[:, :, None])[:, None]
         expected = np.trace(side.ops @ outs, axis1=2, axis2=3).real
         assert measure._traces(side, outs).tobytes() == expected.tobytes()
 
