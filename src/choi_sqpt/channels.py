@@ -94,9 +94,13 @@ class QuantumChannel:
 
     def tp_deviation(self) -> float:
         """Max-norm distance of sum_m E_m^dagger E_m from the identity."""
-        acc = np.zeros((self.dim, self.dim), dtype=complex)
-        for k in self.kraus:
-            acc += k.conj().T @ k
+        # stacked products, each one operator's gemm, added in Kraus order from zeros
+        stack, acc = self.kraus_stack(), np.zeros((self.dim, self.dim), dtype=complex)
+        chunk = max(1, (1 << 14) // self.dim**2)  # at most 256 KiB of products at once
+        for start in range(0, len(stack), chunk):
+            block = stack[start : start + chunk]
+            for product in block.conj().transpose(0, 2, 1) @ block:
+                acc += product
         return float(np.max(np.abs(acc - np.eye(self.dim))))
 
     def is_trace_preserving(self, atol: float = 1e-10) -> bool:

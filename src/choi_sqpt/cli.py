@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -240,7 +241,8 @@ def _chi_payload(chi: np.ndarray, std_errors: np.ndarray, convention: str) -> di
 def _json(obj, pad: str = "\n") -> str:
     # json.dumps(obj, sort_keys=True, indent=2) for string keys, without the
     # pure-Python encoder that indent selects: nan, inf, bools and None are
-    # json's to spell, and a list of finite floats is one join of their reprs
+    # json's to spell, a list of finite floats is one join of their reprs, and a
+    # list of [re, im] float pairs one pass over all its floats, joined in pairs
     if type(obj) is str:
         return encode_basestring_ascii(obj)
     if type(obj) is int or type(obj) is float and math.isfinite(obj):
@@ -252,7 +254,13 @@ def _json(obj, pad: str = "\n") -> str:
     if not isinstance(obj, (list, tuple)) or not obj:
         return json.dumps(obj)
     try:
-        body = ("," + inner).join(map(float.__repr__, obj))
+        if {*map(type, obj)} <= {list, tuple} and {*map(len, obj)} == {2}:
+            leaf = inner + "  "
+            floats = map(float.__repr__, itertools.chain.from_iterable(obj))
+            pairs = map(("," + leaf).join, zip(floats, floats))
+            body = "[" + leaf + (inner + "]," + inner + "[" + leaf).join(pairs) + inner + "]"
+        else:
+            body = ("," + inner).join(map(float.__repr__, obj))
     except TypeError:  # an item that is not a float
         body = "n"
     if "n" in body:  # from the line above, or "inf" or "nan"

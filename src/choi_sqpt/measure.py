@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -86,10 +86,15 @@ def _canon_complex(arr: np.ndarray) -> str:
     return _canon_floats(np.concatenate([flat.real, flat.imag]))
 
 
+def _key_prefix(dim: int, state_code: str) -> bytes:
+    # the start every key of an input state shares
+    return f"d={dim};in={state_code};obs=".encode("ascii")
+
+
 def _setting_key(dim: int, state_code: str, projector: bool, obs_code: str) -> bytes:
     # the one key format; state_code and obs_code are _canon_complex encodings
     kind = "p" if projector else "h"
-    return f"d={dim};in={state_code};obs={kind}:{obs_code}".encode("ascii")
+    return _key_prefix(dim, state_code) + f"{kind}:{obs_code}".encode("ascii")
 
 
 def _checked_state(state, dim: int | None = None) -> np.ndarray:
@@ -240,23 +245,25 @@ def _seed_states(master_seed: int, words: np.ndarray) -> np.ndarray:
     return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
 
 
-class _Stream:
-    """A seed sequence whose generate_state(4, np.uint64), all PCG64 asks, is known.
+@cache
+def _stream_type() -> type:
+    # built on first sampled use, so that importing this module does not
+    # import numpy.random: exact runs never need it
+    class _Stream(np.random.bit_generator.ISeedSequence):
+        """A seed sequence whose generate_state(4, np.uint64), all PCG64 asks, is known."""
 
-    _cell_streams registers it as a numpy ISeedSequence, so that importing
-    this module does not import numpy.random: exact runs never need it.
-    """
+        def __init__(self, state: np.ndarray):
+            self.state = state
 
-    def __init__(self, state: np.ndarray):
-        self.state = state
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.state
+    return _Stream
 
 
 def _rng(state: np.ndarray) -> np.random.Generator:
     # the generator default_rng(seq) gives for the SeedSequence seq with this state
-    return np.random.Generator(np.random.PCG64(_Stream(state)))
+    return np.random.Generator(np.random.PCG64(_stream_type()(state)))
 
 
 def _cell_streams(dim, state_codes, obs_codes, master_seed) -> np.ndarray:
@@ -265,14 +272,16 @@ def _cell_streams(dim, state_codes, obs_codes, master_seed) -> np.ndarray:
     A cell draws from default_rng(SeedSequence([master_seed, *words])), the
     words being the first 16 bytes of the sha256 of its key as 4
     little-endian uint32; both codes hold (is_projector, encoding) pairs.
+    A row hashes its keys' shared prefix once, each column a copy of it.
     """
-    digests = b"".join(
-        hashlib.sha256(_setting_key(dim, s, projector, o)).digest()[:16]
-        for _, s in state_codes
-        for projector, o in obs_codes
-    )
-    words = np.frombuffer(digests, dtype="<u4").reshape(-1, 4).T.astype(np.uint32)
-    np.random.bit_generator.ISeedSequence.register(_Stream)
+    tails = [_setting_key(dim, "", p, o)[len(_key_prefix(dim, "")):] for p, o in obs_codes]
+    digests = []
+    for _, s in state_codes:
+        row = hashlib.sha256(_key_prefix(dim, s))
+        for tail in tails:
+            (cell := row.copy()).update(tail)
+            digests.append(cell.digest()[:16])
+    words = np.frombuffer(b"".join(digests), dtype="<u4").reshape(-1, 4).T.astype(np.uint32)
     return _seed_states(master_seed, words).reshape(len(state_codes), len(obs_codes), 4)
 
 

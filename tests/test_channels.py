@@ -230,6 +230,38 @@ def test_validate_flags_non_tp():
     assert not report.cptp
 
 
+def _tp_deviation_loop(channel) -> float:
+    # the per-operator sum that tp_deviation stacks
+    acc = np.zeros((channel.dim, channel.dim), dtype=complex)
+    for k in channel.kraus:
+        acc += k.conj().T @ k
+    return float(np.max(np.abs(acc - np.eye(channel.dim))))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 8, 16])
+def test_tp_deviation_matches_the_kraus_loop(dim):
+    # stacked products added in Kraus order from zeros give the loop's bits,
+    # for trace-preserving channels and scaled, non-trace-preserving ones
+    for rank in sorted({1, 2, dim, dim * dim}):
+        for seed in (1, 2):
+            ch = preset_channel("random-cptp", [seed, rank], dim)
+            for c in (ch, QuantumChannel(dim, tuple(1.3 * k for k in ch.kraus))):
+                assert c.tp_deviation() == _tp_deviation_loop(c), (rank, seed)
+
+
+def test_tp_deviation_memory_is_bounded_at_full_rank():
+    # D = 16 at rank D^2: the 256 products stacked at once would take 1 MiB,
+    # and the conjugated operators as much again
+    ch = preset_channel("random-cptp", [16, 256], 16)
+    tracemalloc.start()
+    try:
+        ch.tp_deviation()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("inf"), float("nan"), True])
 def test_validate_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
     # an infinite tolerance, or True read as 1.0, would pass 0.5 I as trace preserving

@@ -547,12 +547,33 @@ _EMITTER_CASES = [
     "\u00e9\u4e2d\x00\x1f\t\n\"\\/", "\udcff", ["\udcff", 1.0],
     {"\udcff": "\udcfe", "\u00e9": [1.0, "s"], "": None, "B": True, "a": 0},
     {"z": 1, "a": {"m": [[1.0, 2.0], [3.0, math.nan]], "n": [[], [1]]}},
+    # lists of [re, im] pairs, which _json joins in one pass, and their
+    # fallbacks: non-finite floats, ints, bools, numpy floats, items of
+    # other lengths or types, empty lists, and pair lists at two depths
+    [[1.0, 2.0]], [[0.1, -0.0], [-0.0, 5e-324], [1e16, 1e-7]], [(1.5, -2.0), [3.0, 4.0]],
+    [[1.0, math.nan], [2.0, 3.0]], [[math.inf, 1.0]], [[1.0, 2.0], [-math.inf, 0.0]],
+    [[1, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4]], [[True, 1.0]], [[1.0, 2.0], [0.5, False]],
+    [[np.float64(0.1), 0.2], [0.3, np.float64(-0.0)]], [[np.float64(math.nan), 1.0]],
+    [[1.0, 2.0], [3.0]], [[1.0], [2.0, 3.0]], [[1.0, 2.0, 3.0], [4.0, 5.0]],
+    [[1.0], [2.0, 3.0], [4.0, 5.0, 6.0]], [[], [1.0, 2.0]], [[1.0, 2.0], []], [[], []],
+    [[1.0, 2.0], 3.0], [[1.0, 2.0], None], ["ab", [1.0, 2.0]], [{"a": 1.0, "b": 2.0}, [1.0, 2.0]],
+    [[[1.0, 2.0], [3.0, 4.0]]], [[[1.0, 2.0]], [[3.0, 4.0]]], [[None, None]], [["a", "b"]],
+    {"a": [[1.0, 2.0], [3.0, 4.0]], "b": {"c": [[[5.0, 6.0]], [[7.0, 8.0], [9.0, 1e-7]]]}},
 ]
 
 
 @pytest.mark.parametrize("obj", _EMITTER_CASES, ids=repr)
 def test_report_emitter_matches_json_dumps(obj):
     assert _json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_report_emitter_refuses_what_json_dumps_refuses():
+    # a numpy array is no JSON list, also where it would pass as an [re, im] pair
+    for obj in ([np.array([1.0, 2.0])], [[1.0, 2.0], np.array([3.0, 4.0])], np.float32(1.0)):
+        with pytest.raises(TypeError):
+            json.dumps(obj)
+        with pytest.raises(TypeError):
+            _json(obj)
 
 
 def test_report_emitter_matches_json_dumps_on_every_golden():

@@ -1,8 +1,10 @@
+import abc
 import hashlib
 import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -302,6 +304,28 @@ def _recorded(monkeypatch, name) -> list:
     return results
 
 
+def _hashed_keys(monkeypatch) -> list[bytes]:
+    # every message measure digests with sha256, whole: each cell's stream key
+    keys = []
+
+    class Sha256:
+        def __init__(self, data=b""):
+            self.data = data
+
+        def copy(self):
+            return Sha256(self.data)
+
+        def update(self, data):
+            self.data += data
+
+        def digest(self):
+            keys.append(self.data)
+            return hashlib.sha256(self.data).digest()
+
+    monkeypatch.setattr(measure, "hashlib", types.SimpleNamespace(sha256=Sha256))
+    return keys
+
+
 @pytest.mark.parametrize("config", [BackendConfig(), BackendConfig("sampled", 500, 9)],
                          ids=["exact", "sampled"])
 def test_measure_table_equals_per_setting_measurement(monkeypatch, config):
@@ -314,7 +338,7 @@ def test_measure_table_equals_per_setting_measurement(monkeypatch, config):
     herm = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     observables = [_random_state(3, rng), herm + herm.conj().T, basis_state(2, 3),
                    np.diag([1.0, -1.0, 0.5])]
-    keys = _recorded(monkeypatch, "_setting_key")
+    keys = _hashed_keys(monkeypatch)
     checked = _recorded(monkeypatch, "_checked_state"), _recorded(monkeypatch, "_checked_observable")
     outputs = _recorded(monkeypatch, "_output_states")
     values, errs = measure_table(ch, states, observables, config)
@@ -427,19 +451,46 @@ def _reference_rng(key: bytes, master_seed: int) -> np.random.Generator:
 
 @pytest.mark.parametrize("seed", _SEEDS)
 def test_cell_streams_draw_as_default_rng(seed):
-    rng = np.random.default_rng(3)
-    state_codes = [(True, measure._canon_complex(_random_state(3, rng))) for _ in range(3)]
-    obs_codes = [(True, measure._canon_complex(_random_state(3, rng))),
-                 (False, measure._canon_complex(np.diag([1.0, 2.0, 3.0])))]
-    streams = measure._cell_streams(3, state_codes, obs_codes, seed)
-    for row, (_, state_code) in zip(streams, state_codes):
-        for stream, (projector, obs_code) in zip(row, obs_codes):
-            gen = measure._rng(stream)
-            ref = _reference_rng(measure._setting_key(3, state_code, projector, obs_code), seed)
+    # the whole D = 3 choi-four row side against projector and Hermitian
+    # columns, interleaved: each cell's state is numpy's SeedSequence state for
+    # the words of its whole key's sha256, in the vectorized block and in a
+    # block of at most _CELL_POOLS cells alike, and its generator draws as
+    # default_rng's
+    rows = tomo._choi_four_design(3, False)[0].codes
+    projectors = tomo._choi_four_design(3, False)[1].codes
+    generators = tomo._product_hermitian_design(3, 1)[0][1].codes
+    cols = [code for pair in zip(projectors, generators) for code in pair]
+    assert {projector for projector, _ in cols} == {True, False}
+    streams = measure._cell_streams(3, rows, cols, seed)
+    assert streams.shape == (len(rows), len(cols), 4)
+    assert len(rows) * len(cols) > measure._CELL_POOLS
+    small = measure._cell_streams(3, rows[:2], cols[:6], seed)
+    assert small.tobytes() == streams[:2, :6].tobytes()
+    for row, (_, state_code) in zip(streams, rows):
+        for stream, (projector, obs_code) in zip(row, cols):
+            key = measure._setting_key(3, state_code, projector, obs_code)
+            words = np.frombuffer(hashlib.sha256(key).digest()[:16], dtype="<u4").tolist()
+            expected = np.random.SeedSequence([seed, *words]).generate_state(4, np.uint64)
+            assert stream.tobytes() == expected.tobytes(), key
+            gen, ref = measure._rng(stream), _reference_rng(key, seed)
             assert gen.binomial(1000, 0.3) == ref.binomial(1000, 0.3)
             assert gen.binomial(2**62, 0.7) == ref.binomial(2**62, 0.7)
             draws = gen.multinomial(4096, [0.1, 0.2, 0.3, 0.4])
             assert draws.tobytes() == ref.multinomial(4096, [0.1, 0.2, 0.3, 0.4]).tobytes()
+
+
+def test_streams_seed_pcg64_through_a_true_seed_sequence():
+    # _rng's seed sequence subclasses numpy's ISeedSequence rather than being
+    # registered with it: a sampled read leaves the ABC's registry unchanged
+    interface = np.random.bit_generator.ISeedSequence
+    registry = set(abc._get_dump(interface)[0])
+    ch = preset_channel("random-cptp", [15], 3)
+    observables = [basis_state(1, 3), np.diag([1.0, 2.0, 3.0])]
+    measure_table(ch, [basis_state(2, 3), basis_state(0, 3)], observables, BackendConfig("sampled", 100, 3))
+    seq = measure._rng(np.arange(4, dtype=np.uint64)).bit_generator.seed_seq
+    assert interface in type(seq).__mro__
+    assert set(abc._get_dump(interface)[0]) == registry
+    assert type(seq) not in {ref() for ref in registry}
 
 
 def _reference_cell(channel, psi, obs, config) -> tuple[float, float]:

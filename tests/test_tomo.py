@@ -586,10 +586,18 @@ def _count_calls(monkeypatch, owner, name) -> list[int]:
 
 
 def _count_canonical_keys(monkeypatch) -> tuple[list[int], list[int]]:
-    # (setting keys, vector encodings): every key, a table cell's or
-    # canonical_key's, is built by measure._setting_key from the
-    # measure._canon_complex encodings of its two vectors
-    keys = _count_calls(monkeypatch, measure, "_setting_key")
+    # (stream keys, vector encodings): a table hashes one key per cell in
+    # measure._cell_streams, each from the measure._canon_complex encodings
+    # of its two vectors (test_measure_table_equals_per_setting_measurement
+    # checks each key against the setting's canonical_key)
+    keys = [0]
+    original = measure._cell_streams
+
+    def counted(dim, state_codes, obs_codes, master_seed):
+        keys[0] += len(state_codes) * len(obs_codes)
+        return original(dim, state_codes, obs_codes, master_seed)
+
+    monkeypatch.setattr(measure, "_cell_streams", counted)
     return keys, _count_calls(monkeypatch, measure, "_canon_complex")
 
 
