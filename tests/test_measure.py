@@ -456,8 +456,7 @@ def test_cell_streams_draw_as_default_rng(seed):
     # the words of its whole key's sha256, in the vectorized block and in a
     # block of at most _CELL_POOLS cells alike, and its generator draws as
     # default_rng's
-    rows = tomo._choi_four_design(3, False)[0].codes
-    projectors = tomo._choi_four_design(3, False)[1].codes
+    rows, projectors = (side.codes for side in tomo._choi_four_design(3, False)[:2])
     generators = tomo._product_hermitian_design(3, 1)[0][1].codes
     cols = [code for pair in zip(projectors, generators) for code in pair]
     assert {projector for projector, _ in cols} == {True, False}
@@ -486,7 +485,8 @@ def test_streams_seed_pcg64_through_a_true_seed_sequence():
     registry = set(abc._get_dump(interface)[0])
     ch = preset_channel("random-cptp", [15], 3)
     observables = [basis_state(1, 3), np.diag([1.0, 2.0, 3.0])]
-    measure_table(ch, [basis_state(2, 3), basis_state(0, 3)], observables, BackendConfig("sampled", 100, 3))
+    states = [basis_state(2, 3), basis_state(0, 3)]
+    measure_table(ch, states, observables, BackendConfig("sampled", 100, 3))
     seq = measure._rng(np.arange(4, dtype=np.uint64)).bit_generator.seed_seq
     assert interface in type(seq).__mro__
     assert set(abc._get_dump(interface)[0]) == registry
