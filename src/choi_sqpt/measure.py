@@ -3,7 +3,7 @@
 Every measurement is a table of (input state, observable) cells, read from
 two sides.  A _Side checks and stacks each vector once; the first sampled
 read encodes it for the stream keys and eigendecomposes each Hermitian
-observable, once.  _read_table reads any rows x columns, applying the
+observable, once.  _read_table reads a _Table of rows x columns, applying the
 channel once per input state (D^2 applications for D^2 input states).
 measure_table builds both sides from a caller's vectors; full reconstruction
 builds them once per dimension, a lone element once per expansion, rows and
@@ -22,6 +22,10 @@ is 1 x 1.
 Every sampled setting derives its own random stream by hashing a canonical
 byte encoding of the setting together with the master seed, so results are
 reproducible and independent of evaluation order or concurrent scheduling.
+A _Table of two sides hashes its cells' keys on its first sampled read, a
+copy of each row's hashed prefix per column tail; a request mixes only its
+master seed into these digests.  Full reconstruction keeps its table in its
+design, so a warm design hashes no key; a lone element builds one per request.
 A block of at most _CELL_POOLS = 16 cells mixes each seed pool in numpy's C
 SeedSequence (about 5 us a cell); a larger block mixes them all in one
 vectorized pass that mirrors it (about 100 us), 16 being the measured
@@ -91,10 +95,14 @@ def _key_prefix(dim: int, state_code: str) -> bytes:
     return f"d={dim};in={state_code};obs=".encode("ascii")
 
 
+def _key_tail(projector: bool, obs_code: str) -> bytes:
+    # the rest of the key, the same for every input state; a ket's is b"p:" + its code
+    return f"{'p' if projector else 'h'}:{obs_code}".encode("ascii")
+
+
 def _setting_key(dim: int, state_code: str, projector: bool, obs_code: str) -> bytes:
     # the one key format; state_code and obs_code are _canon_complex encodings
-    kind = "p" if projector else "h"
-    return _key_prefix(dim, state_code) + f"{kind}:{obs_code}".encode("ascii")
+    return _key_prefix(dim, state_code) + _key_tail(projector, obs_code)
 
 
 def _checked_state(state, dim: int | None = None) -> np.ndarray:
@@ -266,23 +274,16 @@ def _rng(state: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_stream_type()(state)))
 
 
-def _cell_streams(dim, state_codes, obs_codes, master_seed) -> np.ndarray:
-    """Every cell's stream state, (len(state_codes), len(obs_codes), 4).
-
-    A cell draws from default_rng(SeedSequence([master_seed, *words])), the
-    words being the first 16 bytes of the sha256 of its key as 4
-    little-endian uint32; both codes hold (is_projector, encoding) pairs.
-    A row hashes its keys' shared prefix once, each column a copy of it.
-    """
-    tails = [_setting_key(dim, "", p, o)[len(_key_prefix(dim, "")):] for p, o in obs_codes]
+def _hash_keys(prefixes, tails) -> np.ndarray:
+    # each cell's key words, read-only (rows, cols, 4) uint32: the first 16 bytes, as 4
+    # little-endian uint32, of a copy of its row's hashed prefix finished with its tail
     digests = []
-    for _, s in state_codes:
-        row = hashlib.sha256(_key_prefix(dim, s))
+    for row in prefixes:
         for tail in tails:
             (cell := row.copy()).update(tail)
             digests.append(cell.digest()[:16])
-    words = np.frombuffer(b"".join(digests), dtype="<u4").reshape(-1, 4).T.astype(np.uint32)
-    return _seed_states(master_seed, words).reshape(len(state_codes), len(obs_codes), 4)
+    words = np.frombuffer(b"".join(digests), dtype="<u4")
+    return _frozen(words.reshape(len(prefixes), len(tails), 4), np.uint32)
 
 
 def _output_states(channel: QuantumChannel, kets: np.ndarray) -> np.ndarray:
@@ -348,8 +349,9 @@ class _Side:
 
     proj and herm index the 1-d and 2-d vectors, stacked as kets and ops.  The first read
     to use it builds a column's bras, for the exact backend the ops' nonzeros, or for the
-    sampled backend codes (each vector's (is_projector, _canon_complex code), in order)
-    or eigs (the ops' evals, evecs, evecs_h).
+    sampled backend a column's tails (each vector's _key_tail, in order) and eigs (the
+    ops' evals, evecs, evecs_h) or a row's prefixes (each ket's _key_prefix hashed, one
+    sha256 state, derived from its tail).
     """
 
     def __init__(self, vectors, dim: int, check):
@@ -376,9 +378,15 @@ class _Side:
         return _frozen(cols * dim + np.arange(dim), np.intp), _frozen(values)
 
     @cached_property
-    def codes(self) -> tuple[tuple[bool, str], ...]:
+    def tails(self) -> tuple[bytes, ...]:
         by_index = dict(zip(self.proj + self.herm, [*self.kets[..., 0], *self.ops]))
-        return tuple((v.ndim == 1, _canon_complex(v)) for _, v in sorted(by_index.items()))
+        vectors = (v for _, v in sorted(by_index.items()))
+        return tuple(_key_tail(v.ndim == 1, _canon_complex(v)) for v in vectors)
+
+    @cached_property
+    def prefixes(self) -> tuple:
+        dim = self.kets.shape[1]
+        return tuple(hashlib.sha256(_key_prefix(dim, t[2:].decode("ascii"))) for t in self.tails)
 
     @cached_property
     def eigs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -386,6 +394,20 @@ class _Side:
         evals = _frozen([e for e, _ in pairs], float).reshape(-1, 1, self.ops.shape[2])
         evecs = _frozen([v for _, v in pairs]).reshape(self.ops.shape)
         return evals, evecs, _frozen(evecs.conj()).transpose(0, 2, 1)
+
+
+class _Table:
+    """The cells rows x cols of two sides.  The first sampled read builds digests, each
+    cell's canonical_key words (_hash_keys of the rows' prefixes and the columns' tails),
+    which depend on neither channel nor seed.
+    """
+
+    def __init__(self, rows: _Side, cols: _Side):
+        self.rows, self.cols = rows, cols
+
+    @cached_property
+    def digests(self) -> np.ndarray:
+        return _hash_keys(self.rows.prefixes, self.cols.tails)
 
 
 def measure_table(
@@ -404,18 +426,19 @@ def measure_table(
     """
     first = len(np.atleast_1d(states[0])) if len(states) else channel.dim
     cols = _Side(observables, first, _checked_observable)
-    return _read_table(channel, _Side(states, channel.dim, _checked_state), cols, config)
+    return _read_table(channel, _Table(_Side(states, channel.dim, _checked_state), cols), config)
 
 
 def _read_table(
-    channel: QuantumChannel, rows: _Side, cols: _Side, config: BackendConfig
+    channel: QuantumChannel, table: _Table, config: BackendConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Values and standard errors of every cell of rows x cols, sides checked at the channel's D.
+    """Values and standard errors of every cell of a table, its sides checked at the channel's D.
 
     Rows are read in blocks of at most _TABLE_BLOCK_ENTRIES stacked entries.
-    On the sampled backend each cell's key, built from the sides' codes, is
-    the setting's canonical_key; only the draws are made cell by cell.
+    On the sampled backend each cell draws from default_rng(SeedSequence(
+    [master_seed, *its digest words])); only the draws are made cell by cell.
     """
+    rows, cols = table.rows, table.cols
     proj, herm, kets = cols.proj, cols.herm, cols.kets
     n_rows, dim = rows.kets.shape[:2]
     values = np.zeros((n_rows, len(proj) + len(herm)))
@@ -439,7 +462,8 @@ def _read_table(
             continue
         q = np.diagonal(evecs_h @ outs @ evecs, axis1=2, axis2=3).real if herm else None
         p, pvals = _probabilities(p, q, proj, herm)
-        streams = _cell_streams(dim, rows.codes[block], cols.codes, config.master_seed)
+        words = table.digests[block]
+        streams = _seed_states(config.master_seed, words.reshape(-1, 4).T).reshape(words.shape)
         if proj:
             est = np.array([
                 [_rng(row[k]).binomial(shots, pk) / shots for k, pk in zip(proj, row_p)]

@@ -37,8 +37,8 @@ from .channels import (
     QuantumChannel, _complex_from_pair, _dimension, _index, _integer,
 )
 from .measure import (
-    BackendConfig, PhysicalityError, _Side, _checked_observable, _checked_state, _read_table,
-    input_state_set, tp_complete,
+    BackendConfig, PhysicalityError, _Side, _Table, _checked_observable, _checked_state,
+    _read_table, input_state_set, tp_complete,
 )
 
 __all__ = [
@@ -289,14 +289,14 @@ def _table_side(units) -> tuple[list, list]:
     return [np.frombuffer(ket, complex) for ket in slot], [*zip(slots, (u.weights for u in units))]
 
 
-def _choi_four(channel, config, rows, cols, sides, last=None, partials=None):
-    """The grid of estimates and variances, from the table of the sides rows x cols.
+def _choi_four(channel, config, table, sides, last=None, partials=None):
+    """The grid of estimates and variances, from the _Table of its kets.
 
     sides holds the grid's input, observable and variance sides as _combine
     reads them.  With last set, the unmeasured column last is inferred from
     the columns partials by normalization (tp_complete).
     """
-    values, errs = _read_table(channel, rows, cols, config)
+    values, errs = _read_table(channel, table, config)
     if last is not None:
         gap = np.zeros((len(values), 1))
         values, errs = (np.concatenate((x[:, :last], gap, x[:, last:]), 1) for x in (values, errs))
@@ -311,7 +311,8 @@ def reconstruct_element(
 
     The 1 x 1 grid of _choi_four, over the plan's own kets, in order: the
     channel is applied once per input state of the plan (1 or 4 times).
-    Rows and columns are the expansions' sides, built once each (_unit_side).
+    Rows and columns are the expansions' sides, built once each (_unit_side),
+    read through a table built per request: its cells' keys are hashed per request.
     """
     if channel.dim != plan.dim:
         raise ValueError(
@@ -320,7 +321,7 @@ def reconstruct_element(
     (rows, inputs), (cols, observables) = _unit_side(plan.inputs), _unit_side(plan.observables)
     if not rows.kets.shape[1] == cols.kets.shape[1] == channel.dim:
         raise ValueError("projector vector dimension mismatch")
-    lam, var = _choi_four(channel, config, rows, cols, (inputs, observables, observables))
+    lam, var = _choi_four(channel, config, _Table(rows, cols), (inputs, observables, observables))
     return ChiElementEstimate(
         complex(lam[0, 0]), float(np.sqrt(var[0, 0])), plan.settings_count, config.descriptor
     )
@@ -405,8 +406,8 @@ def full_sqpt(
         slots = tuple((0, 1, 3, 2)[k] for k in _CHI_SLOTS)
     elif strategy == "product-hermitian":
         sites = _sites(channel.dim, local_dim, n_sites)
-        (rows, cols), r_mat, s_mat = _product_hermitian_design(*sites)
-        data, errs = _read_table(channel, rows, cols, config)
+        table, r_mat, s_mat = _product_hermitian_design(*sites)
+        data, errs = _read_table(channel, table, config)
         lam, slots = r_mat.T @ data @ s_mat, _CHI_SLOTS
         var = (np.abs(r_mat.T) ** 2) @ np.square(errs) @ (np.abs(s_mat) ** 2)
     else:
@@ -449,12 +450,12 @@ def _sites(dim: int, local_dim, n_sites) -> tuple[int, int]:
 
 
 def _design(inputs, observables, tp_shortcut: bool):
-    """The channel-independent half of a choi-four grid: (rows, cols, sides, last, partials).
+    """The channel-independent half of a choi-four grid: (table, sides, last, partials).
 
     The grid pairs every expansion of inputs with every one of observables;
-    rows and cols hold their distinct kets, first seen first, and sides per
-    grid row and column its padded (slots, weights) as an input, as an
-    observable and for the variance.  With tp_shortcut (full choi-four's D^2
+    the table's rows and cols hold their distinct kets, first seen first, and
+    sides per grid row and column its padded (slots, weights) as an input, as
+    an observable and for the variance.  With tp_shortcut (full choi-four's D^2
     units x*D+y) column last, |D-1>, is inferred from the columns partials.
     """
     dim = len(inputs[0].states[0])
@@ -469,7 +470,7 @@ def _design(inputs, observables, tp_shortcut: bool):
         partials = tuple(partials)
     sides.append(_padded(col_units) if tp_shortcut else sides[1])
     rows = _Side(row_kets, dim, _checked_state)
-    return rows, _Side(col_kets, dim, _checked_observable), tuple(sides), last, partials
+    return _Table(rows, _Side(col_kets, dim, _checked_observable)), tuple(sides), last, partials
 
 
 @lru_cache(maxsize=_DESIGN_CACHE_SIZE)
@@ -481,7 +482,7 @@ def _choi_four_design(dim: int, tp_shortcut: bool):
 
 @lru_cache(maxsize=_DESIGN_CACHE_SIZE)
 def _product_hermitian_design(local_dim: int, n_sites: int):
-    """The channel-independent half of product-hermitian: ((rows, cols), R, S).
+    """The channel-independent half of product-hermitian: (table, R, S).
 
     lambda = R^T T S for the table T of the product states (rows) x the
     tensor products of SU(d) generators (cols).  Built and checked once per
@@ -501,8 +502,8 @@ def _product_hermitian_design(local_dim: int, n_sites: int):
     obs_cols = np.stack([o.reshape(-1) for o in observables], axis=1)
     targets = np.eye(n, dtype=complex).reshape(dim, dim, n).transpose(1, 0, 2).reshape(n, n)
     s_mat = _solve_expansion(obs_cols, targets, "basis operators")
-    sides = _Side(states, dim, _checked_state), _Side(observables, dim, _checked_observable)
-    return sides, _frozen(r_mat), _frozen(s_mat)
+    table = _Table(_Side(states, dim, _checked_state), _Side(observables, dim, _checked_observable))
+    return table, _frozen(r_mat), _frozen(s_mat)
 
 
 # --- multi-qudit index utilities ----------------------------------------------

@@ -208,9 +208,9 @@ def test_solve_expansion_refuses_dependent_columns():
 @pytest.mark.parametrize("local_dim, n_sites", [(2, 1), (3, 1), (2, 2)])
 def test_design_r_expands_each_unit_over_the_state_projectors(local_dim, n_sites):
     # column a*D+b of R holds the weights of |a><b| over the product-state projectors
-    (rows, _), r_mat, _ = tomo._product_hermitian_design(local_dim, n_sites)
+    table, r_mat, _ = tomo._product_hermitian_design(local_dim, n_sites)
     dim = local_dim**n_sites
-    projectors = np.stack([np.outer(s, s.conj()) for s in rows.kets[..., 0]])
+    projectors = np.stack([np.outer(s, s.conj()) for s in table.rows.kets[..., 0]])
     for (a, b), column in zip(np.ndindex(dim, dim), r_mat.T):
         got = np.tensordot(column, projectors, axes=1)
         assert np.max(np.abs(got - choi_op(a, b, dim))) < 1e-12
@@ -293,9 +293,9 @@ def test_sud_generators_span(d):
     # column c*D+d of S expands the adjoint unit |d><c| over the generator
     # products, on one site and on two
     for n_sites in (1, 2):
-        (_, cols), _, s_mat = tomo._product_hermitian_design(d, n_sites)
+        table, _, s_mat = tomo._product_hermitian_design(d, n_sites)
         dim = d**n_sites
-        ops = cols.ops
+        ops = table.cols.ops
         for (c, e), column in zip(np.ndindex(dim, dim), s_mat.T):
             got = np.tensordot(column, ops, axes=1)
             assert np.max(np.abs(got - choi_op(e, c, dim))) < 1e-12

@@ -452,24 +452,26 @@ def _reference_rng(key: bytes, master_seed: int) -> np.random.Generator:
 @pytest.mark.parametrize("seed", _SEEDS)
 def test_cell_streams_draw_as_default_rng(seed):
     # the whole D = 3 choi-four row side against projector and Hermitian
-    # columns, interleaved: each cell's state is numpy's SeedSequence state for
-    # the words of its whole key's sha256, in the vectorized block and in a
-    # block of at most _CELL_POOLS cells alike, and its generator draws as
-    # default_rng's
-    rows, projectors = (side.codes for side in tomo._choi_four_design(3, False)[:2])
-    generators = tomo._product_hermitian_design(3, 1)[0][1].codes
-    cols = [code for pair in zip(projectors, generators) for code in pair]
-    assert {projector for projector, _ in cols} == {True, False}
-    streams = measure._cell_streams(3, rows, cols, seed)
-    assert streams.shape == (len(rows), len(cols), 4)
-    assert len(rows) * len(cols) > measure._CELL_POOLS
-    small = measure._cell_streams(3, rows[:2], cols[:6], seed)
+    # columns, interleaved: each cell's digest words are those of its whole
+    # key's sha256, its state is numpy's SeedSequence state for them, in the
+    # vectorized block and in a block of at most _CELL_POOLS cells alike, and
+    # its generator draws as default_rng's
+    design = tomo._choi_four_design(3, False)[0]
+    generators = tomo._product_hermitian_design(3, 1)[0].cols.ops
+    cols = [v for pair in zip(design.cols.kets[..., 0], generators) for v in pair]
+    table = measure._Table(design.rows, measure._Side(cols, 3, measure._checked_observable))
+    words = table.digests
+    assert words.shape == (len(design.rows.kets), len(cols), 4) and words.dtype == np.uint32
+    assert words.size // 4 > measure._CELL_POOLS
+    streams = measure._seed_states(seed, words.reshape(-1, 4).T).reshape(words.shape)
+    small = measure._seed_states(seed, words[:2, :6].reshape(-1, 4).T)
     assert small.tobytes() == streams[:2, :6].tobytes()
-    for row, (_, state_code) in zip(streams, rows):
-        for stream, (projector, obs_code) in zip(row, cols):
-            key = measure._setting_key(3, state_code, projector, obs_code)
-            words = np.frombuffer(hashlib.sha256(key).digest()[:16], dtype="<u4").tolist()
-            expected = np.random.SeedSequence([seed, *words]).generate_state(4, np.uint64)
+    for row, state in zip(streams, design.rows.kets[..., 0]):
+        for stream, obs in zip(row, cols):
+            key = measure._setting_key(3, measure._canon_complex(state), obs.ndim == 1,
+                                       measure._canon_complex(obs))
+            key_words = np.frombuffer(hashlib.sha256(key).digest()[:16], dtype="<u4").tolist()
+            expected = np.random.SeedSequence([seed, *key_words]).generate_state(4, np.uint64)
             assert stream.tobytes() == expected.tobytes(), key
             gen, ref = measure._rng(stream), _reference_rng(key, seed)
             assert gen.binomial(1000, 0.3) == ref.binomial(1000, 0.3)
@@ -586,7 +588,8 @@ GENERATOR_DESIGNS = [(d, 1) for d in (2, 3, 4, 5, 6, 7, 16)] + [(2, 2), (3, 2), 
 def test_generator_gather_matches_the_trace(local_dim, n_sites):
     # a generator cell gathers one nonzero per row, with np.trace(O @ rho)'s bits,
     # signed zeros included, on every output state of the design's input states
-    (rows, cols), _, _ = tomo._product_hermitian_design(local_dim, n_sites)
+    table = tomo._product_hermitian_design(local_dim, n_sites)[0]
+    rows, cols = table.rows, table.cols
     assert cols.nonzeros is not None
     dim = local_dim**n_sites
     for rank in (1, 3, dim * dim):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import os
 import subprocess
@@ -516,14 +517,14 @@ def test_choi_four_set_matches_lone_elements(monkeypatch, dim, config):
     tables = []
     read = tomo._read_table
 
-    def recorded(channel, rows, cols, cfg):
-        tables.append((len(rows.kets), len(cols.proj) + len(cols.herm)))
-        return read(channel, rows, cols, cfg)
+    def recorded(channel, table, cfg):
+        tables.append((len(table.rows.kets), len(table.cols.proj) + len(table.cols.herm)))
+        return read(channel, table, cfg)
 
     monkeypatch.setattr(tomo, "_read_table", recorded)
     ch = preset_channel("random-cptp", [17, 3], dim)
-    rows, cols, sides, _, _ = tomo._design(inputs, observables, False)
-    grid = tomo._choi_four(ch, config, rows, cols, sides)
+    table, sides, _, _ = tomo._design(inputs, observables, False)
+    grid = tomo._choi_four(ch, config, table, sides)
     assert grid[0].shape == grid[1].shape == (len(inputs), len(observables))
     # each target's entry: its input unit's row, its observable unit's column
     at = [inputs.index(p.inputs) for p in plans], [observables.index(p.observables) for p in plans]
@@ -586,18 +587,18 @@ def _count_calls(monkeypatch, owner, name) -> list[int]:
 
 
 def _count_canonical_keys(monkeypatch) -> tuple[list[int], list[int]]:
-    # (stream keys, vector encodings): a table hashes one key per cell in
-    # measure._cell_streams, each from the measure._canon_complex encodings
+    # (stream keys hashed, vector encodings): a table's digests hash one key
+    # per cell in measure._hash_keys, from the measure._canon_complex encodings
     # of its two vectors (test_measure_table_equals_per_setting_measurement
     # checks each key against the setting's canonical_key)
     keys = [0]
-    original = measure._cell_streams
+    original = measure._hash_keys
 
-    def counted(dim, state_codes, obs_codes, master_seed):
-        keys[0] += len(state_codes) * len(obs_codes)
-        return original(dim, state_codes, obs_codes, master_seed)
+    def counted(prefixes, tails):
+        keys[0] += len(prefixes) * len(tails)
+        return original(prefixes, tails)
 
-    monkeypatch.setattr(measure, "_cell_streams", counted)
+    monkeypatch.setattr(measure, "_hash_keys", counted)
     return keys, _count_calls(monkeypatch, measure, "_canon_complex")
 
 
@@ -606,9 +607,9 @@ def _count_canonical_keys(monkeypatch) -> tuple[list[int], list[int]]:
 ])
 def test_full_canonical_key_budget(monkeypatch, strategy, tp_shortcut):
     # full reconstruction plans no element.  Its design encodes each input
-    # state and each observable once, on its first run at a dimension; the
-    # sampled backend then builds one key per measured cell, for its random
-    # stream, and the exact one none
+    # state and each observable once, and hashes one key per measured cell,
+    # for its random stream, on its first sampled run at a dimension; a warm
+    # repeat hashes none, and the exact backend none
     def no_plans(*args):
         raise AssertionError("full_sqpt must not plan single elements")
 
@@ -622,15 +623,17 @@ def test_full_canonical_key_budget(monkeypatch, strategy, tp_shortcut):
     assert calls[0] == result.settings_measured
     assert encodings[0] == 3**2 + n_observables
     full_sqpt(ch, sampled, strategy, tp_shortcut)
+    full_sqpt(ch, BackendConfig("sampled", 100, 2), strategy, tp_shortcut)
     full_sqpt(ch, EXACT, strategy, tp_shortcut)
-    assert calls[0] == 2 * result.settings_measured
+    assert calls[0] == result.settings_measured
     assert encodings[0] == 3**2 + n_observables
 
 
 def test_element_canonical_key_budget(monkeypatch):
     # planning builds no key.  A lone element's expansion tables encode each
     # ket once, for rows and columns alike, on the first request that reads
-    # them; every request builds one key per cell, for its random stream
+    # them; every request hashes one key per cell, for its random stream, from
+    # its rows' cached prefix states and its columns' cached tails
     _clear_designs()
     calls, encodings = _count_canonical_keys(monkeypatch)
     for target in _all_targets(3):
@@ -709,18 +712,21 @@ def test_unit_tables_are_read_only_and_bounded():
     try:
         found = tomo._unit_side(unit)
         side, (slots, weights) = found
-        # the bras and the codes are built by the first read that uses them
-        assert not {"bras", "codes"} & vars(side).keys()
-        assert side.bras.shape == (4, 1, 256) and len(side.codes) == 4
+        # the bras and the key parts are built by the first read that uses them
+        assert not {"bras", "tails", "prefixes"} & vars(side).keys()
+        assert side.bras.shape == (4, 1, 256) and len(side.tails) == len(side.prefixes) == 4
         size, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one stacked copy of the four kets, their bras, one code per ket and
-    # the (1, 4) slots and weights
+    # one stacked copy of the four kets, their bras, one key tail and one
+    # hashed key prefix per ket and the (1, 4) slots and weights
     assert size <= 320 * 256 + 4096
     assert tomo._unit_side(unit) is found and len(tomo._UNIT_SIDES) == 1
     assert side.proj == (0, 1, 2, 3) and side.herm == ()
-    assert [code for _, code in side.codes] == [measure._canon_complex(s) for s in unit.states]
+    assert list(side.tails) == [b"p:" + measure._canon_complex(s).encode() for s in unit.states]
+    for prefix, ket in zip(side.prefixes, unit.states):
+        key = measure._key_prefix(256, measure._canon_complex(ket))
+        assert prefix.digest() == hashlib.sha256(key).digest()
     assert all(np.array_equal(row, ket) for row, ket in zip(side.kets[..., 0], unit.states))
     assert slots.tolist() == [[0, 1, 2, 3]] and weights.tolist() == [list(unit.weights)]
     assert not any(a.flags.writeable for a in (side.kets, side.bras, slots, weights))
@@ -801,6 +807,31 @@ def test_design_caches_give_the_same_bytes_cold_and_warm():
     assert run(sampled, EXACT) == cold
 
 
+@pytest.mark.parametrize("strategy, tp_shortcut, sites", [
+    ("choi-four", False, None), ("choi-four", True, None),
+    ("product-hermitian", False, None), ("product-hermitian", False, (2, 2)),
+], ids=["choi-four", "choi-four-tp", "product-hermitian", "2x2-sites"])
+def test_warm_digests_depend_on_neither_channel_nor_seed(strategy, tp_shortcut, sites):
+    # a design warmed by one (channel, seed) gives a second (channel, seed)
+    # the chi and sigma bytes that design gives it built cold
+    dim, kwargs = (4, dict(zip(("local_dim", "n_sites"), sites))) if sites else (3, {})
+
+    def run(channel_seed: int, seed: int) -> bytes:
+        ch = preset_channel("random-cptp", [channel_seed, 2], dim)
+        result = full_sqpt(ch, BackendConfig("sampled", 1000, seed), strategy, tp_shortcut,
+                           **kwargs)
+        return result.chi.tobytes() + result.std_errors.tobytes()
+
+    design = tomo._choi_four_design if strategy == "choi-four" else tomo._product_hermitian_design
+    key = (dim, tp_shortcut) if strategy == "choi-four" else sites or (dim, 1)
+    _clear_designs()
+    run(94, 3)
+    assert "digests" in vars(design(*key)[0])
+    warm = run(95, 2**40 + 7)
+    _clear_designs()
+    assert run(95, 2**40 + 7) == warm
+
+
 def test_first_sampled_reads_of_an_exact_warm_design_agree_across_threads():
     # the sampled parts of a design built by exact runs are made by whichever
     # thread reads them first; racing threads get the sequential bytes
@@ -809,9 +840,10 @@ def test_first_sampled_reads_of_an_exact_warm_design_agree_across_threads():
     _clear_designs()
     for strategy, tp_shortcut in CALIBRATION_CASES:
         full_sqpt(ch, EXACT, strategy, tp_shortcut)
-    sides = [*tomo._choi_four_design(3, False)[:2], *tomo._choi_four_design(3, True)[:2],
-             *tomo._product_hermitian_design(3, 1)[0]]
-    assert not any({"codes", "eigs"} & vars(side).keys() for side in sides)
+    tables = [tomo._choi_four_design(3, False)[0], tomo._choi_four_design(3, True)[0],
+              tomo._product_hermitian_design(3, 1)[0]]
+    parts = [vars(part).keys() for table in tables for part in (table, table.rows, table.cols)]
+    assert not any({"digests", "tails", "prefixes", "eigs"} & built for built in parts)
 
     def read(start: threading.Barrier) -> bytes:
         start.wait(timeout=30)
@@ -848,29 +880,33 @@ def test_a_second_run_at_the_same_dimension_rebuilds_no_design(monkeypatch, stra
 
 
 def _design_arrays(design) -> list[np.ndarray]:
-    # every array a design holds, in its sides (the parts built so far) and its other tuples
+    # every array a design holds, in its table and sides (the parts built so
+    # far) and its other tuples
     found = []
     for part in design:
         if isinstance(part, np.ndarray):
             found.append(part)
         elif isinstance(part, tuple):
             found.extend(_design_arrays(part))
-        elif isinstance(part, measure._Side):
+        elif isinstance(part, (measure._Table, measure._Side)):
             found.extend(_design_arrays(tuple(vars(part).values())))
     return found
 
 
 def test_product_hermitian_design_is_read_only_and_bounded():
-    (rows, cols), r_mat, s_mat = tomo._product_hermitian_design(2, 2)
+    table, r_mat, s_mat = tomo._product_hermitian_design(2, 2)
+    rows, cols = table.rows, table.cols
     assert rows.kets.shape == (16, 4, 1) and rows.herm == ()
     assert cols.ops.shape == (16, 4, 4) and cols.proj == ()
     assert r_mat.shape == s_mat.shape == (16, 16)
     full_sqpt(preset_channel("random-cptp", [87, 2], 4), BackendConfig("sampled", 100, 1),
               "product-hermitian", local_dim=2, n_sites=2)
     # after a sampled read: per side its kets and ops, the columns' (empty) bras
-    # and eigendecomposition's three arrays; R and S
+    # and eigendecomposition's three arrays; the table's digests; R and S
     arrays = _design_arrays(tomo._product_hermitian_design(2, 2))
-    assert len(arrays) == 2 * 2 + 4 + 2 and not any(arr.flags.writeable for arr in arrays)
+    assert len(arrays) == 2 * 2 + 4 + 1 + 2 and not any(arr.flags.writeable for arr in arrays)
+    # 16 bytes a cell
+    assert table.digests.dtype == np.uint32 and table.digests.shape == (16, 16, 4)
     with pytest.raises(ValueError, match="read-only"):
         cols.ops[0, 0, 0] = 0.5
     assert tomo._product_hermitian_design(2, 2)[1] is r_mat
@@ -885,16 +921,19 @@ def test_product_hermitian_design_is_read_only_and_bounded():
 @pytest.mark.parametrize("tp_shortcut", [False, True])
 @pytest.mark.parametrize("dim", [2, 3, 5])
 def test_choi_four_design_is_read_only_and_bounded(dim, tp_shortcut):
-    # O(D^2) entries: D^2 kets of D entries, and a D^2 x 4 (slots, weights)
-    # pair per side; the shortcut's variance side is D^2 x (D + 1)
+    # O(D^2) entries in the sides: D^2 kets of D entries, and a D^2 x 4
+    # (slots, weights) pair per side; the shortcut's variance side is
+    # D^2 x (D + 1).  A sampled read adds the table's digests, 16 bytes a cell
+    # of the D^2 x D^2 (D^2 - 1 columns under the shortcut) table
     design = tomo._choi_four_design(dim, tp_shortcut)
-    row_side, col_side, (rows, cols, var_cols), last, partials = design
+    table, (rows, cols, var_cols), last, partials = design
+    row_side, col_side = table.rows, table.cols
     full_sqpt(preset_channel("random-cptp", [88, 2], dim), BackendConfig("sampled", 100, 1),
               tp_shortcut=tp_shortcut)
     n_cols = dim**2 - tp_shortcut
     assert row_side.kets.shape == (dim**2, dim, 1) and col_side.kets.shape == (n_cols, dim, 1)
     assert row_side.herm == col_side.herm == ()
-    assert len(row_side.codes) == dim**2 and len(col_side.codes) == n_cols
+    assert len(row_side.prefixes) == dim**2 and len(col_side.tails) == n_cols
     for side in (rows, cols):
         assert side[0].shape == side[1].shape == (dim**2, 4)
     if tp_shortcut:
@@ -906,10 +945,11 @@ def test_choi_four_design_is_read_only_and_bounded(dim, tp_shortcut):
     else:
         assert var_cols is cols and last is partials is None
     # after a sampled read: per table side its kets and ops, the columns'
-    # bras (no Hermitian column, so no eigendecomposition), and the three
-    # grid sides' (slots, weights)
+    # bras (no Hermitian column, so no eigendecomposition), the table's
+    # digests and the three grid sides' (slots, weights)
     arrays = _design_arrays(design)
-    assert len(arrays) == 2 * 2 + 1 + 6 and not any(a.flags.writeable for a in arrays)
+    assert len(arrays) == 2 * 2 + 1 + 1 + 6 and not any(a.flags.writeable for a in arrays)
+    assert table.digests.dtype == np.uint32 and table.digests.shape == (dim**2, n_cols, 4)
     with pytest.raises(ValueError, match="read-only"):
         rows[1][0, 0] = 0.5
     assert tomo._choi_four_design(dim, tp_shortcut) is design
@@ -956,8 +996,9 @@ def test_importing_the_library_builds_no_design():
 
 
 def test_an_exact_only_process_builds_no_sampled_part():
-    # no stream key is encoded and no observable eigendecomposed without a
-    # sampled read; the cached designs hold kets, ops, a column's bras and weights
+    # no stream key is encoded or hashed and no observable eigendecomposed
+    # without a sampled read: no table holds digests and no side a key tail or
+    # prefix; the cached designs hold kets, ops, a column's bras and weights
     code = textwrap.dedent(f"""
         import gc, tracemalloc
         import numpy as np
@@ -968,6 +1009,7 @@ def test_an_exact_only_process_builds_no_sampled_part():
         def counted(original):
             return lambda *args: calls.append(original) or original(*args)
         measure._canon_complex = counted(measure._canon_complex)
+        measure._hash_keys = counted(measure._hash_keys)
         np.linalg.eigh = counted(np.linalg.eigh)
         exact = BackendConfig()
         for strategy, tp_shortcut in {CALIBRATION_CASES!r}:
@@ -976,6 +1018,13 @@ def test_an_exact_only_process_builds_no_sampled_part():
                   local_dim=2, n_sites=2)
         reconstruct_element(plan_element(0, 1, 2, 0, 3), preset_channel('random-cptp', [89, 2], 3),
                             exact)
+        tables = [tomo._choi_four_design(3, False)[0], tomo._choi_four_design(3, True)[0],
+                  tomo._product_hermitian_design(3, 1)[0], tomo._product_hermitian_design(2, 2)[0]]
+        sides = [side for t in tables for side in (t.rows, t.cols)]
+        sides += [side for side, _ in tomo._UNIT_SIDES.values()]
+        built = [name for part in tables + sides for name in ('digests', 'tails', 'prefixes')
+                 if name in vars(part)]
+        calls += built
         channel = preset_channel('random-cptp', [89, 2], 16)
         channel.kraus_stack()
         units = [expand_choi_four(x, y, 16) for x, y in np.ndindex(16, 16)]
