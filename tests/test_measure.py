@@ -459,6 +459,7 @@ def test_cell_streams_draw_as_default_rng(seed):
     design = tomo._choi_four_design(3, False)[0]
     generators = tomo._product_hermitian_design(3, 1)[0].cols.ops
     cols = [v for pair in zip(design.cols.kets[..., 0], generators) for v in pair]
+    assert {v.ndim for v in cols} == {1, 2}
     table = measure._Table(design.rows, measure._Side(cols, 3, measure._checked_observable))
     words = table.digests
     assert words.shape == (len(design.rows.kets), len(cols), 4) and words.dtype == np.uint32
