@@ -58,6 +58,16 @@ PRESET_NAMES = (
 )
 
 
+# the entries a stacked kernel forms at once: 256 KiB of complex128, one item's if more
+_BLOCK_ENTRIES = 1 << 14
+
+
+def _blocks(n: int, entries_per_item: int):
+    # slices covering range(n) in order, as many items each as _BLOCK_ENTRIES holds, or one
+    step = max(1, _BLOCK_ENTRIES // entries_per_item)
+    return map(slice, range(0, n, step), range(step, n + step, step))
+
+
 class ChannelFormatError(ValueError):
     """Raised when a channel JSON document does not match the schema."""
 
@@ -96,10 +106,8 @@ class QuantumChannel:
         """Max-norm distance of sum_m E_m^dagger E_m from the identity."""
         # stacked products, each one operator's gemm, added in Kraus order from zeros
         stack, acc = self.kraus_stack(), np.zeros((self.dim, self.dim), dtype=complex)
-        chunk = max(1, (1 << 14) // self.dim**2)  # at most 256 KiB of products at once
-        for start in range(0, len(stack), chunk):
-            block = stack[start : start + chunk]
-            for product in block.conj().transpose(0, 2, 1) @ block:
+        for block in _blocks(len(stack), self.dim**2):
+            for product in stack[block].conj().transpose(0, 2, 1) @ stack[block]:
                 acc += product
         return float(np.max(np.abs(acc - np.eye(self.dim))))
 
@@ -258,6 +266,14 @@ def _index(value, dim: int, name: str) -> int:
     if not 0 <= value < dim:
         raise ValueError(f"{name} {value} out of range for dimension {dim}")
     return value
+
+
+def _chi_dim(mat: np.ndarray, name: str) -> int:
+    # the D of a D^2 x D^2 matrix, D >= 1
+    d = math.isqrt(math.isqrt(mat.size))
+    if d < 1 or mat.shape != (d * d, d * d):
+        raise ValueError(f"{name} must be D^2 x D^2 for a D >= 1, got shape {mat.shape}")
+    return d
 
 
 def _finite(arr: np.ndarray, what: str) -> np.ndarray:

@@ -37,6 +37,7 @@ from .basis import chi_choi_to_pauli, chi_pauli_to_choi
 from .channels import (
     ChannelFormatError,
     QuantumChannel,
+    _chi_dim,
     _complex_to_pair,
     _read_json,
     _tolerance,
@@ -437,7 +438,7 @@ def _cmd_convert(args, channel, descriptor) -> tuple[int, dict, list[str]]:
             raise ValueError(
                 f"conversion to {args.to} needs a {expected} input, got {convention}"
             )
-        dim = int(np.sqrt(chi.shape[0]))
+        dim = _chi_dim(chi, "chi")
     elif channel is not None:
         if args.to != "pauli":
             raise ValueError("a channel source already yields the Choi form")

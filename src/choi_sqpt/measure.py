@@ -42,7 +42,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .basis import _frozen, basis_state, superposition_states
-from .channels import QuantumChannel, _dimension, _hermitian, _index, _integer, _unit_vector
+from .channels import (
+    QuantumChannel, _blocks, _dimension, _hermitian, _index, _integer, _unit_vector,
+)
 
 __all__ = [
     "BackendConfig",
@@ -62,10 +64,6 @@ __all__ = [
 PROB_BAND = 1e-9
 
 _MASK64 = (1 << 64) - 1
-
-# measure_table stacks at most this many readout entries at once (256 KiB
-# of complex128), which bounds its working memory at any table size
-_TABLE_BLOCK_ENTRIES = 1 << 14
 
 
 class PhysicalityError(ValueError):
@@ -289,18 +287,17 @@ def _hash_keys(prefixes, tails) -> np.ndarray:
 def _output_states(channel: QuantumChannel, kets: np.ndarray) -> np.ndarray:
     """eps(|psi><psi|) = sum_m (E_m psi)(E_m psi)^dagger = A^T A* for each psi of kets (n, D, 1).
 
-    A's rows are the kets E_m psi.  Stacked calls over at most
-    _TABLE_BLOCK_ENTRIES // (2 rank D) kets, each slice the gemv over the stacked
+    A's rows are the kets E_m psi.  Stacked calls over blocks of kets, 2 rank D
+    entries a ket (channels._blocks), each slice the gemv over the stacked
     Kraus operators and the D x rank x D gemm that one ket makes alone: O(rank D^2)
     a ket, where sum_m E_m rho E_m^dagger on rho = |psi><psi| is O(rank D^3).
     """
     rank, dim, _ = channel.kraus_stack().shape
     stack = channel.kraus_stack().reshape(-1, dim)
     outs = np.empty((len(kets), dim, dim), dtype=complex)
-    chunk = max(1, _TABLE_BLOCK_ENTRIES // (2 * rank * dim))
-    for start in range(0, len(kets), chunk):
-        amps = (stack @ kets[start : start + chunk]).reshape(-1, rank, dim)
-        np.matmul(amps.transpose(0, 2, 1), amps.conj(), out=outs[start : start + chunk])
+    for block in _blocks(len(kets), 2 * rank * dim):
+        amps = (stack @ kets[block]).reshape(-1, rank, dim)
+        np.matmul(amps.transpose(0, 2, 1), amps.conj(), out=outs[block])
     return outs
 
 
@@ -434,7 +431,7 @@ def _read_table(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Values and standard errors of every cell of a table, its sides checked at the channel's D.
 
-    Rows are read in blocks of at most _TABLE_BLOCK_ENTRIES stacked entries.
+    Rows are read in blocks of stacked entries (channels._blocks).
     On the sampled backend each cell draws from default_rng(SeedSequence(
     [master_seed, *its digest words])); only the draws are made cell by cell.
     """
@@ -449,9 +446,7 @@ def _read_table(
     evals, evecs, evecs_h = cols.eigs if sampled and herm else (None, None, None)
     # per row: its output state, and a D-vector per projector or a D x D
     # matrix per Hermitian observable in the stacked products
-    step = max(1, _TABLE_BLOCK_ENTRIES // ((1 + len(herm)) * dim * dim + len(proj) * dim))
-    for start in range(0, n_rows, step):
-        block = slice(start, start + step)
+    for block in _blocks(n_rows, (1 + len(herm)) * dim * dim + len(proj) * dim):
         outs = _output_states(channel, rows.kets[block])[:, None]
         p = ((cols.bras @ outs) @ kets)[..., 0, 0].real if proj or sampled else None
         if not sampled:

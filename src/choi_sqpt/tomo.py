@@ -22,7 +22,6 @@ distinct units (_design), and full choi-four every unit x*D+y on both sides
 
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,7 +33,7 @@ from .basis import (
     expand_choi_four, sud_generators,
 )
 from .channels import (
-    QuantumChannel, _complex_from_pair, _dimension, _index, _integer,
+    QuantumChannel, _blocks, _chi_dim, _complex_from_pair, _dimension, _index,
 )
 from .measure import (
     BackendConfig, PhysicalityError, _Side, _Table, _checked_observable, _checked_state,
@@ -68,9 +67,6 @@ PAULI_CONVENTION = "pauli-row-ixyz"
 
 # full_sqpt keeps this many designs of each strategy, keyed by dimension integers
 _DESIGN_CACHE_SIZE = 8
-
-# _combine forms at most this many terms at once (one input unit's if more), bounding its memory
-_COMBINE_BLOCK_TERMS = 1 << 15
 
 
 # --- lambda/chi index algebra -------------------------------------------------
@@ -168,9 +164,7 @@ def lambda_oracle(channel: QuantumChannel) -> np.ndarray:
 def _relabel(mat: np.ndarray, slots: tuple[int, ...], name: str) -> np.ndarray:
     # out[i] = in[j] for the index tuples i = (j[s] for s in slots)
     mat = np.asarray(mat)
-    d = math.isqrt(math.isqrt(mat.size))
-    if mat.shape != (d * d, d * d):
-        raise ValueError(f"{name} must be D^2 x D^2, got shape {mat.shape}")
+    d = _chi_dim(mat, name)
     out = np.empty(mat.shape, mat.dtype)
     np.copyto(out.reshape(d, d, d, d), mat.reshape(d, d, d, d).transpose(slots))
     return out
@@ -266,13 +260,13 @@ def _combine(values, errs, rows, cols, var_cols) -> tuple[np.ndarray, np.ndarray
     zero, and a table without errors (the exact backend's) adds no variance term.
     """
     (i, r), (j, s), (jv, sv) = rows, cols, var_cols
-    step = max(1, _COMBINE_BLOCK_TERMS // (len(j) * i.shape[1] * max(j.shape[1], jv.shape[1])))
+    per_unit = len(j) * i.shape[1] * max(j.shape[1], jv.shape[1])  # terms per input unit
     lam, var = np.empty((len(i), len(j)), complex), np.zeros((len(i), len(j)))
     # axes (p, q, u, v): one row per (p, q), input-outer, which sum() adds left to right from 0
     i, r = i.T[:, None, :, None], r.T[:, None, :, None]
     j, s, jv, sv = (x.T[None, :, None, :] for x in (j, s, jv, sv))
     sq_errs = np.square(errs) if np.count_nonzero(errs) else None
-    for block in (slice(start, start + step) for start in range(0, len(lam), step)):
+    for block in _blocks(len(lam), per_unit):
         ib, rb = i[:, :, block], r[:, :, block]
         terms = rb * s * values[ib, j]
         lam[block] = sum(terms.reshape(-1, *terms.shape[2:]))
@@ -440,7 +434,7 @@ def _sites(dim: int, local_dim, n_sites) -> tuple[int, int]:
         raise ValueError("pass local_dim and n_sites together or not at all")
     if local_dim is None:
         return dim, 1
-    local_dim, n_sites = _integer(local_dim, "local_dim"), _integer(n_sites, "n_sites")
+    local_dim, n_sites = _dimension(local_dim, "local_dim", 2), _dimension(n_sites, "n_sites")
     if local_dim**n_sites != dim:
         raise ValueError(
             f"local_dim**n_sites = {local_dim}**{n_sites} does not equal "
@@ -612,9 +606,7 @@ def ghz_profile(a: int, b: int, index_map: QuditIndexMap) -> GhzProfile:
 
 def chi_to_json(chi: np.ndarray, convention: str = CHI_CONVENTION) -> dict:
     chi = np.asarray(chi, dtype=complex)
-    d = math.isqrt(math.isqrt(chi.size))
-    if chi.shape != (d * d, d * d):
-        raise ValueError(f"chi must be D^2 x D^2, got shape {chi.shape}")
+    d = _chi_dim(chi, "chi")
     entries = np.stack((chi.real, chi.imag), axis=-1).reshape(-1, 2).tolist()
     return {"dim": d, "convention": convention, "entries": entries}
 

@@ -178,6 +178,7 @@ def test_expansions_refuse_non_finite_values():
         ((1.0,), (ket,), (0, True), "target level must be an integer"),
         ((1.0,), (ket,), (0, 2), "target level 2 out of range"),
         ((1.0,), (ket,), (-1, 0), "target level -1 out of range"),
+        ((1.0, 0.0), (ket,), (0, 0), "weights and states must pair up"),
     ]
     for weights, states, target, message in cases:
         with pytest.raises(ValueError, match=message):
@@ -258,6 +259,15 @@ def test_hermitian_basis_rejects_non_hermitian():
     # a NaN entry used to pass the Hermitian check and fail in the Gram SVD
     ops[1] = np.diag([np.nan, 1.0])
     with pytest.raises(ValueError, match="basis operators must be finite"):
+        HermitianBasis(2, tuple(ops))
+
+
+def test_hermitian_basis_rejects_a_wrong_count_or_shape():
+    ops = list(sud_generators(2).operators)
+    with pytest.raises(ValueError, match="at dimension 2 needs 4 operators, got 3"):
+        HermitianBasis(2, tuple(ops[:3]))
+    ops[1] = np.eye(3)
+    with pytest.raises(ValueError, match="basis operators must be D x D"):
         HermitianBasis(2, tuple(ops))
 
 

@@ -147,6 +147,18 @@ def test_density_matrix_refuses_an_empty_matrix():
         assert_density_matrix(np.zeros((0, 0)))
 
 
+@pytest.mark.parametrize("rho, message", [
+    (np.ones((2, 3)) / 2, r"must be square, got shape \(2, 3\)"),
+    (np.ones(2) / 2, r"must be square, got shape \(2,\)"),
+    (np.array([[0.5, 0.5], [0.0, 0.5]]), "is not Hermitian"),
+    (np.eye(2), r"trace is \(2\+0j\), expected 1"),
+    (np.diag([1.5, -0.5]), "has a negative eigenvalue"),
+], ids=["non-square", "vector", "non-hermitian", "trace-2", "negative"])
+def test_density_matrix_refuses_an_unphysical_matrix(rho, message):
+    with pytest.raises(ValueError, match=f"^density matrix {message}$"):
+        assert_density_matrix(rho)
+
+
 def test_chi_oracle_identity():
     chi = chi_oracle(preset_channel("identity", dim=2))
     expected = np.zeros((4, 4), dtype=complex)
@@ -329,6 +341,11 @@ def test_preset_errors():
         preset_channel("amplitude-damping", [0.1], 3)
     with pytest.raises(ValueError, match="one parameter"):
         preset_channel("bit-flip", [])
+    with pytest.raises(ValueError, match="^identity takes no parameters$"):
+        preset_channel("identity", [0.1])
+    for params in ([], [1, 2, 3]):
+        with pytest.raises(ValueError, match=r"^random-cptp takes \(seed,\) or \(seed, kraus_rank"):
+            preset_channel("random-cptp", params, 2)
     # a float dimension used to end in a TypeError deep inside full_sqpt
     for dim in (2.0, True, np.float64(3)):
         with pytest.raises(ValueError, match="dimension must be an integer"):
@@ -414,6 +431,12 @@ def test_channel_validates_its_dimension_and_entries():
     for bad in (np.nan, np.inf, complex(0, np.nan)):
         with pytest.raises(ValueError, match="Kraus operator entries must be finite"):
             QuantumChannel(2, (np.eye(2), np.diag([bad, 1.0])))
+    with pytest.raises(ValueError, match="^a channel needs at least one Kraus operator$"):
+        QuantumChannel(2, ())
+    with pytest.raises(ValueError, match=r"^Kraus operator has shape \(3, 3\), expected \(2, 2\)$"):
+        QuantumChannel(2, (np.eye(2), np.eye(3)))
+    with pytest.raises(ValueError, match="^an isometry needs rows >= cols$"):
+        haar_isometry(2, 3, np.random.default_rng(0))
 
 
 def _integer_arguments():
@@ -525,6 +548,8 @@ def test_channel_json_rejects_bad_entries():
         channel_from_json({"dim": 2, "kraus": [[[1.0, 0.0], [0.0, 1.0]]]})
     with pytest.raises(ChannelFormatError, match="dim"):
         channel_from_json({"dim": "two", "kraus": []})
+    with pytest.raises(ChannelFormatError, match="^'kraus' must be a non-empty list of matrices$"):
+        channel_from_json({"dim": 2, "kraus": []})
     with pytest.raises(ChannelFormatError):
         channel_from_json([1, 2, 3])
     for bad in (None, "1", True, float("nan"), float("inf"), 10**400):

@@ -369,6 +369,12 @@ _REQUEST_CHECKS = [
     (["convert", "--channel", "ch2.json", "--to", "choi"], None, 2,
      "error: a channel source already yields the Choi form\n"),
     (["convert"], None, 2, "error: convert needs --chi or a channel source\n"),
+    # the site arguments' own bounds, before local_dim**n_sites is compared with D
+    (["full", "--preset", "depolarizing", "--param", "0.1", "--dim", "4", "--strategy",
+      "product-hermitian", "--local-dim", "-2", "--sites", "2"], None, 2,
+     "error: local_dim must be at least 2, got -2\n"),
+    (["full", "--preset", "identity", "--dim", "1", "--strategy", "product-hermitian",
+      "--local-dim", "3", "--sites", "0"], None, 2, "error: n_sites must be positive, got 0\n"),
     # the dimension comes from the file: index 2 exists only at D = 3
     (["plan", "--channel", "ch3.json", "--target", "0,0,2,0"], None, 0, ""),
 ]

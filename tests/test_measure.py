@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import choi_sqpt
-from choi_sqpt import measure, tomo
+from choi_sqpt import channels, measure, tomo
 from choi_sqpt import (
     BackendConfig,
     MeasurementSetting,
@@ -359,6 +359,9 @@ def test_measure_table_validates_like_a_setting():
         ([np.array([1.0, 1.0])], [PLUS], "input state must be a unit vector"),
         ([PLUS], [np.array([[0, 1], [0, 0]], dtype=complex)], "observable must be Hermitian"),
         ([PLUS], [basis_state(0, 3)], "projector vector dimension mismatch"),
+        ([np.eye(2)], [PLUS], "input state must be a vector"),
+        ([PLUS], [np.eye(3)], "^observable dimension mismatch$"),
+        ([PLUS], [np.zeros((2, 2, 2))], "observable must be a vector or a matrix"),
     ]
     for states, observables, message in cases:
         with pytest.raises(ValueError, match=message):
@@ -547,9 +550,9 @@ def _recorded_args(monkeypatch, name) -> list:
 @pytest.mark.parametrize("block", [None, 1], ids=["one-block", "row-blocks"])
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8, 16])
 def test_stacked_readout_matches_per_cell_reads(monkeypatch, dim, block):
-    # the stacked products read every cell with the bits of reading it alone
-    if block is not None:
-        monkeypatch.setattr(measure, "_TABLE_BLOCK_ENTRIES", block)
+    # the stacked products read every cell with the bits of reading it alone,
+    # in one block of the three rows' output states and products, or row by row
+    monkeypatch.setattr(channels, "_BLOCK_ENTRIES", block or 3 * (4 * dim * dim + 3 * dim))
     rng = np.random.default_rng(dim)
     ch = preset_channel("random-cptp", [dim, 3], dim)
     states = [_random_state(dim, rng) for _ in range(3)]

@@ -44,7 +44,7 @@ from choi_sqpt import (
     preset_channel,
     reconstruct_element,
 )
-from choi_sqpt import basis, measure, tomo
+from choi_sqpt import basis, channels, measure, tomo
 
 EXACT = BackendConfig()
 
@@ -443,6 +443,23 @@ def test_full_product_hermitian_dimension_mismatch():
         full_sqpt(ch, EXACT, strategy="choi-four", local_dim=3, n_sites=2)
     with pytest.raises(ValueError, match="only for product-hermitian"):
         full_sqpt(ch, EXACT, n_sites=1)
+    # the site arguments' own bounds come before the product rule
+    depolarizing = preset_channel("depolarizing", [0.1], 4)
+    with pytest.raises(ValueError, match="^local_dim must be at least 2, got -2$"):
+        full_sqpt(depolarizing, EXACT, strategy="product-hermitian", local_dim=-2, n_sites=2)
+    with pytest.raises(ValueError, match="^n_sites must be positive, got 0$"):
+        full_sqpt(preset_channel("identity", dim=1), EXACT, strategy="product-hermitian",
+                  local_dim=3, n_sites=0)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 3)])
+@pytest.mark.parametrize("convert, name", [(chi_from_lambda, "lambda"), (lambda_from_chi, "chi"),
+                                           (chi_to_json, "chi")],
+                         ids=["chi_from_lambda", "lambda_from_chi", "chi_to_json"])
+def test_a_matrix_that_is_not_d2_by_d2_is_refused(convert, name, shape):
+    # one rule, D >= 1: a 0 x 0 matrix would write a "dim": 0 chi_from_json refuses
+    with pytest.raises(ValueError, match=rf"^{name} must be D\^2 x D\^2 for a D >= 1, got shape"):
+        convert(np.zeros(shape))
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -550,28 +567,44 @@ def test_combine_blocks_give_the_same_bytes(monkeypatch, config, tp_shortcut, bl
     # D = 3 has 9 input units of 9 x 4 x 4 terms each: blocks of one unit,
     # or of 4, 4 and 1 units, give the one-block bytes in one _combine call
     ch = preset_channel("random-cptp", [91, 2], 3)
+    monkeypatch.setattr(channels, "_BLOCK_ENTRIES", 9 * 9 * 4 * 4)
     whole = full_sqpt(ch, config, "choi-four", tp_shortcut)
     combines = _count_calls(monkeypatch, tomo, "_combine")
-    monkeypatch.setattr(tomo, "_COMBINE_BLOCK_TERMS", block_terms)
+    monkeypatch.setattr(channels, "_BLOCK_ENTRIES", block_terms)
     blocked = full_sqpt(ch, config, "choi-four", tp_shortcut)
     assert combines[0] == 1
     assert blocked.chi.tobytes() == whole.chi.tobytes()
     assert blocked.std_errors.tobytes() == whole.std_errors.tobytes()
 
 
-def test_full_choi_four_in_two_blocks_matches_lone_elements():
-    # at D = 8 the default block holds 32 of the 64 input units |f><h|; the
-    # targets cover both blocks, diagonal and off-diagonal units
+def test_full_choi_four_in_two_blocks_matches_lone_elements(monkeypatch):
+    # at D = 8 a block of 32 units' terms holds half of the 64 input units
+    # |f><h|; the targets cover both blocks, diagonal and off-diagonal units
     dim = 8
-    assert tomo._COMBINE_BLOCK_TERMS // (dim**2 * 4 * 4) == dim**2 // 2
+    monkeypatch.setattr(channels, "_BLOCK_ENTRIES", dim**2 // 2 * dim**2 * 4 * 4)
+    blocks = _recorded_blocks(monkeypatch)
     ch = preset_channel("random-cptp", [92, 2], dim)
     result = full_sqpt(ch, EXACT)
+    assert blocks == [slice(0, 32), slice(32, 64)]
     targets = list(itertools.product((0, 7), (0, 3, 4, 7), (0, 6), (0, 2, 5, 7)))
     assert len(targets) == 64
     for e, f, g, h in targets:
         est = reconstruct_element(plan_element(e, f, g, h, dim), ch, EXACT)
         assert result.chi[e * dim + f, g * dim + h] == est.value, (e, f, g, h)
         assert result.std_errors[e * dim + f, g * dim + h] == est.std_error == 0.0
+
+
+def _recorded_blocks(monkeypatch) -> list[slice]:
+    # every block _combine reads
+    blocks = []
+
+    def recorded(n, entries_per_item):
+        found = list(channels._blocks(n, entries_per_item))
+        blocks.extend(found)
+        return found
+
+    monkeypatch.setattr(tomo, "_blocks", recorded)
+    return blocks
 
 
 def _count_calls(monkeypatch, owner, name) -> list[int]:
@@ -1245,6 +1278,8 @@ def test_chi_json_validation():
         chi_from_json({"dim": 2, "convention": "choi-row-ef", "entries": [[0, 0]] * 15})
     with pytest.raises(ValueError, match="dim"):
         chi_from_json({"dim": 1.5, "convention": "choi-row-ef", "entries": []})
+    with pytest.raises(ValueError, match="^chi document must be a JSON object$"):
+        chi_from_json([[0, 0]] * 16)
     for bad in (None, "1.0", True, [1.0], 1j):
         with pytest.raises(ValueError, match="pair"):
             chi_from_json({"dim": 2, "convention": "choi-row-ef",
