@@ -114,6 +114,8 @@ class PureStateExpansion:
             _unit_vector(_frozen(s), "each expansion state", "expansion states")
             for s in self.states
         )
+        if len({s.shape for s in states}) != 1 or states[0].ndim != 1:  # none, or not kets alike
+            raise ValueError("expansion states must be one or more vectors of one length")
         weights = tuple(complex(w) for w in self.weights)
         kets = np.stack(states)
         levels = np.arange(kets.shape[1])

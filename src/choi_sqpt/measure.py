@@ -1,26 +1,27 @@
 """Measurement backends: exact expectation values and shot-noise sampling.
 
 Every measurement is a table of (input state, observable) cells, read from
-two sides.  A _Side checks and stacks each vector once; the first sampled
-read encodes it for the stream keys and eigendecomposes each Hermitian
-observable, once.  _read_table reads a _Table of rows x columns, applying the
-channel once per input state (D^2 applications for D^2 input states).
-measure_table builds both sides from a caller's vectors; full reconstruction
-builds them once per dimension, a lone element once per expansion, rows and
-columns alike.  The channel acts on the input ket, not on its density
-matrix: eps(|psi><psi|) = A^T A* for the rank x D array A of kets E_m psi,
-O(rank D^2) per input state where the Kraus sum on |psi><psi| costs
-O(rank D^3).  channels.apply_channel stays the path for a general operator.
-Rows are read in blocks: a block reads its channel in stacked calls
-(_output_states), each slice the BLAS calls of one ket read alone, then
-makes a stacked product per observable kind present, again a single read's
-BLAS call per cell.  On the exact backend a Hermitian cell whose observable
-has at most one nonzero per row, as every SU(d) generator and tensor product
-of them, is a gather of D products, not a D x D x D product; measure_setting
-is 1 x 1.
+two sides; measure_table is the one public call.  A _Side stacks vectors
+checked where they enter the library (measure_table a caller's, a lone
+element its expansion's kets; a full design's are verified as built); the
+first sampled read encodes each for the stream keys and eigendecomposes each
+Hermitian observable, once.  _read_table reads a _Table of rows x columns,
+applying the channel once per input state (D^2 applications for D^2 input
+states).  Full reconstruction builds its sides once per dimension, a lone
+element once per expansion, rows and columns alike.  The channel acts on the
+input ket, not on its density matrix: eps(|psi><psi|) = A^T A* for the rank
+x D array A of kets E_m psi, O(rank D^2) per input state where the Kraus sum
+on |psi><psi| costs O(rank D^3).  channels.apply_channel stays the path for
+a general operator.  Rows are read in blocks: a block reads its channel in
+stacked calls (_output_states), each slice the BLAS calls of one ket read
+alone, then makes a stacked product per observable kind present, again a
+single read's BLAS call per cell.  On the exact backend a Hermitian cell
+whose observable has at most one nonzero per row, as every SU(d) generator
+and tensor product of them, is a gather of D products, not a D x D x D
+product.
 
-Every sampled setting derives its own random stream by hashing a canonical
-byte encoding of the setting together with the master seed, so results are
+Every sampled cell derives its own random stream by hashing a canonical
+byte encoding of its two vectors together with the master seed, so results are
 reproducible and independent of evaluation order or concurrent scheduling.
 A _Table of two sides hashes its cells' keys on its first sampled read, a
 copy of each row's hashed prefix per column tail; a request mixes only its
@@ -48,14 +49,9 @@ from .channels import (
 
 __all__ = [
     "BackendConfig",
-    "MeasurementOutcome",
-    "MeasurementSetting",
     "PhysicalityError",
-    "exact_expectation",
     "input_state_set",
-    "measure_setting",
     "measure_table",
-    "sampled_expectation",
     "tp_complete",
 ]
 
@@ -126,50 +122,6 @@ def _checked_observable(obs, dim: int) -> np.ndarray:
     else:
         raise ValueError("observable must be a vector or a matrix")
     return obs
-
-
-@dataclass(frozen=True, eq=False)
-class MeasurementSetting:
-    """One (input pure state, observable) measurement configuration.
-
-    The observable is a 1-d array for a projector |phi><phi| given by the
-    vector phi, or a 2-d array for a Hermitian operator measured in its
-    eigenbasis.
-    """
-
-    input_state: np.ndarray
-    observable: np.ndarray
-
-    def __post_init__(self):
-        state = _checked_state(self.input_state)
-        obs = _checked_observable(self.observable, state.shape[0])
-        object.__setattr__(self, "input_state", state)
-        object.__setattr__(self, "observable", obs)
-
-    @property
-    def dim(self) -> int:
-        return self.input_state.shape[0]
-
-    @property
-    def is_projector(self) -> bool:
-        return self.observable.ndim == 1
-
-    def canonical_key(self) -> bytes:
-        return _setting_key(
-            self.dim,
-            _canon_complex(self.input_state),
-            self.is_projector,
-            _canon_complex(self.observable),
-        )
-
-
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    """An expectation-value estimate with its statistical uncertainty."""
-
-    value: float
-    std_error: float
-    shots: int
 
 
 @dataclass(frozen=True)
@@ -342,7 +294,7 @@ def _probabilities(p, q, proj, herm) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 class _Side:
-    """A table side: each vector checked once, check(vector, dim), and stacked read-only.
+    """A table side: vectors its builder has checked, split by kind and stacked read-only.
 
     proj and herm index the 1-d and 2-d vectors, stacked as kets and ops.  The first read
     to use it builds a column's bras, for the exact backend the ops' nonzeros, or for the
@@ -351,8 +303,7 @@ class _Side:
     sha256 state, derived from its tail).
     """
 
-    def __init__(self, vectors, dim: int, check):
-        vectors = [check(v, dim) for v in vectors]
+    def __init__(self, vectors, dim: int):
         self.proj = tuple(k for k, v in enumerate(vectors) if v.ndim == 1)
         self.herm = tuple(k for k, v in enumerate(vectors) if v.ndim == 2)
         self.kets = _frozen([vectors[k] for k in self.proj]).reshape(-1, dim, 1)
@@ -415,15 +366,16 @@ def measure_table(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Values and standard errors of every (input state, observable) cell.
 
-    Cell (m, k) is the setting (states[m], observables[k]) and equals what
-    measure_setting returns for it, bit for bit.  Each vector is validated,
-    and on the sampled backend encoded and eigendecomposed, once per call
-    (_Side): the observables against the first state, as in its setting,
-    then each state against the channel.
+    Cell (m, k) estimates Tr[O eps(|psi><psi|)] for psi = states[m] and O =
+    observables[k] (a 1-d phi is |phi><phi|), bit for bit as its 1 x 1 table
+    would.  Each vector is checked once per call, before any is read: the
+    observables against the first state, then each state against the
+    channel.  On the sampled backend each is also encoded and eigendecomposed once.
     """
     first = len(np.atleast_1d(states[0])) if len(states) else channel.dim
-    cols = _Side(observables, first, _checked_observable)
-    return _read_table(channel, _Table(_Side(states, channel.dim, _checked_state), cols), config)
+    observables = [_checked_observable(obs, first) for obs in observables]
+    rows = _Side([_checked_state(state, channel.dim) for state in states], channel.dim)
+    return _read_table(channel, _Table(rows, _Side(observables, channel.dim)), config)
 
 
 def _read_table(
@@ -498,37 +450,6 @@ def _traces(cols: _Side, outs: np.ndarray) -> np.ndarray:
     return products.sum(axis=-1).real
 
 
-def measure_setting(
-    channel: QuantumChannel, setting: MeasurementSetting, config: BackendConfig
-) -> MeasurementOutcome:
-    """The setting's outcome on the backend the config selects: its 1 x 1 table."""
-    values, errs = measure_table(channel, [setting.input_state], [setting.observable], config)
-    shots = config.shots if config.mode == "sampled" else 0
-    return MeasurementOutcome(float(values[0, 0]), float(errs[0, 0]), shots)
-
-
-def exact_expectation(
-    channel: QuantumChannel, setting: MeasurementSetting
-) -> MeasurementOutcome:
-    """Tr[O eps(|psi><psi|)] evaluated without statistical noise."""
-    return measure_setting(channel, setting, BackendConfig())
-
-
-def sampled_expectation(
-    channel: QuantumChannel, setting: MeasurementSetting, config: BackendConfig
-) -> MeasurementOutcome:
-    """Finite-shot estimate of Tr[O eps(|psi><psi|)].
-
-    Projector observables draw a binomial count at the exact success
-    probability; Hermitian observables are eigendecomposed and eigenvalues
-    sampled from the corresponding outcome distribution.  Deterministic for
-    a fixed (master_seed, setting) pair.
-    """
-    if config.mode != "sampled":
-        raise ValueError("sampled_expectation needs a sampled-mode config")
-    return measure_setting(channel, setting, config)
-
-
 def input_state_set(dim: int) -> list[np.ndarray]:
     """The D^2 tomography input states.
 
@@ -561,3 +482,67 @@ def tp_complete(partials: Mapping[int, float | np.ndarray], dim: int) -> float |
     if len({_index(level, dim, "level index") for level in partials}) != dim - 1:
         raise ValueError("duplicate level indices in partial expectations")
     return 1.0 - sum(partials.values())
+
+
+# 1 x 1 views of measure_table, outside the package API and unused by the library: they
+# remain only because bench/tracer.py wraps them by name, and go with it (ROADMAP item 1).
+
+
+@dataclass(frozen=True, eq=False)
+class MeasurementSetting:
+    """One (input pure state, observable) cell; a 1-d observable phi is |phi><phi|."""
+
+    input_state: np.ndarray
+    observable: np.ndarray
+
+    def __post_init__(self):
+        state = _checked_state(self.input_state)
+        obs = _checked_observable(self.observable, state.shape[0])
+        object.__setattr__(self, "input_state", state)
+        object.__setattr__(self, "observable", obs)
+
+    @property
+    def dim(self) -> int:
+        return self.input_state.shape[0]
+
+    @property
+    def is_projector(self) -> bool:
+        return self.observable.ndim == 1
+
+    def canonical_key(self) -> bytes:
+        state, obs = _canon_complex(self.input_state), _canon_complex(self.observable)
+        return _setting_key(self.dim, state, self.is_projector, obs)
+
+
+@dataclass(frozen=True)
+class MeasurementOutcome:
+    """An expectation-value estimate with its statistical uncertainty."""
+
+    value: float
+    std_error: float
+    shots: int
+
+
+def measure_setting(
+    channel: QuantumChannel, setting: MeasurementSetting, config: BackendConfig
+) -> MeasurementOutcome:
+    """The setting's outcome on the backend the config selects: its 1 x 1 table."""
+    values, errs = measure_table(channel, [setting.input_state], [setting.observable], config)
+    shots = config.shots if config.mode == "sampled" else 0
+    return MeasurementOutcome(float(values[0, 0]), float(errs[0, 0]), shots)
+
+
+def exact_expectation(
+    channel: QuantumChannel, setting: MeasurementSetting
+) -> MeasurementOutcome:
+    """Tr[O eps(|psi><psi|)] evaluated without statistical noise."""
+    return measure_setting(channel, setting, BackendConfig())
+
+
+def sampled_expectation(
+    channel: QuantumChannel, setting: MeasurementSetting, config: BackendConfig
+) -> MeasurementOutcome:
+    """Finite-shot estimate of Tr[O eps(|psi><psi|)], fixed by (master_seed, setting)."""
+    if config.mode != "sampled":
+        raise ValueError("sampled_expectation needs a sampled-mode config")
+    return measure_setting(channel, setting, config)

@@ -33,11 +33,11 @@ from .basis import (
     expand_choi_four, sud_generators,
 )
 from .channels import (
-    QuantumChannel, _blocks, _chi_dim, _complex_from_pair, _dimension, _index,
+    QuantumChannel, _blocks, _chi_dim, _complex_from_pair, _dimension, _finite, _index,
 )
 from .measure import (
-    BackendConfig, PhysicalityError, _Side, _Table, _checked_observable, _checked_state,
-    _read_table, input_state_set, tp_complete,
+    BackendConfig, PhysicalityError, _Side, _Table, _checked_observable, _read_table,
+    input_state_set, tp_complete,
 )
 
 __all__ = [
@@ -64,6 +64,7 @@ __all__ = [
 
 CHI_CONVENTION = "choi-row-ef"
 PAULI_CONVENTION = "pauli-row-ixyz"
+_CONVENTIONS = (CHI_CONVENTION, PAULI_CONVENTION)  # the chi JSON conventions, read and written
 
 # full_sqpt keeps this many designs of each strategy, keyed by dimension integers
 _DESIGN_CACHE_SIZE = 8
@@ -328,7 +329,8 @@ def _unit_side(expansion: PureStateExpansion):
     """An expansion's kets as a side, rows and columns alike, and its (1, n) slots and weights."""
     found = _UNIT_SIDES.get(expansion)
     if found is None:
-        side = _Side(expansion.states, len(expansion.states[0]), _checked_observable)
+        dim = len(expansion.states[0])  # a hand-built plan's kets are outside input: check them
+        side = _Side([_checked_observable(ket, dim) for ket in expansion.states], dim)
         slots = _padded([(range(len(expansion.weights)), expansion.weights)])
         found = _UNIT_SIDES[expansion] = side, slots
     return found
@@ -463,8 +465,7 @@ def _design(inputs, observables, tp_shortcut: bool):
         col_units = [_inferred_substituted(*unit, last, partials) for unit in col_units]
         partials = tuple(partials)
     sides.append(_padded(col_units) if tp_shortcut else sides[1])
-    rows = _Side(row_kets, dim, _checked_state)
-    return _Table(rows, _Side(col_kets, dim, _checked_observable)), tuple(sides), last, partials
+    return _Table(_Side(row_kets, dim), _Side(col_kets, dim)), tuple(sides), last, partials
 
 
 @lru_cache(maxsize=_DESIGN_CACHE_SIZE)
@@ -479,8 +480,8 @@ def _product_hermitian_design(local_dim: int, n_sites: int):
     """The channel-independent half of product-hermitian: (table, R, S).
 
     lambda = R^T T S for the table T of the product states (rows) x the
-    tensor products of SU(d) generators (cols).  Built and checked once per
-    (local_dim, n_sites) and process; every array is read-only.
+    tensor products of SU(d) generators (cols), which their builders verified.
+    Built once per (local_dim, n_sites) and process; every array is read-only.
     """
     states = _tensor_products(input_state_set(local_dim), n_sites)
     observables = _tensor_products(list(sud_generators(local_dim).operators), n_sites)
@@ -496,8 +497,7 @@ def _product_hermitian_design(local_dim: int, n_sites: int):
     obs_cols = np.stack([o.reshape(-1) for o in observables], axis=1)
     targets = np.eye(n, dtype=complex).reshape(dim, dim, n).transpose(1, 0, 2).reshape(n, n)
     s_mat = _solve_expansion(obs_cols, targets, "basis operators")
-    table = _Table(_Side(states, dim, _checked_state), _Side(observables, dim, _checked_observable))
-    return table, _frozen(r_mat), _frozen(s_mat)
+    return _Table(_Side(states, dim), _Side(observables, dim)), _frozen(r_mat), _frozen(s_mat)
 
 
 # --- multi-qudit index utilities ----------------------------------------------
@@ -601,24 +601,28 @@ def ghz_profile(a: int, b: int, index_map: QuditIndexMap) -> GhzProfile:
 # --- chi JSON format -----------------------------------------------------------
 #
 # {"dim": D, "convention": "choi-row-ef", "entries": [[re, im], ...]} with the
-# entries row-major over the D^2 x D^2 matrix.
+# entries row-major over the D^2 x D^2 matrix.  chi_to_json writes only what
+# chi_from_json reads: a known convention and finite entries.
+
+
+def _convention(convention) -> str:
+    if convention not in _CONVENTIONS:
+        raise ValueError(f"unknown chi convention {convention!r}")
+    return convention
 
 
 def chi_to_json(chi: np.ndarray, convention: str = CHI_CONVENTION) -> dict:
     chi = np.asarray(chi, dtype=complex)
-    d = _chi_dim(chi, "chi")
-    entries = np.stack((chi.real, chi.imag), axis=-1).reshape(-1, 2).tolist()
-    return {"dim": d, "convention": convention, "entries": entries}
+    d, convention = _chi_dim(chi, "chi"), _convention(convention)
+    entries = np.stack((chi.real, chi.imag), axis=-1).reshape(-1, 2)
+    return {"dim": d, "convention": convention, "entries": _finite(entries, "chi entries").tolist()}
 
 
 def chi_from_json(obj) -> tuple[np.ndarray, str]:
     """Parse a chi JSON document, returning the matrix and its convention."""
     if not isinstance(obj, dict):
         raise ValueError("chi document must be a JSON object")
-    dim = _dimension(obj.get("dim"), "'dim'")
-    convention = obj.get("convention")
-    if convention not in (CHI_CONVENTION, PAULI_CONVENTION):
-        raise ValueError(f"unknown chi convention {convention!r}")
+    dim, convention = _dimension(obj.get("dim"), "'dim'"), _convention(obj.get("convention"))
     entries = obj.get("entries")
     if not isinstance(entries, list) or len(entries) != dim**4:
         raise ValueError(f"'entries' must list {dim**4} [re, im] pairs")

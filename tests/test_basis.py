@@ -179,6 +179,9 @@ def test_expansions_refuse_non_finite_values():
         ((1.0,), (ket,), (0, 2), "target level 2 out of range"),
         ((1.0,), (ket,), (-1, 0), "target level -1 out of range"),
         ((1.0, 0.0), (ket,), (0, 0), "weights and states must pair up"),
+        ((), (), (0, 0), "expansion states must be one or more vectors of one length"),
+        ((1.0,), (np.eye(2) / np.sqrt(2),), (0, 0), "must be one or more vectors"),
+        ((1.0, 0.0), (ket, basis_state(0, 3)), (0, 0), "vectors of one length"),
     ]
     for weights, states, target, message in cases:
         with pytest.raises(ValueError, match=message):

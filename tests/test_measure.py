@@ -15,48 +15,54 @@ import choi_sqpt
 from choi_sqpt import channels, measure, tomo
 from choi_sqpt import (
     BackendConfig,
-    MeasurementSetting,
     PhysicalityError,
     QuantumChannel,
     apply_channel,
     basis_state,
-    exact_expectation,
     haar_isometry,
     input_state_set,
-    measure_setting,
     measure_table,
     plan_element,
     preset_channel,
-    sampled_expectation,
     tp_complete,
+)
+# the 1 x 1 views of measure_table, outside the package API: only their own tests use them
+from choi_sqpt.measure import (
+    MeasurementSetting,
+    exact_expectation,
+    measure_setting,
+    sampled_expectation,
 )
 
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
+EXACT = BackendConfig()
 
 
 def _random_state(dim, rng):
     return haar_isometry(dim, 1, rng)[:, 0]
 
 
+def _cell(channel, psi, obs, config=EXACT) -> tuple[float, float]:
+    # one cell's (value, standard error): the 1 x 1 table of psi and obs
+    values, errs = measure_table(channel, [psi], [obs], config)
+    return values[0, 0], errs[0, 0]
+
+
 def test_exact_identity_projector():
-    setting = MeasurementSetting(basis_state(0, 2), basis_state(0, 2))
-    outcome = exact_expectation(preset_channel("identity", dim=2), setting)
-    assert outcome.value == pytest.approx(1.0)
-    assert outcome.std_error == 0.0
-    assert outcome.shots == 0
+    value, err = _cell(preset_channel("identity", dim=2), basis_state(0, 2), basis_state(0, 2))
+    assert value == pytest.approx(1.0)
+    assert err == 0.0
 
 
 def test_exact_bit_flip_probability():
-    setting = MeasurementSetting(basis_state(0, 2), basis_state(1, 2))
-    outcome = exact_expectation(preset_channel("bit-flip", [0.25]), setting)
-    assert outcome.value == pytest.approx(0.25)
+    value, _ = _cell(preset_channel("bit-flip", [0.25]), basis_state(0, 2), basis_state(1, 2))
+    assert value == pytest.approx(0.25)
 
 
 def test_exact_hermitian_eigenstate():
-    setting = MeasurementSetting(PLUS, SX)
-    outcome = exact_expectation(preset_channel("identity", dim=2), setting)
-    assert outcome.value == pytest.approx(1.0)
+    value, _ = _cell(preset_channel("identity", dim=2), PLUS, SX)
+    assert value == pytest.approx(1.0)
 
 
 def test_exact_dimension_mismatch():
@@ -76,51 +82,44 @@ def test_setting_validates_inputs():
 
 def test_sampled_zero_probability_is_exact_zero():
     ch = preset_channel("identity", dim=2)
-    setting = MeasurementSetting(basis_state(0, 2), basis_state(1, 2))
     for seed in (0, 1, 999):
-        outcome = sampled_expectation(ch, setting, BackendConfig("sampled", 1000, seed))
-        assert outcome.value == 0.0
+        config = BackendConfig("sampled", 1000, seed)
+        value, _ = _cell(ch, basis_state(0, 2), basis_state(1, 2), config)
+        assert value == 0.0
 
 
 def test_sampled_concentrates_on_exact_value():
     ch = preset_channel("bit-flip", [0.25])
-    setting = MeasurementSetting(basis_state(0, 2), basis_state(1, 2))
-    outcome = sampled_expectation(ch, setting, BackendConfig("sampled", 10**6, 7))
-    assert abs(outcome.value - 0.25) <= 5 * np.sqrt(0.25 * 0.75 / 10**6)
-    assert outcome.std_error == pytest.approx(
-        np.sqrt(outcome.value * (1 - outcome.value) / 10**6)
-    )
-    assert outcome.shots == 10**6
+    config = BackendConfig("sampled", 10**6, 7)
+    value, err = _cell(ch, basis_state(0, 2), basis_state(1, 2), config)
+    assert abs(value - 0.25) <= 5 * np.sqrt(0.25 * 0.75 / 10**6)
+    assert err == pytest.approx(np.sqrt(value * (1 - value) / 10**6))
 
 
 def test_sampled_deterministic_for_fixed_seed():
     ch = preset_channel("amplitude-damping", [0.3])
-    setting = MeasurementSetting(PLUS, basis_state(0, 2))
     cfg = BackendConfig("sampled", 4096, 42)
-    assert sampled_expectation(ch, setting, cfg) == sampled_expectation(ch, setting, cfg)
+    assert _cell(ch, PLUS, basis_state(0, 2), cfg) == _cell(ch, PLUS, basis_state(0, 2), cfg)
 
 
 def test_sampled_hermitian_observable():
     ch = preset_channel("identity", dim=2)
-    setting = MeasurementSetting(basis_state(0, 2), SX)
-    outcome = sampled_expectation(ch, setting, BackendConfig("sampled", 10**6, 5))
+    value, err = _cell(ch, basis_state(0, 2), SX, BackendConfig("sampled", 10**6, 5))
     # <0|sx|0> = 0: both eigenvalues equally likely
-    assert abs(outcome.value) <= 5 * outcome.std_error + 1e-9
-    assert outcome.std_error == pytest.approx(1.0 / np.sqrt(10**6), rel=0.05)
+    assert abs(value) <= 5 * err + 1e-9
+    assert err == pytest.approx(1.0 / np.sqrt(10**6), rel=0.05)
 
 
 def test_sampled_rejects_inflating_channel():
     ch = QuantumChannel(2, (np.sqrt(2) * np.eye(2, dtype=complex),))
-    setting = MeasurementSetting(basis_state(0, 2), basis_state(0, 2))
     with pytest.raises(PhysicalityError):
-        sampled_expectation(ch, setting, BackendConfig("sampled", 100, 0))
+        _cell(ch, basis_state(0, 2), basis_state(0, 2), BackendConfig("sampled", 100, 0))
 
 
 def test_sampled_hermitian_rejects_non_tp_channel():
     ch = QuantumChannel(2, (0.5 * np.eye(2, dtype=complex),))
-    setting = MeasurementSetting(basis_state(0, 2), SX)
     with pytest.raises(PhysicalityError, match="trace"):
-        sampled_expectation(ch, setting, BackendConfig("sampled", 100, 0))
+        _cell(ch, basis_state(0, 2), SX, BackendConfig("sampled", 100, 0))
 
 
 def test_sampled_mode_required():
@@ -164,13 +163,10 @@ def test_backends_agree_in_the_large_shot_limit(dim):
         else:
             g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             obs = g + g.conj().T
-        setting = MeasurementSetting(psi, obs)
-        exact = exact_expectation(ch, setting).value
-        sampled = sampled_expectation(
-            ch, setting, BackendConfig("sampled", cfg_template, trial)
-        )
-        band = 5 * sampled.std_error + 1e-12
-        if abs(sampled.value - exact) > band:
+        exact, _ = _cell(ch, psi, obs)
+        value, err = _cell(ch, psi, obs, BackendConfig("sampled", cfg_template, trial))
+        band = 5 * err + 1e-12
+        if abs(value - exact) > band:
             failures += 1
     assert failures <= 1
 
@@ -180,22 +176,20 @@ def test_projector_outcomes_stay_in_band():
     rng = np.random.default_rng(31)
     for trial in range(20):
         ch = preset_channel("random-cptp", [trial, 2], 3)
-        setting = MeasurementSetting(_random_state(3, rng), _random_state(3, rng))
-        for outcome in (
-            exact_expectation(ch, setting),
-            sampled_expectation(ch, setting, BackendConfig("sampled", 500, trial)),
-        ):
-            band = 3 * outcome.std_error + 1e-12
-            assert -band <= outcome.value <= 1 + band
+        psi, phi = _random_state(3, rng), _random_state(3, rng)
+        for config in (EXACT, BackendConfig("sampled", 500, trial)):
+            value, err = _cell(ch, psi, phi, config)
+            band = 3 * err + 1e-12
+            assert -band <= value <= 1 + band
 
 
 def test_sampled_independent_of_evaluation_order():
     ch = preset_channel("random-cptp", [55, 2], 2)
     cfg = BackendConfig("sampled", 2048, 77)
     states = input_state_set(2)
-    settings = [MeasurementSetting(s, p) for s in states for p in states]
-    forward = [sampled_expectation(ch, s, cfg) for s in settings]
-    backward = [sampled_expectation(ch, s, cfg) for s in reversed(settings)]
+    cells = [(s, p) for s in states for p in states]
+    forward = [_cell(ch, s, p, cfg) for s, p in cells]
+    backward = [_cell(ch, s, p, cfg) for s, p in reversed(cells)]
     assert forward == list(reversed(backward))
 
 
@@ -203,10 +197,10 @@ def test_sampled_safe_under_concurrent_evaluation():
     ch = preset_channel("random-cptp", [56, 2], 2)
     cfg = BackendConfig("sampled", 1024, 99)
     states = input_state_set(2)
-    settings = [MeasurementSetting(s, p) for s in states for p in states]
-    sequential = [measure_setting(ch, s, cfg) for s in settings]
+    cells = [(s, p) for s in states for p in states]
+    sequential = [_cell(ch, s, p, cfg) for s, p in cells]
     with ThreadPoolExecutor(max_workers=8) as pool:
-        threaded = list(pool.map(lambda s: measure_setting(ch, s, cfg), settings))
+        threaded = list(pool.map(lambda cell: _cell(ch, *cell, cfg), cells))
     assert sequential == threaded
 
 
@@ -351,6 +345,12 @@ def test_measure_table_equals_per_setting_measurement(monkeypatch, config):
     for (m, k), setting in zip(np.ndindex(values.shape), settings):
         outcome = measure_setting(ch, setting, config)
         assert (values[m, k], errs[m, k]) == (outcome.value, outcome.std_error), (m, k)
+        assert outcome.shots == (config.shots if config.mode == "sampled" else 0)
+    # the backend's own view gives the same outcome as measure_setting
+    if config.mode == "sampled":
+        assert sampled_expectation(ch, settings[-1], config) == outcome
+    else:
+        assert exact_expectation(ch, settings[-1]) == outcome
 
 
 def test_measure_table_validates_like_a_setting():
@@ -463,7 +463,7 @@ def test_cell_streams_draw_as_default_rng(seed):
     generators = tomo._product_hermitian_design(3, 1)[0].cols.ops
     cols = [v for pair in zip(design.cols.kets[..., 0], generators) for v in pair]
     assert {v.ndim for v in cols} == {1, 2}
-    table = measure._Table(design.rows, measure._Side(cols, 3, measure._checked_observable))
+    table = measure._Table(design.rows, measure._Side(cols, 3))
     words = table.digests
     assert words.shape == (len(design.rows.kets), len(cols), 4) and words.dtype == np.uint32
     assert words.size // 4 > measure._CELL_POOLS
@@ -502,7 +502,9 @@ def test_streams_seed_pcg64_through_a_true_seed_sequence():
 def _reference_cell(channel, psi, obs, config) -> tuple[float, float]:
     # one cell read alone: its own stream, then a binomial draw for a
     # projector or a multinomial one over a Hermitian observable's eigenvalues
-    rng = _reference_rng(MeasurementSetting(psi, obs).canonical_key(), config.master_seed)
+    key = measure._setting_key(len(psi), measure._canon_complex(psi), obs.ndim == 1,
+                               measure._canon_complex(obs))
+    rng = _reference_rng(key, config.master_seed)
     out = _output_state(channel, psi)
     shots = config.shots
     if obs.ndim == 1:
@@ -619,7 +621,7 @@ def test_only_sides_of_one_real_or_imaginary_nonzero_per_row_gather():
         ([np.diag([1.0, 2.0, 3.0]), herm + herm.conj().T], False),
         ([skew], False),
     ]:
-        side = measure._Side(observables, 3, measure._checked_observable)
+        side = measure._Side(observables, 3)
         assert (side.nonzeros is not None) == gathered
         expected = np.trace(side.ops @ outs, axis1=2, axis2=3).real
         assert measure._traces(side, outs).tobytes() == expected.tobytes()
@@ -643,7 +645,7 @@ def test_table_raises_what_its_first_unphysical_cell_raises():
     psi = basis_state(1, 2)
     outside = "lies outside [0, 1]; the channel is not completely positive / trace preserving"
     trace = "; the channel is not trace preserving"
-    # the messages, numbers included, as the per-cell check wrote them
+    # the messages, numbers included, as each cell's 1 x 1 table raises them
     expected = {
         ("plus", "x", "ket1"): "outcome probabilities sum to 1.4999999999999993" + trace,
         ("ket0", "ket1", "steep-op"): f"outcome probability 1.4999999999999998 {outside}",
@@ -656,7 +658,7 @@ def test_table_raises_what_its_first_unphysical_cell_raises():
     def first_error(names):
         for name in names:
             try:
-                measure_setting(ch, MeasurementSetting(psi, cells[name]), config)
+                _cell(ch, psi, cells[name], config)
             except PhysicalityError as exc:
                 return str(exc)
 
@@ -754,9 +756,6 @@ def test_tp_complete_matches_direct_measurement(dim):
     rng = np.random.default_rng(9)
     for _ in range(5):
         psi = _random_state(dim, rng)
-        values = {
-            a: exact_expectation(ch, MeasurementSetting(psi, basis_state(a, dim))).value
-            for a in range(dim)
-        }
+        values = {a: _cell(ch, psi, basis_state(a, dim))[0] for a in range(dim)}
         partials = {a: values[a] for a in range(dim - 1)}
         assert tp_complete(partials, dim) == pytest.approx(values[dim - 1], abs=1e-12)

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -206,19 +207,19 @@ def test_plan_diagonal_single_setting():
     plan = plan_element(0, 0, 0, 0, 2)
     assert plan.settings_count == 1
     (psi,), (phi,) = plan.inputs.states, plan.observables.states
-    setting = measure.MeasurementSetting(psi, phi)
-    np.testing.assert_allclose(setting.input_state, [1, 0], atol=1e-15)
-    assert setting.is_projector
-    np.testing.assert_allclose(setting.observable, [1, 0], atol=1e-15)
+    np.testing.assert_allclose(psi, [1, 0], atol=1e-15)
+    assert phi.ndim == 1  # a projector
+    np.testing.assert_allclose(phi, [1, 0], atol=1e-15)
 
 
 def test_plan_generic_sixteen_settings():
     plan = plan_element(0, 0, 1, 1, 2)
     assert plan.settings_count == 16
-    settings = [measure.MeasurementSetting(psi, phi)
-                for psi in plan.inputs.states for phi in plan.observables.states]
-    inputs = {s.canonical_key().split(b";")[1] for s in settings}
-    observables = {s.canonical_key().split(b";")[2] for s in settings}
+    code = measure._canon_complex
+    keys = [measure._setting_key(2, code(psi), True, code(phi))
+            for psi in plan.inputs.states for phi in plan.observables.states]
+    inputs = {key.split(b";")[1] for key in keys}
+    observables = {key.split(b";")[2] for key in keys}
     assert len(inputs) == 4 and len(observables) == 4
 
 
@@ -619,11 +620,11 @@ def _count_calls(monkeypatch, owner, name) -> list[int]:
     return calls
 
 
-def _count_canonical_keys(monkeypatch) -> tuple[list[int], list[int]]:
+def _count_stream_keys(monkeypatch) -> tuple[list[int], list[int]]:
     # (stream keys hashed, vector encodings): a table's digests hash one key
     # per cell in measure._hash_keys, from the measure._canon_complex encodings
-    # of its two vectors (test_measure_table_equals_per_setting_measurement
-    # checks each key against the setting's canonical_key)
+    # of its two vectors (test_cell_streams_draw_as_default_rng checks each
+    # cell's digest against its whole measure._setting_key)
     keys = [0]
     original = measure._hash_keys
 
@@ -648,7 +649,7 @@ def test_full_canonical_key_budget(monkeypatch, strategy, tp_shortcut):
 
     monkeypatch.setattr(tomo, "plan_element", no_plans)
     _clear_designs()
-    calls, encodings = _count_canonical_keys(monkeypatch)
+    calls, encodings = _count_stream_keys(monkeypatch)
     ch = preset_channel("random-cptp", [76, 2], 3)
     sampled = BackendConfig("sampled", 100, 1)
     n_observables = 3**2 - 1 if tp_shortcut else 3**2
@@ -668,7 +669,7 @@ def test_element_canonical_key_budget(monkeypatch):
     # them; every request hashes one key per cell, for its random stream, from
     # its rows' cached prefix states and its columns' cached tails
     _clear_designs()
-    calls, encodings = _count_canonical_keys(monkeypatch)
+    calls, encodings = _count_stream_keys(monkeypatch)
     for target in _all_targets(3):
         plan_element(*target, 3)
     assert calls[0] == 0
@@ -1002,6 +1003,26 @@ def test_a_warm_run_checks_no_design_vector(monkeypatch, strategy, config):
     assert [c[0] for c in checks] == [0, 0, 0, 0]
 
 
+@pytest.mark.parametrize("build, args", [
+    ("_choi_four_design", (3, False)), ("_choi_four_design", (3, True)),
+    ("_product_hermitian_design", (3, 1)), ("_product_hermitian_design", (2, 2)),
+], ids=["choi-four", "choi-four-shortcut", "product-hermitian", "2x2-sites"])
+def test_building_a_design_checks_no_vector_again(monkeypatch, build, args):
+    # a design's kets and observables were verified by PureStateExpansion, or
+    # built by input_state_set and sud_generators: its sides only stack them
+    builder = getattr(tomo, build)
+    for x, y in np.ndindex(3, 3):
+        expand_choi_four(x, y, 3)  # verified once, in the unit cache
+    builder.cache_clear()
+    checks = [_count_calls(monkeypatch, module, name) for module, name in [
+        (measure, "_checked_state"), (measure, "_checked_observable"),
+        (tomo, "_checked_observable"), (measure, "_unit_vector"), (basis, "_unit_vector"),
+    ]]
+    builder(*args)
+    assert builder.cache_info().currsize == 1
+    assert [c[0] for c in checks] == [0] * len(checks)
+
+
 def test_measure_table_still_checks_vectors_after_a_warm_design():
     # a design built for D = 2 does not let a caller's vectors skip their checks
     ch = preset_channel("identity", dim=2)
@@ -1269,6 +1290,17 @@ def test_chi_json_round_trip():
         loaded, convention = chi_from_json(chi_to_json(chi))
         assert convention == "choi-row-ef"
         np.testing.assert_array_equal(loaded, chi)
+    # a document it could not read back is not written
+    for chi, convention, message in [
+        (np.eye(4), "bogus", "unknown chi convention 'bogus'"),
+        (np.eye(4), None, "unknown chi convention None"),
+        (np.full((4, 4), np.nan), "choi-row-ef", "chi entries must be finite"),
+        (np.diag([1.0, 1.0, 1.0, np.inf]), "pauli-row-ixyz", "chi entries must be finite"),
+        (np.diag([1.0, 1.0, 1.0, complex(0, -np.inf)]), "choi-row-ef", "chi entries must be finite"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            chi_to_json(chi, convention)
+    assert chi_from_json(chi_to_json(np.eye(4), "pauli-row-ixyz"))[1] == "pauli-row-ixyz"
 
 
 def test_chi_json_validation():
