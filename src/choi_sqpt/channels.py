@@ -97,6 +97,14 @@ class QuantumChannel:
         stack.setflags(write=False)
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "kraus", tuple(stack))
+        # the output states a lone element's input kets were found to have, by ket bytes,
+        # kept by measure._kept_output_states within its budget; they go with the channel
+        object.__setattr__(self, "_kept", {})
+
+    def __reduce__(self):
+        # a pickled or copied channel is rebuilt from its operators: read-only, with its
+        # Kraus views into one stack, and keeping no state (a kept one has this process's bits)
+        return QuantumChannel, (self.dim, self.kraus)
 
     def kraus_stack(self) -> np.ndarray:
         """All Kraus operators as one read-only (rank, D, D) array."""
@@ -306,8 +314,10 @@ def _hermitian(op: np.ndarray, what: str, entries: str | None = None) -> np.ndar
 
 
 def _whole(value) -> bool:
-    # an integer, or a float without a fraction; inf and nan have no int()
-    return isinstance(value, numbers.Integral) or (math.isfinite(value) and int(value) == value)
+    # an integer, or a real without a fraction; inf and nan have no int(), a string no value
+    return isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and math.isfinite(value) and int(value) == value
+    )
 
 
 def _require_qubit(name: str, dim: int) -> None:

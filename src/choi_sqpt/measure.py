@@ -18,7 +18,9 @@ alone, then makes a stacked product per observable kind present, again a
 single read's BLAS call per cell.  On the exact backend a Hermitian cell
 whose observable has at most one nonzero per row, as every SU(d) generator
 and tensor product of them, is a gather of D products, not a D x D x D
-product.
+product.  A lone element's rows (a _Side built with keep) take the output states
+their channel keeps (_kept_output_states): a channel applies itself once to each
+input ket that lone elements read, up to _KEPT_ENTRIES kept entries.
 
 Every sampled cell derives its own random stream by hashing a canonical
 byte encoding of its two vectors together with the master seed, so results are
@@ -36,6 +38,7 @@ crossover.  Both give numpy's streams, bit for bit; only draws are per cell.
 from __future__ import annotations
 
 import hashlib
+import threading
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Mapping, Sequence
@@ -167,6 +170,11 @@ _POOL_OTHERS = [np.array([i for i in range(4) if i != src]) for src in range(4)]
 # _seed_states mixes a block of at most this many cells cell by cell, in C
 _CELL_POOLS = 16
 
+# the complex entries of output states one channel keeps for lone elements' rows:
+# 1 MiB, every input ket's state up to D = 16; read at call time
+_KEPT_ENTRIES = 1 << 16
+_KEEPING = threading.Lock()  # a channel's room check and its keeping, as one step
+
 
 def _hashmix(values: np.ndarray, chain: np.ndarray) -> np.ndarray:
     values = (values ^ chain[:-1]) * chain[1:]
@@ -253,6 +261,28 @@ def _output_states(channel: QuantumChannel, kets: np.ndarray) -> np.ndarray:
     return outs
 
 
+def _kept_output_states(channel: QuantumChannel, kets: np.ndarray, keys) -> np.ndarray:
+    """_output_states of kets (n, D, 1), keyed by their bytes, taking those the channel keeps.
+
+    The kets not kept are applied in one _output_states call, so every state has
+    the bits a fresh read gives, and kept, each as a copy owning its entries,
+    while the channel then keeps at most _KEPT_ENTRIES entries; none is evicted.
+    """
+    kept = channel._kept
+    states = [kept.get(key) for key in keys]
+    missing = [k for k, state in enumerate(states) if state is None]
+    if not missing:
+        return np.stack(states)
+    fresh = _output_states(channel, kets[missing])
+    room = _KEPT_ENTRIES // kets.shape[1] ** 2  # the states a channel keeps
+    with _KEEPING:
+        for k, state in zip(missing, fresh):
+            states[k] = state
+            if len(kept) < room:
+                kept.setdefault(keys[k], _frozen(state))  # a copy: a view would pin fresh
+    return fresh if len(missing) == len(keys) else np.stack(states)
+
+
 def _outside(p: np.ndarray) -> np.ndarray:
     # probabilities further than PROB_BAND outside [0, 1]
     return (p < -PROB_BAND) | (p > 1.0 + PROB_BAND)
@@ -296,18 +326,25 @@ def _probabilities(p, q, proj, herm) -> tuple[np.ndarray, np.ndarray | None]:
 class _Side:
     """A table side: vectors its builder has checked, split by kind and stacked read-only.
 
-    proj and herm index the 1-d and 2-d vectors, stacked as kets and ops.  The first read
+    proj and herm index the 1-d and 2-d vectors, stacked as kets and ops.  A side
+    built with keep, a lone element's, reads its rows' output states through the
+    channel's kept states, by its kets' bytes (keys, built on that first read).  The first read
     to use it builds a column's bras, for the exact backend the ops' nonzeros, or for the
     sampled backend a column's tails (each vector's _key_tail, in order) and eigs (the
     ops' evals, evecs, evecs_h) or a row's prefixes (each ket's _key_prefix hashed, one
     sha256 state, derived from its tail).
     """
 
-    def __init__(self, vectors, dim: int):
+    def __init__(self, vectors, dim: int, keep: bool = False):
+        self.keep = keep
         self.proj = tuple(k for k, v in enumerate(vectors) if v.ndim == 1)
         self.herm = tuple(k for k, v in enumerate(vectors) if v.ndim == 2)
         self.kets = _frozen([vectors[k] for k in self.proj]).reshape(-1, dim, 1)
         self.ops = _frozen([vectors[k] for k in self.herm]).reshape(-1, dim, dim)
+
+    @cached_property
+    def keys(self) -> tuple[bytes, ...]:
+        return tuple(ket.tobytes() for ket in self.kets)
 
     @cached_property
     def bras(self) -> np.ndarray:
@@ -399,7 +436,10 @@ def _read_table(
     # per row: its output state, and a D-vector per projector or a D x D
     # matrix per Hermitian observable in the stacked products
     for block in _blocks(n_rows, (1 + len(herm)) * dim * dim + len(proj) * dim):
-        outs = _output_states(channel, rows.kets[block])[:, None]
+        if rows.keep:
+            outs = _kept_output_states(channel, rows.kets[block], rows.keys[block])[:, None]
+        else:
+            outs = _output_states(channel, rows.kets[block])[:, None]
         p = ((cols.bras @ outs) @ kets)[..., 0, 0].real if proj or sampled else None
         if not sampled:
             if proj:

@@ -36,8 +36,7 @@ from .channels import (
     QuantumChannel, _blocks, _chi_dim, _complex_from_pair, _dimension, _finite, _index,
 )
 from .measure import (
-    BackendConfig, PhysicalityError, _Side, _Table, _checked_observable, _read_table,
-    input_state_set, tp_complete,
+    BackendConfig, PhysicalityError, _Side, _Table, _read_table, input_state_set, tp_complete,
 )
 
 __all__ = [
@@ -79,14 +78,24 @@ _LAMBDA_SLOTS = (1, 3, 0, 2)
 _CHI_SLOTS = tuple(_LAMBDA_SLOTS.index(k) for k in range(4))
 
 
+def _slotted(target, slots: tuple[int, ...]) -> tuple:
+    # the entries of target, four indices, at slots
+    try:
+        if len(target) == 4:
+            return tuple(target[k] for k in slots)
+    except (TypeError, LookupError):  # no length, or no entries 0..3
+        pass
+    raise ValueError(f"target must be four indices, got {target!r:.60}")
+
+
 def lambda_index(target: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
     """Data-matrix indices (a, b, c, d) of the chi element (e, f, g, h)."""
-    return tuple(target[k] for k in _LAMBDA_SLOTS)
+    return _slotted(target, _LAMBDA_SLOTS)
 
 
 def chi_index(target: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
     """Process-matrix indices (e, f, g, h) of the lambda entry (a, b, c, d)."""
-    return tuple(target[k] for k in _CHI_SLOTS)
+    return _slotted(target, _CHI_SLOTS)
 
 
 def beta_entry(
@@ -199,6 +208,12 @@ class MeasurementPlan:
     inputs: PureStateExpansion
     observables: PureStateExpansion
 
+    def __post_init__(self):
+        # verified expansions only: a side reads their kets unchecked
+        for name in ("inputs", "observables"):
+            if not isinstance(getattr(self, name), PureStateExpansion):
+                raise ValueError(f"{name} must be a PureStateExpansion")
+
     @property
     def terms(self) -> tuple[tuple[complex, int], ...]:
         weights = [r * s for r in self.inputs.weights for s in self.observables.weights]
@@ -305,7 +320,8 @@ def reconstruct_element(
     """Measure a plan's <= 4 x 4 table and combine it into the chi element.
 
     The 1 x 1 grid of _choi_four, over the plan's own kets, in order: the
-    channel is applied once per input state of the plan (1 or 4 times).
+    channel is applied to each input state of the plan (1 or 4) the first time
+    a lone element reads it on that channel, which keeps its output state.
     Rows and columns are the expansions' sides, built once each (_unit_side),
     read through a table built per request: its cells' keys are hashed per request.
     """
@@ -326,11 +342,13 @@ _UNIT_SIDES = weakref.WeakKeyDictionary()  # _unit_side's, kept as long as their
 
 
 def _unit_side(expansion: PureStateExpansion):
-    """An expansion's kets as a side, rows and columns alike, and its (1, n) slots and weights."""
+    """An expansion's kets as a side, rows and columns alike, and its (1, n) slots and weights.
+
+    Read as rows, the side takes and fills the channel's kept output states.
+    """
     found = _UNIT_SIDES.get(expansion)
     if found is None:
-        dim = len(expansion.states[0])  # a hand-built plan's kets are outside input: check them
-        side = _Side([_checked_observable(ket, dim) for ket in expansion.states], dim)
+        side = _Side(expansion.states, len(expansion.states[0]), keep=True)
         slots = _padded([(range(len(expansion.weights)), expansion.weights)])
         found = _UNIT_SIDES[expansion] = side, slots
     return found
@@ -515,8 +533,9 @@ class QuditIndexMap:
     local_dim: int
 
     def __post_init__(self):
-        _dimension(self.n_sites, "n_sites")
-        _dimension(self.local_dim, "local_dim", 2)
+        # Python ints: dim is local_dim**n_sites, which a numpy integer would wrap
+        object.__setattr__(self, "n_sites", _dimension(self.n_sites, "n_sites"))
+        object.__setattr__(self, "local_dim", _dimension(self.local_dim, "local_dim", 2))
 
     @property
     def dim(self) -> int:

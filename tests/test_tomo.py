@@ -1,13 +1,17 @@
+import copy
 import gc
 import hashlib
 import itertools
 import os
+import pickle
+import random
 import re
 import subprocess
 import sys
 import textwrap
 import threading
 import tracemalloc
+import types
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -257,6 +261,11 @@ def test_plan_index_validation():
         with pytest.raises(ValueError, match=f"dim must be positive, got {dim}"):
             plan_element(0, 0, 0, 0, dim)
     assert plan_element(0, 0, 0, 0, 1).settings_count == 1
+    # a target that is not four indices is refused by name, not indexed
+    for relabel in (lambda_index, chi_index):
+        for target in [(0, 1), (0, 1, 2, 3, 4), 5, None, {0: 1}]:
+            with pytest.raises(ValueError, match="^target must be four indices"):
+                relabel(target)
 
 
 # --- single-element reconstruction ----------------------------------------------
@@ -736,6 +745,15 @@ def test_a_plan_whose_expansions_differ_in_dimension_is_refused(config):
             reconstruct_element(plan, ch, config)
 
 
+def test_a_plan_refuses_an_expansion_that_is_not_verified():
+    # a look-alike would reach the tables with unchecked kets
+    unit = expand_choi_four(1, 0, 3)
+    fake = types.SimpleNamespace(weights=unit.weights, states=(np.ones(3),) * 4, target=(1, 0))
+    for inputs, observables, name in [(fake, unit, "inputs"), (unit, fake, "observables")]:
+        with pytest.raises(ValueError, match=f"^{name} must be a PureStateExpansion$"):
+            MeasurementPlan(3, (0, 1, 2, 0), inputs, observables)
+
+
 def test_unit_tables_are_read_only_and_bounded():
     # one side per live expansion: the cache holds no expansion alive
     assert isinstance(tomo._UNIT_SIDES, weakref.WeakKeyDictionary)
@@ -1016,7 +1034,7 @@ def test_building_a_design_checks_no_vector_again(monkeypatch, build, args):
     builder.cache_clear()
     checks = [_count_calls(monkeypatch, module, name) for module, name in [
         (measure, "_checked_state"), (measure, "_checked_observable"),
-        (tomo, "_checked_observable"), (measure, "_unit_vector"), (basis, "_unit_vector"),
+        (measure, "_unit_vector"), (basis, "_unit_vector"),
     ]]
     builder(*args)
     assert builder.cache_info().currsize == 1
@@ -1160,6 +1178,137 @@ def test_element_channel_application_budget(monkeypatch, target, settings,
     assert calls[0] == applications
 
 
+def _element_bytes(channel, target, config) -> bytes:
+    est = reconstruct_element(plan_element(*target, channel.dim), channel, config)
+    return np.array([est.value]).tobytes() + np.array([est.std_error]).tobytes()
+
+
+def _kept_entries(channel) -> int:
+    # the complex entries a channel's kept states hold: each is read-only and
+    # owns its entries, so a kept state pins no larger block
+    kept = channel._kept.values()
+    assert all(state.base is None and not state.flags.writeable for state in kept)
+    return sum(state.size for state in kept)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("config", [EXACT, BackendConfig("sampled", 100, 1)],
+                         ids=["exact", "sampled"])
+def test_a_warm_channel_gives_every_lone_element_its_cold_bytes(monkeypatch, dim, config):
+    # every lone element read cold (on a channel of its own), then on one
+    # channel in order and again shuffled: the same bytes, and the shuffled
+    # pass applies the channel to no ket, each input ket's state being kept
+    monkeypatch.setattr(measure, "_KEPT_ENTRIES", 1 << 16)
+    ch = preset_channel("random-cptp", [dim + 90, 2], dim)
+    targets = _all_targets(dim)
+    cold = {t: _element_bytes(QuantumChannel(dim, ch.kraus), t, config) for t in targets}
+    assert {t: _element_bytes(ch, t, config) for t in targets} == cold
+    assert len(ch._kept) == dim**2 and _kept_entries(ch) == dim**4
+    calls = _count_channel_applications(monkeypatch)
+    random.Random(dim).shuffle(targets)
+    assert {t: _element_bytes(ch, t, config) for t in targets} == cold
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize("room", [9, 5], ids=["every-ket", "five-kets"])
+def test_lone_elements_racing_on_one_channel_get_their_cold_bytes(monkeypatch, room):
+    # threads reading lone elements of one channel, each in its own order,
+    # fill its kept states in any interleaving: each read gives the bytes of
+    # a read that keeps nothing, and the channel keeps no more than its room
+    dim, sampled = 3, BackendConfig("sampled", 1000, 9)
+    ch = preset_channel("random-cptp", [86, 2], dim)
+    targets = _all_targets(dim)
+
+    def read(channel, order, start: threading.Barrier) -> dict:
+        start.wait(timeout=30)
+        return {(t, config.mode): _element_bytes(channel, t, config)
+                for t in order for config in (EXACT, sampled)}
+
+    monkeypatch.setattr(measure, "_KEPT_ENTRIES", 0)
+    cold = read(QuantumChannel(dim, ch.kraus), targets, threading.Barrier(1))
+    monkeypatch.setattr(measure, "_KEPT_ENTRIES", room * dim**2)
+    orders = [random.Random(k).sample(targets, len(targets)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            start = threading.Barrier(8)
+            threaded = [pool.submit(read, ch, order, start) for order in orders]
+            results = [future.result(timeout=60) for future in threaded]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [cold] * 8
+    assert len(ch._kept) == room and _kept_entries(ch) == room * dim**2
+
+
+def test_a_stream_at_dimension_32_keeps_its_budget_and_frees_it_with_its_channel(monkeypatch):
+    # 40 four-ket elements read 112 distinct input kets; the budget holds 64
+    # D = 32 states, kept first come, and they go when the channel does
+    monkeypatch.setattr(measure, "_KEPT_ENTRIES", 1 << 16)
+    dim = 32
+    plans = [plan_element(0, f, 0, h, dim) for f, h in itertools.combinations(range(dim), 2)][:40]
+    assert {plan.settings_count for plan in plans} == {4}
+    warm_up = preset_channel("random-cptp", [97, 2], dim)
+    for plan in plans:  # each expansion's side and its kets' keys are built before tracing
+        reconstruct_element(plan, warm_up, EXACT)
+    del warm_up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ch = preset_channel("random-cptp", [97, 2], dim)
+        for plan in plans:
+            reconstruct_element(plan, ch, EXACT)
+            assert _kept_entries(ch) <= measure._KEPT_ENTRIES
+        assert len(ch._kept) == (1 << 16) // dim**2
+        held = tracemalloc.get_traced_memory()[0] - start
+        channel = weakref.ref(ch)
+        del ch
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert channel() is None
+    assert held >= 16 << 16 and left < 64 << 10, (held, left)
+
+
+def test_a_pickled_or_copied_channel_keeps_no_state(monkeypatch):
+    # a kept state has the BLAS bits of the process that computed it; the
+    # copy is rebuilt from the operators, read-only views of one stack
+    monkeypatch.setattr(measure, "_KEPT_ENTRIES", 1 << 16)
+    ch = preset_channel("random-cptp", [99, 2], 3)
+    expected = _element_bytes(ch, (0, 1, 2, 0), EXACT)
+    assert len(ch._kept) == 4
+    for copied in (pickle.loads(pickle.dumps(ch)), copy.deepcopy(ch), copy.copy(ch)):
+        stack = copied.kraus_stack()
+        assert copied._kept == {} and stack.tobytes() == ch.kraus_stack().tobytes()
+        assert not stack.flags.writeable and all(k.base is stack for k in copied.kraus)
+        assert _element_bytes(copied, (0, 1, 2, 0), EXACT) == expected
+        assert len(copied._kept) == len(ch._kept) == 4
+
+
+@pytest.mark.parametrize("config", [EXACT, BackendConfig("sampled", 100, 1)],
+                         ids=["exact", "sampled"])
+def test_full_designs_and_measure_table_neither_read_nor_fill_kept_states(monkeypatch, config):
+    # they apply the channel once per input state, warm channel or not
+    monkeypatch.setattr(measure, "_KEPT_ENTRIES", 1 << 16)
+    states = measure.input_state_set(3)
+    fresh = preset_channel("random-cptp", [98, 2], 3)
+    ch = preset_channel("random-cptp", [98, 2], 3)
+    for target in _all_targets(3):
+        reconstruct_element(plan_element(*target, 3), ch, config)
+    kept = dict(ch._kept)
+    assert len(kept) == 3**2
+    calls = _count_channel_applications(monkeypatch)
+    for channel in (fresh, ch):
+        for strategy, tp_shortcut in CALIBRATION_CASES:
+            full_sqpt(channel, config, strategy, tp_shortcut)
+        measure_table(channel, states, states, config)
+    assert calls[0] == 2 * (len(CALIBRATION_CASES) + 1) * 3**2
+    assert fresh._kept == {} and ch._kept.keys() == kept.keys()
+    assert all(ch._kept[key] is state for key, state in kept.items())
+
+
 # (strategy, tp_shortcut) cases whose reported std_errors are calibrated
 CALIBRATION_CASES = [
     ("choi-four", False), ("choi-four", True), ("product-hermitian", False),
@@ -1242,6 +1391,10 @@ def test_index_validation():
             QuditIndexMap(n_sites, local_dim)
     assert index_map.compose(np.array([2, 1])) == 7
     assert index_map.decompose(np.int64(7)) == (2, 1)
+    # numpy integers are kept as Python ints, so dim does not wrap at 2**63
+    for n_sites, dim in [(64, 2**64), (63, 2**63)]:
+        index_map = QuditIndexMap(np.int64(n_sites), np.int64(2))
+        assert index_map.dim == dim and type(index_map.dim) is int
 
 
 def test_ghz_profile_full_entanglement():
