@@ -244,10 +244,10 @@ def assert_density_matrix(rho: np.ndarray, atol: float = 1e-10) -> None:
 def _one_probability(params: Sequence[float], name: str) -> float:
     if len(params) != 1:
         raise ValueError(f"{name} takes exactly one parameter, got {len(params)}")
-    p = float(params[0])
-    if not 0.0 <= p <= 1.0:
+    p = params[0]  # a real number, never a bool or a string; a numpy float is one
+    if isinstance(p, bool) or not (isinstance(p, numbers.Real) and 0.0 <= p <= 1.0):
         raise ValueError(f"{name} parameter must lie in [0, 1], got {p}")
-    return p
+    return float(p)
 
 
 def _integer(value, name: str) -> int:
@@ -311,6 +311,13 @@ def _hermitian(op: np.ndarray, what: str, entries: str | None = None) -> np.ndar
     if np.max(np.abs(op - op.conj().T)) > 1e-12:
         raise ValueError(f"{what} must be Hermitian")
     return op
+
+
+def _instance(value, kind: type, name: str):
+    # an object of the library's type kind, refused before any of its attributes is read
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}")
+    return value
 
 
 def _whole(value) -> bool:

@@ -47,7 +47,7 @@ import numpy as np
 
 from .basis import _frozen, basis_state, superposition_states
 from .channels import (
-    QuantumChannel, _blocks, _dimension, _hermitian, _index, _integer, _unit_vector,
+    QuantumChannel, _blocks, _dimension, _hermitian, _index, _instance, _integer, _unit_vector,
 )
 
 __all__ = [
@@ -240,8 +240,8 @@ def _hash_keys(prefixes, tails) -> np.ndarray:
         for tail in tails:
             (cell := row.copy()).update(tail)
             digests.append(cell.digest()[:16])
-    words = np.frombuffer(b"".join(digests), dtype="<u4")
-    return _frozen(words.reshape(len(prefixes), len(tails), 4), np.uint32)
+    # frombuffer over bytes is already read-only
+    return np.frombuffer(b"".join(digests), dtype="<u4").reshape(len(prefixes), len(tails), 4)
 
 
 def _output_states(channel: QuantumChannel, kets: np.ndarray) -> np.ndarray:
@@ -272,7 +272,7 @@ def _kept_output_states(channel: QuantumChannel, kets: np.ndarray, keys) -> np.n
     states = [kept.get(key) for key in keys]
     missing = [k for k, state in enumerate(states) if state is None]
     if not missing:
-        return np.stack(states)
+        return np.array(states)
     fresh = _output_states(channel, kets[missing])
     room = _KEPT_ENTRIES // kets.shape[1] ** 2  # the states a channel keeps
     with _KEEPING:
@@ -280,7 +280,7 @@ def _kept_output_states(channel: QuantumChannel, kets: np.ndarray, keys) -> np.n
             states[k] = state
             if len(kept) < room:
                 kept.setdefault(keys[k], _frozen(state))  # a copy: a view would pin fresh
-    return fresh if len(missing) == len(keys) else np.stack(states)
+    return fresh if len(missing) == len(keys) else np.array(states)
 
 
 def _outside(p: np.ndarray) -> np.ndarray:
@@ -301,13 +301,17 @@ def _probabilities(p, q, proj, herm) -> tuple[np.ndarray, np.ndarray | None]:
     row-major order, raises PhysicalityError: naming its first probability
     outside [0, 1], or else its outcome distribution's sum.
     """
-    unphysical = np.zeros((len(p), len(proj) + len(herm)), dtype=bool)
-    unphysical[:, proj] = _outside(p)
+    bad_p, bad_q = _outside(p), None
     if herm:
         probs = _clamped(q)
         totals = probs.sum(axis=2, keepdims=True)
-        unphysical[:, herm] = _outside(q).any(axis=2) | (np.abs(totals[..., 0] - 1.0) > PROB_BAND)
-    if unphysical.any():
+        bad_q = _outside(q).any(axis=2) | (np.abs(totals[..., 0] - 1.0) > PROB_BAND)
+    if bad_p.any() or (herm and bad_q.any()):
+        # the cells in row-major order, only once one is unphysical
+        unphysical = np.zeros((len(p), len(proj) + len(herm)), dtype=bool)
+        unphysical[:, proj] = bad_p
+        if herm:
+            unphysical[:, herm] = bad_q
         m, k = np.unravel_index(unphysical.argmax(), unphysical.shape)
         cell = np.atleast_1d(p[m, proj.index(k)] if k in proj else q[m, herm.index(k)])
         outside = cell[_outside(cell)].tolist()
@@ -409,6 +413,8 @@ def measure_table(
     observables against the first state, then each state against the
     channel.  On the sampled backend each is also encoded and eigendecomposed once.
     """
+    _instance(channel, QuantumChannel, "channel")
+    _instance(config, BackendConfig, "config")
     first = len(np.atleast_1d(states[0])) if len(states) else channel.dim
     observables = [_checked_observable(obs, first) for obs in observables]
     rows = _Side([_checked_state(state, channel.dim) for state in states], channel.dim)
@@ -428,11 +434,13 @@ def _read_table(
     proj, herm, kets = cols.proj, cols.herm, cols.kets
     n_rows, dim = rows.kets.shape[:2]
     values = np.zeros((n_rows, len(proj) + len(herm)))
-    errs = np.zeros_like(values)
+    errs = np.zeros(values.shape)
     if not values.shape[1]:
         return values, errs
     sampled, shots = config.mode == "sampled", config.shots
     evals, evecs, evecs_h = cols.eigs if sampled and herm else (None, None, None)
+    # a kind's columns, a slice when it fills the row: a store through basic indexing
+    at_proj, at_herm = (proj if herm else slice(None)), (herm if proj else slice(None))
     # per row: its output state, and a D-vector per projector or a D x D
     # matrix per Hermitian observable in the stacked products
     for block in _blocks(n_rows, (1 + len(herm)) * dim * dim + len(proj) * dim):
@@ -443,9 +451,9 @@ def _read_table(
         p = ((cols.bras @ outs) @ kets)[..., 0, 0].real if proj or sampled else None
         if not sampled:
             if proj:
-                values[block, proj] = p
+                values[block, at_proj] = p
             if herm:
-                values[block, herm] = _traces(cols, outs)
+                values[block, at_herm] = _traces(cols, outs)
             continue
         q = np.diagonal(evecs_h @ outs @ evecs, axis1=2, axis2=3).real if herm else None
         p, pvals = _probabilities(p, q, proj, herm)
@@ -456,8 +464,8 @@ def _read_table(
                 [_rng(row[k]).binomial(shots, pk) / shots for k, pk in zip(proj, row_p)]
                 for row, row_p in zip(streams, p.tolist())
             ])
-            values[block, proj] = est
-            errs[block, proj] = np.sqrt(est * (1.0 - est) / shots)
+            values[block, at_proj] = est
+            errs[block, at_proj] = np.sqrt(est * (1.0 - est) / shots)
         if herm:
             counts = [
                 [_rng(row[k]).multinomial(shots, pv) for k, pv in zip(herm, row_p)]
@@ -466,8 +474,8 @@ def _read_table(
             freq = (np.array(counts) / shots)[..., None]
             est = (evals @ freq)[..., 0, 0]
             var = (np.square(evals) @ freq)[..., 0, 0] - est * est
-            values[block, herm] = est
-            errs[block, herm] = np.sqrt(np.maximum(var, 0.0) / shots)
+            values[block, at_herm] = est
+            errs[block, at_herm] = np.sqrt(np.maximum(var, 0.0) / shots)
     return values, errs
 
 

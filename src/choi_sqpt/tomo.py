@@ -34,6 +34,7 @@ from .basis import (
 )
 from .channels import (
     QuantumChannel, _blocks, _chi_dim, _complex_from_pair, _dimension, _finite, _index,
+    _instance,
 )
 from .measure import (
     BackendConfig, PhysicalityError, _Side, _Table, _read_table, input_state_set, tp_complete,
@@ -211,8 +212,7 @@ class MeasurementPlan:
     def __post_init__(self):
         # verified expansions only: a side reads their kets unchecked
         for name in ("inputs", "observables"):
-            if not isinstance(getattr(self, name), PureStateExpansion):
-                raise ValueError(f"{name} must be a PureStateExpansion")
+            _instance(getattr(self, name), PureStateExpansion, name)
 
     @property
     def terms(self) -> tuple[tuple[complex, int], ...]:
@@ -274,22 +274,38 @@ def _combine(values, errs, rows, cols, var_cols) -> tuple[np.ndarray, np.ndarray
     of input units at a time.  The weights are dyadic, so every product is
     exact and only that order decides the bits; a padding term adds an exact
     zero, and a table without errors (the exact backend's) adds no variance term.
+
+    A block's terms are the rows (p, q) of one float array, each row every
+    entry's [re, im] pair and then, with errors, its variance term: at least
+    two floats a row, so np.add.reduce over the outer axis adds the rows left
+    to right (a contiguous axis would be summed pairwise), and + 0.0 gives the
+    sum from 0 its sign of zero.  The shorter side's missing rows are zeros.
+    The blocks reduce into one array, per input unit the entries' [re, im]
+    pairs and then their variances, and both results are views of it.
     """
     (i, r), (j, s), (jv, sv) = rows, cols, var_cols
-    per_unit = len(j) * i.shape[1] * max(j.shape[1], jv.shape[1])  # terms per input unit
-    lam, var = np.empty((len(i), len(j)), complex), np.zeros((len(i), len(j)))
-    # axes (p, q, u, v): one row per (p, q), input-outer, which sum() adds left to right from 0
-    i, r = i.T[:, None, :, None], r.T[:, None, :, None]
-    j, s, jv, sv = (x.T[None, :, None, :] for x in (j, s, jv, sv))
     sq_errs = np.square(errs) if np.count_nonzero(errs) else None
-    for block in _blocks(len(lam), per_unit):
+    n_in, n_obs, n_var, n_cols = i.shape[1], j.shape[1], jv.shape[1], len(j)
+    per_unit = n_cols * n_in * max(n_obs, n_var)  # terms per input unit
+    width = n_obs if sq_errs is None else max(n_obs, n_var)  # rows q per input slot p
+    pairs = 2 * n_cols  # an input unit's [re, im] floats, then its variances
+    floats = pairs if sq_errs is None else pairs + n_cols
+    sums = np.zeros((len(i), pairs + n_cols))
+    # axes (p, q, u, v): a row per (p, q), input-outer; the weights C-ordered as the terms
+    i, r = i.T[:, None, :, None], r.T[:, None, :, None]
+    j, s, jv, sv = (x.T[:, None] for x in (j, s, jv, sv))
+    for block in _blocks(len(sums), per_unit):
         ib, rb = i[:, :, block], r[:, :, block]
-        terms = rb * s * values[ib, j]
-        lam[block] = sum(terms.reshape(-1, *terms.shape[2:]))
+        terms = np.zeros((n_in, width, ib.shape[2], floats))
+        weights = np.multiply(rb, s, order="C")
+        np.multiply(weights, values[ib, j], out=terms[:, :n_obs, :, :pairs].view(complex))
         if sq_errs is not None:
-            sq_terms = np.abs(rb * sv) ** 2 * sq_errs[ib, jv]
-            var[block] = sum(sq_terms.reshape(-1, *sq_terms.shape[2:]))
-    return lam, var
+            sq_weights = np.abs(np.multiply(rb, sv, order="C")) ** 2
+            np.multiply(sq_weights, sq_errs[ib, jv], out=terms[:, :n_var, :, pairs:])
+        rows_pq = terms.reshape(n_in * width, *terms.shape[2:])
+        np.add.reduce(rows_pq, axis=0, out=sums[block, :floats])
+    sums += 0.0
+    return sums[:, :pairs].view(complex), sums[:, pairs:]
 
 
 def _table_side(units) -> tuple[list, list]:
@@ -325,6 +341,9 @@ def reconstruct_element(
     Rows and columns are the expansions' sides, built once each (_unit_side),
     read through a table built per request: its cells' keys are hashed per request.
     """
+    _instance(plan, MeasurementPlan, "plan")
+    _instance(channel, QuantumChannel, "channel")
+    _instance(config, BackendConfig, "config")
     if channel.dim != plan.dim:
         raise ValueError(
             f"plan dimension {plan.dim} does not match channel dimension {channel.dim}"
@@ -404,6 +423,8 @@ def full_sqpt(
     values; the standard errors treat it as 1 minus its partials, not as an
     independent measurement.  The channel must be trace preserving.
     """
+    _instance(channel, QuantumChannel, "channel")
+    _instance(config, BackendConfig, "config")
     if tp_shortcut:
         if strategy != "choi-four":
             raise ValueError("tp_shortcut is defined only for the choi-four strategy")

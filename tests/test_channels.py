@@ -337,6 +337,17 @@ def test_preset_errors():
         preset_channel("nonsense", [], 2)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         preset_channel("bit-flip", [1.5])
+    # a probability is a real number: None, a complex number and a list used to
+    # end in float()'s TypeError, while a string and a bool were read as numbers
+    for name, dim in (("bit-flip", 2), ("phase-flip", 2), ("amplitude-damping", 2),
+                      ("depolarizing", 3)):
+        for bad in (None, 1j, [0.1], "0.3", True, np.bool_(False), np.nan):
+            with pytest.raises(ValueError) as err:
+                preset_channel(name, [bad], dim)
+            assert str(err.value) == f"{name} parameter must lie in [0, 1], got {bad}"
+        for good in (np.float64(0.25), np.float32(0.25), 0, 1):
+            assert preset_channel(name, [good], dim).kraus_stack().tobytes() == \
+                preset_channel(name, [float(good)], dim).kraus_stack().tobytes()
     with pytest.raises(ValueError, match="dim=2"):
         preset_channel("amplitude-damping", [0.1], 3)
     with pytest.raises(ValueError, match="one parameter"):

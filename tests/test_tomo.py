@@ -495,28 +495,53 @@ def _combine_reference(values, errs, row, col) -> tuple[complex, float]:
     return value, variance
 
 
-def test_combine_matches_the_per_term_sum():
+def test_combine_matches_the_per_term_sum(monkeypatch):
     # every (input, observable) pair of D = 3 expansions, with and without
     # the shortcut's substitution, over a sampled-like table whose errors
-    # include 10^4-shot values that libm pow and x * x square differently
+    # include 10^4-shot values that libm pow and x * x square differently; as
+    # one grid, as the grid whose variance is read through the substitution
+    # (wider than its values), as every pair's 1 x 1 grid (a lone element's, of
+    # 1, 4 or 16 terms, and up to 20 substituted), in one block and in one-unit
+    # blocks.  A third table mixes magnitudes near 1e16 and 1, where numpy's
+    # pairwise sum (of 8 terms or more along a contiguous axis) and the left to
+    # right sum give other bits, for values and for variances alike
     dim, shots = 3, 10**4
     rng = np.random.default_rng(5)
     values = rng.integers(0, shots + 1, (9, 9)) / shots
     errs = np.sqrt(values * (1.0 - values) / shots)
     errs[:, :3] = [0.0016439939172636863, 0.0032809253267942567, 0.0033542116808573668]
+    scales = rng.choice([1.0, 1e16], (2, 9, 9))
+    mixed = rng.uniform(-1.5, 1.5, (9, 9)) * scales[0], rng.uniform(0.5, 1.5, (9, 9)) * scales[1]
     units = [expand_choi_four(a, b, dim) for a, b in np.ndindex(dim, dim)]
     rows = [(list(rng.permutation(9)[: len(u.weights)]), u.weights) for u in units]
-    cols = rows + [tomo._inferred_substituted(*row, 2, [0, 1]) for row in rows]
-    # the grid of every row x every column, the variance read through the
-    # columns; a table without errors, as the exact backend reads, too
-    sides = [tomo._padded(side) for side in (rows, cols)]
-    for table_errs in (errs, np.zeros_like(errs)):
-        lam, var = tomo._combine(values, table_errs, *sides, sides[1])
-        assert lam.shape == var.shape == (len(rows), len(cols))
-        for x, y in np.ndindex(lam.shape):
-            value, variance = _combine_reference(values, table_errs, rows[x], cols[y])
-            assert lam[x, y] == value and var[x, y] == variance, (x, y)
-    assert not np.signbit(var).any()
+    substituted = [tomo._inferred_substituted(*row, 2, [0, 1]) for row in rows]
+    cols = rows + substituted
+    # (input units, observable units, the units the variance is read through)
+    grids = [(rows, cols, cols), (rows, rows, substituted)]
+    grids += [([row], [col], [col]) for row in rows for col in cols]
+    grids += [([row], [col], [var]) for row in rows for col, var in zip(rows, substituted)]
+    pairwise_differs = [False, False]
+    for table in ((values, errs), (values, np.zeros_like(errs)), mixed):
+        for block_entries in (channels._BLOCK_ENTRIES, 1):
+            monkeypatch.setattr(channels, "_BLOCK_ENTRIES", block_entries)
+            for grid in grids:
+                lam, var = tomo._combine(*table, *(tomo._padded(side) for side in grid))
+                assert lam.shape == var.shape == (len(grid[0]), len(grid[1]))
+                for x, y in np.ndindex(lam.shape):
+                    value = _combine_reference(*table, grid[0][x], grid[1][y])[0]
+                    variance = _combine_reference(*table, grid[0][x], grid[2][y])[1]
+                    assert lam[x, y] == value and var[x, y] == variance, (x, y)
+                assert not np.signbit(var).any()
+        if table is mixed:  # the same terms summed pairwise, over a contiguous axis
+            for (i, r), (j, s) in itertools.product(rows, cols):
+                terms = [(r_p * s_q, table[0][i_p, j_q], table[1][i_p, j_q])
+                         for i_p, r_p in zip(i, r) for j_q, s_q in zip(j, s)]
+                value, variance = _combine_reference(*table, (i, r), (j, s))
+                pairwise = [np.add.reduce(np.array([w * v for w, v, _ in terms])),
+                            np.add.reduce(np.array([abs(w) ** 2 * (e * e) for w, _, e in terms]))]
+                pairwise_differs[0] |= pairwise[0] != value
+                pairwise_differs[1] |= pairwise[1] != variance
+    assert pairwise_differs == [True, True]
 
 
 @pytest.mark.parametrize("config", [EXACT, BackendConfig("sampled", 10**4, 2**32 + 7)],
@@ -752,6 +777,30 @@ def test_a_plan_refuses_an_expansion_that_is_not_verified():
     for inputs, observables, name in [(fake, unit, "inputs"), (unit, fake, "observables")]:
         with pytest.raises(ValueError, match=f"^{name} must be a PureStateExpansion$"):
             MeasurementPlan(3, (0, 1, 2, 0), inputs, observables)
+
+
+@pytest.mark.parametrize("bad", [None, "bit-flip", 2], ids=["None", "str", "int"])
+def test_a_channel_config_or_plan_of_another_type_is_refused_by_name(monkeypatch, bad):
+    # each used to end in AttributeError ('NoneType' object has no attribute 'dim'
+    # or 'mode'); the refusal comes before any read, so no table is read
+    reads = [_count_calls(monkeypatch, owner, "_read_table") for owner in (tomo, measure)]
+    ch, plan = preset_channel("bit-flip", [0.25]), plan_element(0, 1, 0, 1, 2)
+    calls = [
+        ("plan", lambda: reconstruct_element(bad, ch, EXACT)),
+        ("channel", lambda: reconstruct_element(plan, bad, EXACT)),
+        ("config", lambda: reconstruct_element(plan, ch, bad)),
+        ("channel", lambda: full_sqpt(bad, EXACT)),
+        ("channel", lambda: full_sqpt(bad, EXACT, tp_shortcut=True)),
+        ("config", lambda: full_sqpt(ch, bad)),
+        ("config", lambda: full_sqpt(ch, bad, "product-hermitian")),
+        ("channel", lambda: measure_table(bad, [np.ones(2) / np.sqrt(2)], [np.eye(2)], EXACT)),
+        ("config", lambda: measure_table(ch, [np.ones(2) / np.sqrt(2)], [np.eye(2)], bad)),
+    ]
+    kinds = {"plan": "MeasurementPlan", "channel": "QuantumChannel", "config": "BackendConfig"}
+    for name, call in calls:
+        with pytest.raises(ValueError, match=f"^{name} must be a {kinds[name]}$"):
+            call()
+    assert reads == [[0], [0]]
 
 
 def test_unit_tables_are_read_only_and_bounded():
