@@ -36,9 +36,6 @@ __all__ = [
     "superposition_states",
 ]
 
-# expansion solves refuse systems worse conditioned than this
-COND_CAP = 1e8
-
 # an expansion reproduces its matrix unit to this max-abs residual
 _EXPANSION_ATOL = 1e-12
 
@@ -169,16 +166,6 @@ def _choi_four_unit(a: int, b: int, dim: int) -> PureStateExpansion:
         weights = (1.0, -1.0j, -(1.0 - 1.0j) / 2, -(1.0 - 1.0j) / 2)
         states = (plus, minus, basis_state(b, dim), basis_state(a, dim))
     return PureStateExpansion(weights, states, (a, b))
-
-
-def _solve_expansion(columns: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    cond = np.linalg.cond(columns)
-    if not np.isfinite(cond) or cond > COND_CAP:
-        raise LinAlgError(
-            f"{what} are linearly dependent or too ill-conditioned "
-            f"(cond={cond:.3e}, cap={COND_CAP:.0e})"
-        )
-    return np.linalg.solve(columns, rhs)
 
 
 @dataclass(frozen=True, eq=False)

@@ -130,6 +130,7 @@ def apply_channel(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
     the Kraus sum is linear so non-Hermitian inputs are meaningful too.
     The terms are added one at a time, in Kraus order, starting from zeros.
     """
+    _instance(channel, QuantumChannel, "channel")
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (channel.dim, channel.dim):
         raise ValueError(
@@ -160,6 +161,7 @@ def chi_oracle(channel: QuantumChannel) -> np.ndarray:
     positive semidefinite by construction, with trace D for a
     trace-preserving channel.
     """
+    _instance(channel, QuantumChannel, "channel")
     flat = channel.kraus_stack().reshape(len(channel.kraus), -1)
     return flat.T @ flat.conj()
 
@@ -188,6 +190,7 @@ def validate_cptp(channel: QuantumChannel, tol: float = 1e-10) -> ValidationRepo
     Never raises on an unphysical channel: failures are carried in the
     report so callers can decide what to do with them.
     """
+    _instance(channel, QuantumChannel, "channel")
     tol = _tolerance(tol, "tolerance")
     dev = channel.tp_deviation()
     chi = chi_oracle(channel)
@@ -321,9 +324,10 @@ def _instance(value, kind: type, name: str):
 
 
 def _whole(value) -> bool:
-    # an integer, or a real without a fraction; inf and nan have no int(), a string no value
-    return isinstance(value, numbers.Integral) or (
-        isinstance(value, numbers.Real) and math.isfinite(value) and int(value) == value
+    # a non-bool integer, or a real without a fraction; inf and nan have no int(), a string no value
+    return not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral)
+        or isinstance(value, numbers.Real) and math.isfinite(value) and int(value) == value
     )
 
 
@@ -409,6 +413,8 @@ def kron_channel(ch1: QuantumChannel, ch2: QuantumChannel) -> QuantumChannel:
     The first factor is the most significant subsystem, matching the
     base-d index convention used by the multi-qudit utilities.
     """
+    _instance(ch1, QuantumChannel, "ch1")
+    _instance(ch2, QuantumChannel, "ch2")
     kraus = tuple(np.kron(a, b) for a in ch1.kraus for b in ch2.kraus)
     return QuantumChannel(ch1.dim * ch2.dim, kraus)
 
@@ -424,6 +430,7 @@ def _complex_to_pair(z: complex) -> list[float]:
 
 
 def channel_to_json(channel: QuantumChannel) -> dict:
+    _instance(channel, QuantumChannel, "channel")
     return {
         "dim": channel.dim,
         "kraus": [
@@ -494,6 +501,6 @@ def load_channel(path) -> QuantumChannel:
 
 
 def save_channel(channel: QuantumChannel, path) -> None:
+    text = json.dumps(channel_to_json(channel), sort_keys=True)  # refused before the file opens
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(channel_to_json(channel), fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")

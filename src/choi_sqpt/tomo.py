@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import (
-    PureStateExpansion, _frozen, _solve_expansion, _tensor_products, basis_state,
+    PureStateExpansion, _frozen, _tensor_products, basis_state,
     expand_choi_four, sud_generators,
 )
 from .channels import (
@@ -166,7 +166,7 @@ def lambda_oracle(channel: QuantumChannel) -> np.ndarray:
     lambda[a*D+b, c*D+d] is the (c, d) entry of eps(|a><b|), evaluated via
     the Kraus sum extended by linearity to non-Hermitian inputs.
     """
-    k = channel.kraus_stack()
+    k = _instance(channel, QuantumChannel, "channel").kraus_stack()
     lam4 = np.einsum("mca,mdb->abcd", k, k.conj())
     d = channel.dim
     return lam4.reshape(d * d, d * d)
@@ -210,9 +210,16 @@ class MeasurementPlan:
     observables: PureStateExpansion
 
     def __post_init__(self):
-        # verified expansions only: a side reads their kets unchecked
+        # verified expansions of dim-long kets that make the target: sides read them unchecked
+        object.__setattr__(self, "dim", _dimension(self.dim, "dim"))
         for name in ("inputs", "observables"):
-            _instance(getattr(self, name), PureStateExpansion, name)
+            if len(_instance(getattr(self, name), PureStateExpansion, name).states[0]) != self.dim:
+                raise ValueError(f"{name} kets must have length dim = {self.dim}")
+        units = (*self.inputs.target, *reversed(self.observables.target))
+        if lambda_index(self.target) != units:
+            raise ValueError(
+                f"target {self.target!r:.60} differs from the expansions' {chi_index(units)}"
+            )
 
     @property
     def terms(self) -> tuple[tuple[complex, int], ...]:
@@ -349,8 +356,6 @@ def reconstruct_element(
             f"plan dimension {plan.dim} does not match channel dimension {channel.dim}"
         )
     (rows, inputs), (cols, observables) = _unit_side(plan.inputs), _unit_side(plan.observables)
-    if not rows.kets.shape[1] == cols.kets.shape[1] == channel.dim:
-        raise ValueError("projector vector dimension mismatch")
     lam, var = _choi_four(channel, config, _Table(rows, cols), (inputs, observables, observables))
     return ChiElementEstimate(
         complex(lam[0, 0]), float(np.sqrt(var[0, 0])), plan.settings_count, config.descriptor
@@ -531,11 +536,11 @@ def _product_hermitian_design(local_dim: int, n_sites: int):
     proj_cols = np.stack(
         [np.outer(s, s.conj()).reshape(-1) for s in states], axis=1
     )
-    r_mat = _solve_expansion(proj_cols, np.eye(n, dtype=complex), "state projectors")
+    r_mat = np.linalg.solve(proj_cols, np.eye(n, dtype=complex))
     # observable weights: targets are the adjoint units |d><c| at column c*D+d
     obs_cols = np.stack([o.reshape(-1) for o in observables], axis=1)
     targets = np.eye(n, dtype=complex).reshape(dim, dim, n).transpose(1, 0, 2).reshape(n, n)
-    s_mat = _solve_expansion(obs_cols, targets, "basis operators")
+    s_mat = np.linalg.solve(obs_cols, targets)
     return _Table(_Side(states, dim), _Side(observables, dim)), _frozen(r_mat), _frozen(s_mat)
 
 
@@ -602,6 +607,7 @@ class GhzProfile:
 
 def ghz_profile(a: int, b: int, index_map: QuditIndexMap) -> GhzProfile:
     """Locate and verify the GHZ factorization of the (a, b) input states."""
+    _instance(index_map, QuditIndexMap, "index_map")
     n, d = index_map.n_sites, index_map.local_dim
     dim = index_map.dim
     da = index_map.decompose(a)

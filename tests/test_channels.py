@@ -367,12 +367,13 @@ def test_preset_errors():
 @pytest.mark.parametrize("params", [
     [np.inf], [-np.inf], [np.nan], [2.5], [-1],
     [3, np.inf], [3, -np.inf], [3, np.nan], [3, 1.5], [3, 0],
-    ["x"], [None], [1j], [3, "2"], [3, None],
+    ["x"], [None], [1j], [3, "2"], [3, None], [True], [False], [3, True], [np.True_],
 ], ids=str)
 def test_random_cptp_rejects_a_bad_seed_or_rank(params):
     # inf has no int() (OverflowError) and neither has nan (ValueError); they
     # are refused with the parameter's own message, as fractions are, and as
-    # a string, None or a complex number is: none of them is a real number
+    # a string, None or a complex number is: none of them is a real number;
+    # a bool is never read as 1, as the integer rule says
     slot, kind = ("seed", "a non-negative") if len(params) == 1 else ("rank", "a positive")
     with pytest.raises(ValueError) as err:
         preset_channel("random-cptp", params, 2)

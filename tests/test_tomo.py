@@ -32,6 +32,7 @@ from choi_sqpt import (
     basis_state,
     beta_entry,
     beta_permutation,
+    channel_to_json,
     chi_from_json,
     chi_from_lambda,
     chi_index,
@@ -41,6 +42,7 @@ from choi_sqpt import (
     expand_choi_four,
     full_sqpt,
     ghz_profile,
+    kron_channel,
     lambda_from_chi,
     lambda_index,
     lambda_oracle,
@@ -48,6 +50,8 @@ from choi_sqpt import (
     plan_element,
     preset_channel,
     reconstruct_element,
+    save_channel,
+    validate_cptp,
 )
 from choi_sqpt import basis, channels, measure, tomo
 
@@ -759,15 +763,32 @@ def test_a_hand_built_plan_reads_its_own_kets(config):
 
 @pytest.mark.parametrize("config", [EXACT, BackendConfig("sampled", 100, 1)],
                          ids=["exact", "sampled"])
-def test_a_plan_whose_expansions_differ_in_dimension_is_refused(config):
-    # from each other or from the channel, before the channel is applied
+def test_a_plan_whose_expansions_differ_in_dimension_is_refused(monkeypatch, config):
+    # from each other or from the plan's dim when it is built, and from the
+    # channel before the channel is applied; so is a plan whose target is not
+    # its expansions' element, which used to read the element (0, 0, 1, 1)
+    # under the label (0, 0, 0, 0)
+    cases = [
+        (3, (0, 1, 2, 0), (1, 0, 3), (2, 0, 4), "^observables kets must have length dim = 3$"),
+        (3, (0, 1, 2, 0), (1, 0, 4), (2, 0, 3), "^inputs kets must have length dim = 3$"),
+        (3, (0, 1, 2, 0), (1, 0, 4), (2, 0, 4), "^inputs kets must have length dim = 3$"),
+        (3, (9, 9, 9, 9), (0, 0, 2), (0, 0, 2), "^inputs kets must have length dim = 3$"),
+        (0, (0, 0, 0, 0), (0, 0, 2), (0, 0, 2), "^dim must be positive, got 0$"),
+        (2.0, (0, 0, 0, 0), (0, 0, 2), (0, 0, 2), "^dim must be an integer, got 2.0$"),
+        (2, (0, 0, 0, 0), (0, 1, 2), (1, 0, 2),
+         re.escape("target (0, 0, 0, 0) differs from the expansions' (0, 0, 1, 1)")),
+        (3, (0, 1, 2, 0), (1, 0, 3), (0, 2, 3), "differs from the expansions' "),
+        (3, (0, 1), (1, 0, 3), (2, 0, 3), "^target must be four indices"),
+    ]
+    for dim, target, inputs, observables, message in cases:
+        with pytest.raises(ValueError, match=message):
+            MeasurementPlan(dim, target, expand_choi_four(*inputs), expand_choi_four(*observables))
+    plan = MeasurementPlan(4, (0, 1, 2, 0), expand_choi_four(1, 0, 4), expand_choi_four(2, 0, 4))
     ch = preset_channel("random-cptp", [87, 2], 3)
-    for inputs, observables in [(expand_choi_four(1, 0, 3), expand_choi_four(2, 0, 4)),
-                                (expand_choi_four(1, 0, 4), expand_choi_four(2, 0, 3)),
-                                (expand_choi_four(1, 0, 4), expand_choi_four(2, 0, 4))]:
-        plan = MeasurementPlan(3, (0, 1, 2, 0), inputs, observables)
-        with pytest.raises(ValueError, match="projector vector dimension mismatch"):
-            reconstruct_element(plan, ch, config)
+    applied = _count_calls(monkeypatch, measure, "_output_states")
+    with pytest.raises(ValueError, match="^plan dimension 4 does not match channel dimension 3$"):
+        reconstruct_element(plan, ch, config)
+    assert applied == [0]
 
 
 def test_a_plan_refuses_an_expansion_that_is_not_verified():
@@ -780,9 +801,10 @@ def test_a_plan_refuses_an_expansion_that_is_not_verified():
 
 
 @pytest.mark.parametrize("bad", [None, "bit-flip", 2], ids=["None", "str", "int"])
-def test_a_channel_config_or_plan_of_another_type_is_refused_by_name(monkeypatch, bad):
+def test_a_channel_config_or_plan_of_another_type_is_refused_by_name(monkeypatch, tmp_path, bad):
     # each used to end in AttributeError ('NoneType' object has no attribute 'dim'
-    # or 'mode'); the refusal comes before any read, so no table is read
+    # or 'mode'); the refusal comes before any read, so no table is read and
+    # save_channel opens no file
     reads = [_count_calls(monkeypatch, owner, "_read_table") for owner in (tomo, measure)]
     ch, plan = preset_channel("bit-flip", [0.25]), plan_element(0, 1, 0, 1, 2)
     calls = [
@@ -795,12 +817,23 @@ def test_a_channel_config_or_plan_of_another_type_is_refused_by_name(monkeypatch
         ("config", lambda: full_sqpt(ch, bad, "product-hermitian")),
         ("channel", lambda: measure_table(bad, [np.ones(2) / np.sqrt(2)], [np.eye(2)], EXACT)),
         ("config", lambda: measure_table(ch, [np.ones(2) / np.sqrt(2)], [np.eye(2)], bad)),
+        ("channel", lambda: validate_cptp(bad)),
+        ("channel", lambda: chi_oracle(bad)),
+        ("channel", lambda: lambda_oracle(bad)),
+        ("channel", lambda: apply_channel(bad, np.eye(2))),
+        ("ch1", lambda: kron_channel(bad, ch)),
+        ("ch2", lambda: kron_channel(ch, bad)),
+        ("channel", lambda: channel_to_json(bad)),
+        ("channel", lambda: save_channel(bad, tmp_path / "channel.json")),
+        ("index_map", lambda: ghz_profile(0, 1, bad)),
     ]
-    kinds = {"plan": "MeasurementPlan", "channel": "QuantumChannel", "config": "BackendConfig"}
+    kinds = {"plan": "MeasurementPlan", "channel": "QuantumChannel", "ch1": "QuantumChannel",
+             "ch2": "QuantumChannel", "config": "BackendConfig", "index_map": "QuditIndexMap"}
     for name, call in calls:
         with pytest.raises(ValueError, match=f"^{name} must be a {kinds[name]}$"):
             call()
     assert reads == [[0], [0]]
+    assert not (tmp_path / "channel.json").exists()
 
 
 def test_unit_tables_are_read_only_and_bounded():
@@ -970,7 +1003,7 @@ def test_a_second_run_at_the_same_dimension_rebuilds_no_design(monkeypatch, stra
     # the same D pays for its table and combine alone
     full_sqpt(preset_channel("random-cptp", [82, 2], 3), EXACT, strategy)
     expansions = _count_calls(monkeypatch, basis, "PureStateExpansion")
-    solves = _count_calls(monkeypatch, tomo, "_solve_expansion")
+    solves = _count_calls(monkeypatch, np.linalg, "solve")
     second = preset_channel("random-cptp", [83, 2], 3)
     result = full_sqpt(second, EXACT, strategy)
     np.testing.assert_allclose(result.chi, chi_oracle(second), atol=1e-12)
