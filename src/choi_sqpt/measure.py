@@ -28,7 +28,10 @@ reproducible and independent of evaluation order or concurrent scheduling.
 A _Table of two sides hashes its cells' keys on its first sampled read, a
 copy of each row's hashed prefix per column tail; a request mixes only its
 master seed into these digests.  Full reconstruction keeps its table in its
-design, so a warm design hashes no key; a lone element builds one per request.
+design, so a warm design hashes no key.  A lone element builds its table per
+request and takes the stream states kept under its master seed
+(_kept_seed_states): a cell, keyed by its two kets' bytes, is hashed and mixed
+once per master seed, up to _KEPT_STREAMS cells.
 A block of at most _CELL_POOLS = 16 cells mixes each seed pool in numpy's C
 SeedSequence (about 5 us a cell); a larger block mixes them all in one
 vectorized pass that mirrors it (about 100 us), 16 being the measured
@@ -38,6 +41,7 @@ crossover.  Both give numpy's streams, bit for bit; only draws are per cell.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import threading
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -173,7 +177,11 @@ _CELL_POOLS = 16
 # the complex entries of output states one channel keeps for lone elements' rows:
 # 1 MiB, every input ket's state up to D = 16; read at call time
 _KEPT_ENTRIES = 1 << 16
-_KEEPING = threading.Lock()  # a channel's room check and its keeping, as one step
+# the cells whose stream states lone elements keep under one master seed, up to D = 16
+# and 16 / D as many above: 32 bytes of state a cell (512 KiB) and its index entry;
+# read when a master seed starts a store
+_KEPT_STREAMS = 1 << 14
+_KEEPING = threading.Lock()  # a room check and its keeping, as one step
 
 
 def _hashmix(values: np.ndarray, chain: np.ndarray) -> np.ndarray:
@@ -232,16 +240,16 @@ def _rng(state: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_stream_type()(state)))
 
 
-def _hash_keys(prefixes, tails) -> np.ndarray:
-    # each cell's key words, read-only (rows, cols, 4) uint32: the first 16 bytes, as 4
-    # little-endian uint32, of a copy of its row's hashed prefix finished with its tail
+def _hash_keys(cells) -> np.ndarray:
+    # each (row prefix, column tail) cell's key words, read-only (cells, 4) uint32: the first
+    # 16 bytes, as 4 little-endian uint32, of a copy of its row's hashed prefix finished
+    # with its tail
     digests = []
-    for row in prefixes:
-        for tail in tails:
-            (cell := row.copy()).update(tail)
-            digests.append(cell.digest()[:16])
+    for prefix, tail in cells:
+        (cell := prefix.copy()).update(tail)
+        digests.append(cell.digest()[:16])
     # frombuffer over bytes is already read-only
-    return np.frombuffer(b"".join(digests), dtype="<u4").reshape(len(prefixes), len(tails), 4)
+    return np.frombuffer(b"".join(digests), dtype="<u4").reshape(-1, 4)
 
 
 def _output_states(channel: QuantumChannel, kets: np.ndarray) -> np.ndarray:
@@ -283,6 +291,60 @@ def _kept_output_states(channel: QuantumChannel, kets: np.ndarray, keys) -> np.n
     return fresh if len(missing) == len(keys) else np.array(states)
 
 
+class _Streams:
+    """The stream states of lone elements' cells under one master seed: states[index[key]] for
+    the key (input ket bytes, observable ket bytes), rows filled in order and never evicted.
+    Only filled rows are written, so only their pages are touched."""
+
+    def __init__(self, master_seed: int | None, cells: int):
+        self.seed, self.index, self.filled = master_seed, {}, 0
+        self.states = np.empty((cells, 4), np.uint64)
+
+
+_streams = _Streams(None, 0)  # the last master seed's; a read under another replaces it
+
+
+def _kept_seed_states(master_seed: int, rows: _Side, cols: _Side, block: slice) -> np.ndarray:
+    """_seed_states of the cells rows[block] x cols (rows, cols, 4), by their kets' bytes,
+    taking those kept under master_seed: the table of a lone element, whose sides hold kets.
+
+    Only the missing cells are hashed and mixed, and kept while the store then fills at
+    most rows // max(1, D // 16) of its rows.  A read under another master seed starts a
+    new store of _KEPT_STREAMS rows.  A key derived twice, by racing reads, takes a second
+    row of its one state.
+    """
+    global _streams
+    n_cols = len(cols.keys)
+    keys = list(itertools.product(rows.keys[block], cols.keys))
+    with _KEEPING:
+        store = _streams
+        at = [store.index.get(key) for key in keys] if store.seed == master_seed else []
+        missing = [n for n, row in enumerate(at) if row is None]
+        # the kept rows, if any: a missing cell's row is overwritten below
+        found = store.states[[row or 0 for row in at]] if len(missing) < len(at) else None
+    if found is not None and not missing:
+        return found.reshape(-1, n_cols, 4)
+    prefixes = rows.prefixes[block]
+    if found is None:
+        cells = itertools.product(prefixes, cols.tails)
+    else:
+        cells = [(prefixes[n // n_cols], cols.tails[n % n_cols]) for n in missing]
+        keys = [keys[n] for n in missing]
+    fresh = _seed_states(master_seed, _hash_keys(cells).T)
+    with _KEEPING:
+        if _streams.seed != master_seed:
+            _streams = _Streams(master_seed, _KEPT_STREAMS)
+        kept, start = _streams, _streams.filled
+        new = max(0, min(len(fresh), len(kept.states) // max(1, rows.kets.shape[1] // 16) - start))
+        kept.states[start : start + new] = fresh[:new]
+        kept.index.update(zip(keys, range(start, start + new)))
+        kept.filled += new
+    if found is None:
+        return fresh.reshape(-1, n_cols, 4)
+    found[missing] = fresh
+    return found.reshape(-1, n_cols, 4)
+
+
 def _outside(p: np.ndarray) -> np.ndarray:
     # probabilities further than PROB_BAND outside [0, 1]
     return (p < -PROB_BAND) | (p > 1.0 + PROB_BAND)
@@ -301,38 +363,41 @@ def _probabilities(p, q, proj, herm) -> tuple[np.ndarray, np.ndarray | None]:
     row-major order, raises PhysicalityError: naming its first probability
     outside [0, 1], or else its outcome distribution's sum.
     """
-    bad_p, bad_q = _outside(p), None
+    # two reductions a kind tell whether any probability lies outside [0, 1]
+    clamp = any(x.size and (x.min() < 0.0 or x.max() > 1.0) for x in (p, q) if x is not None)
     if herm:
-        probs = _clamped(q)
+        probs = _clamped(q) if clamp else q
         totals = probs.sum(axis=2, keepdims=True)
-        bad_q = _outside(q).any(axis=2) | (np.abs(totals[..., 0] - 1.0) > PROB_BAND)
-    if bad_p.any() or (herm and bad_q.any()):
-        # the cells in row-major order, only once one is unphysical
+    if clamp or herm and (np.abs(totals - 1.0) > PROB_BAND).any():
+        # the cells in row-major order, only once a probability is outside or a sum is off
         unphysical = np.zeros((len(p), len(proj) + len(herm)), dtype=bool)
-        unphysical[:, proj] = bad_p
+        unphysical[:, proj] = _outside(p)
         if herm:
-            unphysical[:, herm] = bad_q
-        m, k = np.unravel_index(unphysical.argmax(), unphysical.shape)
-        cell = np.atleast_1d(p[m, proj.index(k)] if k in proj else q[m, herm.index(k)])
-        outside = cell[_outside(cell)].tolist()
-        if outside:
+            off = np.abs(totals[..., 0] - 1.0) > PROB_BAND
+            unphysical[:, herm] = _outside(q).any(axis=2) | off
+        if unphysical.any():
+            m, k = np.unravel_index(unphysical.argmax(), unphysical.shape)
+            cell = np.atleast_1d(p[m, proj.index(k)] if k in proj else q[m, herm.index(k)])
+            outside = cell[_outside(cell)].tolist()
+            if outside:
+                raise PhysicalityError(
+                    f"outcome probability {outside[0]} lies outside [0, 1]; the channel is "
+                    "not completely positive / trace preserving"
+                )
             raise PhysicalityError(
-                f"outcome probability {outside[0]} lies outside [0, 1]; the channel is "
-                "not completely positive / trace preserving"
+                f"outcome probabilities sum to {totals[m, herm.index(k), 0]}; the channel "
+                "is not trace preserving"
             )
-        raise PhysicalityError(
-            f"outcome probabilities sum to {totals[m, herm.index(k), 0]}; the channel "
-            "is not trace preserving"
-        )
-    return _clamped(p), (probs / totals if herm else None)
+    return (_clamped(p) if clamp else p), (probs / totals if herm else None)
 
 
 class _Side:
     """A table side: vectors its builder has checked, split by kind and stacked read-only.
 
     proj and herm index the 1-d and 2-d vectors, stacked as kets and ops.  A side
-    built with keep, a lone element's, reads its rows' output states through the
-    channel's kept states, by its kets' bytes (keys, built on that first read).  The first read
+    built with keep, a lone element's, holds kets only; it reads its rows' output states
+    through the channel's kept states and, with its columns, a sampled read's stream states
+    through the kept ones, by its kets' bytes (keys, built on that first read).  The first read
     to use it builds a column's bras, for the exact backend the ops' nonzeros, or for the
     sampled backend a column's tails (each vector's _key_tail, in order) and eigs (the
     ops' evals, evecs, evecs_h) or a row's prefixes (each ket's _key_prefix hashed, one
@@ -388,7 +453,8 @@ class _Side:
 class _Table:
     """The cells rows x cols of two sides.  The first sampled read builds digests, each
     cell's canonical_key words (_hash_keys of the rows' prefixes and the columns' tails),
-    which depend on neither channel nor seed.
+    which depend on neither channel nor seed; a lone element's table, whose rows are built
+    with keep, takes the kept stream states instead (_kept_seed_states) and builds none.
     """
 
     def __init__(self, rows: _Side, cols: _Side):
@@ -396,7 +462,8 @@ class _Table:
 
     @cached_property
     def digests(self) -> np.ndarray:
-        return _hash_keys(self.rows.prefixes, self.cols.tails)
+        cells = itertools.product(self.rows.prefixes, self.cols.tails)
+        return _hash_keys(cells).reshape(len(self.rows.prefixes), len(self.cols.tails), 4)
 
 
 def measure_table(
@@ -441,9 +508,10 @@ def _read_table(
     evals, evecs, evecs_h = cols.eigs if sampled and herm else (None, None, None)
     # a kind's columns, a slice when it fills the row: a store through basic indexing
     at_proj, at_herm = (proj if herm else slice(None)), (herm if proj else slice(None))
-    # per row: its output state, and a D-vector per projector or a D x D
-    # matrix per Hermitian observable in the stacked products
-    for block in _blocks(n_rows, (1 + len(herm)) * dim * dim + len(proj) * dim):
+    # per row: its output state, and in the stacked products a D-vector per projector and
+    # a D x D matrix per Hermitian observable, or D products where the exact read gathers it
+    per_herm = dim if herm and not sampled and cols.nonzeros is not None else dim * dim
+    for block in _blocks(n_rows, dim * dim + len(herm) * per_herm + len(proj) * dim):
         if rows.keep:
             outs = _kept_output_states(channel, rows.kets[block], rows.keys[block])[:, None]
         else:
@@ -457,8 +525,11 @@ def _read_table(
             continue
         q = np.diagonal(evecs_h @ outs @ evecs, axis1=2, axis2=3).real if herm else None
         p, pvals = _probabilities(p, q, proj, herm)
-        words = table.digests[block]
-        streams = _seed_states(config.master_seed, words.reshape(-1, 4).T).reshape(words.shape)
+        if rows.keep:
+            streams = _kept_seed_states(config.master_seed, rows, cols, block)
+        else:
+            words = table.digests[block]
+            streams = _seed_states(config.master_seed, words.reshape(-1, 4).T).reshape(words.shape)
         if proj:
             est = np.array([
                 [_rng(row[k]).binomial(shots, pk) / shots for k, pk in zip(proj, row_p)]

@@ -34,7 +34,7 @@ from .basis import (
 )
 from .channels import (
     QuantumChannel, _blocks, _chi_dim, _complex_from_pair, _dimension, _finite, _index,
-    _instance,
+    _instance, _integer,
 )
 from .measure import (
     BackendConfig, PhysicalityError, _Side, _Table, _read_table, input_state_set, tp_complete,
@@ -210,13 +210,20 @@ class MeasurementPlan:
     observables: PureStateExpansion
 
     def __post_init__(self):
-        # verified expansions of dim-long kets that make the target: sides read them unchecked
+        # verified expansions of dim-long kets that make the target, four Python ints: sides
+        # read them unchecked
         object.__setattr__(self, "dim", _dimension(self.dim, "dim"))
         for name in ("inputs", "observables"):
             if len(_instance(getattr(self, name), PureStateExpansion, name).states[0]) != self.dim:
                 raise ValueError(f"{name} kets must have length dim = {self.dim}")
+        target = _slotted(self.target, (0, 1, 2, 3))  # four entries, or refused
+        try:
+            target = tuple(_integer(idx, "target") for idx in target)
+        except ValueError:
+            raise ValueError(f"target must be four integers, got {self.target!r:.60}") from None
+        object.__setattr__(self, "target", target)
         units = (*self.inputs.target, *reversed(self.observables.target))
-        if lambda_index(self.target) != units:
+        if lambda_index(target) != units:
             raise ValueError(
                 f"target {self.target!r:.60} differs from the expansions' {chi_index(units)}"
             )
@@ -346,7 +353,9 @@ def reconstruct_element(
     channel is applied to each input state of the plan (1 or 4) the first time
     a lone element reads it on that channel, which keeps its output state.
     Rows and columns are the expansions' sides, built once each (_unit_side),
-    read through a table built per request: its cells' keys are hashed per request.
+    read through a table built per request.  On the sampled backend a cell's stream
+    is derived once per master seed, by the first lone element that reads the cell
+    under it, and then kept (measure._kept_seed_states).
     """
     _instance(plan, MeasurementPlan, "plan")
     _instance(channel, QuantumChannel, "channel")

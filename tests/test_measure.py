@@ -627,6 +627,50 @@ def test_only_sides_of_one_real_or_imaginary_nonzero_per_row_gather():
         assert measure._traces(side, outs).tobytes() == expected.tobytes()
 
 
+def test_an_exact_gathered_read_counts_d_entries_a_hermitian_cell(monkeypatch):
+    # exact product-hermitian gathers each Hermitian cell from D products, so
+    # its block step counts D entries a cell, not D^2: at D = 16 a block holds 3
+    # of the 256 rows (86 blocks, not 256), at D = 6 all 36 (1 block, not 3).
+    # The bits are those of one-row blocks and of one block
+    traces = _recorded_args(monkeypatch, "_traces")
+    for dim, blocks in [(16, 86), (6, 1)]:
+        ch = preset_channel("random-cptp", [dim, 2], dim)
+        tomo.full_sqpt(ch, EXACT, "product-hermitian")
+        reads = {}
+        for budget in (1 << 14, 1, 1 << 24):  # the default budget, one row, every row
+            monkeypatch.setattr(channels, "_BLOCK_ENTRIES", budget)
+            traces.clear()
+            result = tomo.full_sqpt(ch, EXACT, "product-hermitian")
+            reads[budget] = (len(traces), result.chi.tobytes() + result.std_errors.tobytes())
+        counts = [count for count, _ in reads.values()]
+        assert counts == [blocks, dim**2, 1] and len({bits for _, bits in reads.values()}) == 1
+
+
+def test_probabilities_within_the_band_are_clamped_as_before():
+    # probabilities at most PROB_BAND outside [0, 1] are clamped into it as
+    # Python's min(max(p, 0.0), 1.0) clamps each entry, signed zeros kept, and a
+    # Hermitian cell's distribution is normalized by its clamped sum; none raises
+    band = measure.PROB_BAND
+    p = np.array([[0.25, -0.0, -band / 2, 1.0 + band / 2], [0.0, 1.0, -band, 1.0 + band]])
+    q = np.array([[[0.5, 0.5], [-band / 4, 1.0 + band / 4]], [[-0.0, 1.0], [0.75, 0.25]]])
+    proj, herm = (0, 1, 4, 5), (2, 3)
+
+    def clamped(x):
+        return np.array([min(max(v, 0.0), 1.0) for v in x.ravel().tolist()]).reshape(x.shape)
+
+    probs, pvals = measure._probabilities(p, q, proj, herm)
+    assert probs.tobytes() == clamped(p).tobytes()
+    assert pvals.tobytes() == (clamped(q) / clamped(q).sum(axis=2, keepdims=True)).tobytes()
+    assert np.signbit(probs[0, 1]) and np.signbit(pvals[1, 0, 0])
+    # within [0, 1] nothing is clamped or copied
+    inside = p[:, :2]
+    probs, pvals = measure._probabilities(inside, None, (0, 1), ())
+    assert probs is inside and pvals is None
+    # a table of Hermitian columns only reads an empty p
+    empty, pvals = measure._probabilities(np.zeros((2, 0)), q, (), (0, 1))
+    assert empty.shape == (2, 0) and pvals.shape == q.shape
+
+
 def test_table_raises_what_its_first_unphysical_cell_raises():
     # a channel that inflates |1> only, projector and Hermitian cells mixed
     # in a row: the table reports its first unphysical cell in row-major

@@ -666,9 +666,10 @@ def _count_stream_keys(monkeypatch) -> tuple[list[int], list[int]]:
     keys = [0]
     original = measure._hash_keys
 
-    def counted(prefixes, tails):
-        keys[0] += len(prefixes) * len(tails)
-        return original(prefixes, tails)
+    def counted(cells):
+        cells = list(cells)
+        keys[0] += len(cells)
+        return original(cells)
 
     monkeypatch.setattr(measure, "_hash_keys", counted)
     return keys, _count_calls(monkeypatch, measure, "_canon_complex")
@@ -704,9 +705,11 @@ def test_full_canonical_key_budget(monkeypatch, strategy, tp_shortcut):
 def test_element_canonical_key_budget(monkeypatch):
     # planning builds no key.  A lone element's expansion tables encode each
     # ket once, for rows and columns alike, on the first request that reads
-    # them; every request hashes one key per cell, for its random stream, from
-    # its rows' cached prefix states and its columns' cached tails
+    # them; a request hashes one key per cell whose stream no lone element
+    # derived under its master seed, from its rows' cached prefix states and
+    # its columns' cached tails, and a new master seed derives every stream again
     _clear_designs()
+    _clear_streams(monkeypatch)
     calls, encodings = _count_stream_keys(monkeypatch)
     for target in _all_targets(3):
         plan_element(*target, 3)
@@ -719,6 +722,15 @@ def test_element_canonical_key_budget(monkeypatch):
     assert calls[0] == plan.settings_count
     assert encodings[0] == len(plan.inputs.states) + len(plan.observables.states) == 8
     reconstruct_element(plan, ch, sampled)
+    assert calls[0] == plan.settings_count
+    # elements whose every setting (input ket, observable ket) plan read: 4 and 1 settings
+    settings = set(itertools.product(*(_ket_bytes(x) for x in (plan.inputs, plan.observables))))
+    for target in [(2, 1, 2, 0), (2, 1, 2, 1)]:
+        other = plan_element(*target, 3)
+        assert {*itertools.product(_ket_bytes(other.inputs), _ket_bytes(other.observables))} < settings
+        reconstruct_element(other, ch, sampled)
+    assert calls[0] == plan.settings_count
+    reconstruct_element(plan, ch, BackendConfig("sampled", 100, 2))
     assert calls[0] == 2 * plan.settings_count
     assert encodings[0] == 8
 
@@ -779,10 +791,20 @@ def test_a_plan_whose_expansions_differ_in_dimension_is_refused(monkeypatch, con
          re.escape("target (0, 0, 0, 0) differs from the expansions' (0, 0, 1, 1)")),
         (3, (0, 1, 2, 0), (1, 0, 3), (0, 2, 3), "differs from the expansions' "),
         (3, (0, 1), (1, 0, 3), (2, 0, 3), "^target must be four indices"),
+        # the expansions of plan_element(1, 0, 0, 1, 2), under targets of equal value
+        (2, (True, 0, 0, 1.0), (0, 1, 2), (0, 1, 2),
+         re.escape("target must be four integers, got (True, 0, 0, 1.0)")),
+        (2, (1, 0, 0, 1.0), (0, 1, 2), (0, 1, 2), r"^target must be four integers, got \("),
+        (2, ("1", 0, 0, 1), (0, 1, 2), (0, 1, 2), r"^target must be four integers, got \("),
+        (2, [1, 0, 0, True], (0, 1, 2), (0, 1, 2), r"^target must be four integers, got \["),
     ]
     for dim, target, inputs, observables, message in cases:
         with pytest.raises(ValueError, match=message):
             MeasurementPlan(dim, target, expand_choi_four(*inputs), expand_choi_four(*observables))
+    # a list or numpy integers are kept as a tuple of Python ints
+    for target in ([1, 0, 0, 1], np.array([1, 0, 0, 1])):
+        plan = MeasurementPlan(2, target, expand_choi_four(0, 1, 2), expand_choi_four(0, 1, 2))
+        assert plan.target == (1, 0, 0, 1) and {type(idx) for idx in plan.target} == {int}
     plan = MeasurementPlan(4, (0, 1, 2, 0), expand_choi_four(1, 0, 4), expand_choi_four(2, 0, 4))
     ch = preset_channel("random-cptp", [87, 2], 3)
     applied = _count_calls(monkeypatch, measure, "_output_states")
@@ -912,6 +934,16 @@ def _clear_designs():
     tomo._UNIT_SIDES.clear()
     tomo._choi_four_design.cache_clear()
     tomo._product_hermitian_design.cache_clear()
+
+
+def _ket_bytes(expansion) -> list[bytes]:
+    return [ket.tobytes() for ket in expansion.states]
+
+
+def _clear_streams(monkeypatch, cells=1 << 14):
+    # an empty store of lone elements' stream states, with room for `cells`
+    monkeypatch.setattr(measure, "_KEPT_STREAMS", cells)
+    monkeypatch.setattr(measure, "_streams", measure._Streams(None, 0))
 
 
 def test_design_caches_give_the_same_bytes_cold_and_warm():
@@ -1321,6 +1353,110 @@ def test_lone_elements_racing_on_one_channel_get_their_cold_bytes(monkeypatch, r
         sys.setswitchinterval(interval)
     assert results == [cold] * 8
     assert len(ch._kept) == room and _kept_entries(ch) == room * dim**2
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_kept_streams_give_every_sampled_element_its_cold_bytes(monkeypatch, dim):
+    # every sampled lone element read with no stream kept, then under two master
+    # seeds taking turns, in order and again shuffled, each turn starting a new
+    # store: the same bytes.  Under one seed a second, shuffled pass hashes no key
+    ch = preset_channel("random-cptp", [dim + 100, 2], dim)
+    configs = [BackendConfig("sampled", 1000, seed) for seed in (3, 2**40 + 5)]
+    targets = _all_targets(dim)
+
+    def read(order) -> dict:
+        return {(t, c.master_seed): _element_bytes(ch, t, c) for t in order for c in configs}
+
+    _clear_streams(monkeypatch, 0)
+    cold = read(targets)
+    assert measure._streams.filled == 0
+    _clear_streams(monkeypatch)
+    assert read(targets) == cold
+    assert read(random.Random(dim).sample(targets, len(targets))) == cold
+    first = {(t, s): cold[t, s] for t in targets for s in [configs[0].master_seed]}
+    assert {(t, 3): _element_bytes(ch, t, configs[0]) for t in targets} == first
+    hashed = _count_stream_keys(monkeypatch)[0]
+    shuffled = random.Random(dim + 1).sample(targets, len(targets))
+    assert {(t, 3): _element_bytes(ch, t, configs[0]) for t in shuffled} == first
+    assert hashed[0] == 0
+    assert measure._streams.filled == len(measure._streams.index) == dim**4
+
+
+@pytest.mark.parametrize("cells", [1 << 14, 40], ids=["every-cell", "forty-cells"])
+def test_lone_elements_racing_under_two_seeds_get_their_cold_bytes(monkeypatch, cells):
+    # threads reading lone elements under two master seeds, each thread in its
+    # own order of targets and seeds, replace and fill the store in any
+    # interleaving: each read gives the bytes of a read that keeps nothing
+    dim = 3
+    ch = preset_channel("random-cptp", [88, 2], dim)
+    configs = [BackendConfig("sampled", 1000, seed) for seed in (9, 10)]
+    requests = [(t, c) for t in _all_targets(dim) for c in configs]
+
+    def read(order, start: threading.Barrier) -> dict:
+        start.wait(timeout=30)
+        return {(t, c.master_seed): _element_bytes(ch, t, c) for t, c in order}
+
+    _clear_streams(monkeypatch, 0)
+    cold = read(requests, threading.Barrier(1))
+    _clear_streams(monkeypatch, cells)
+    orders = [random.Random(k).sample(requests, len(requests)) for k in range(8)]
+    orders[:2] = [sorted(requests, key=lambda r: r[1].master_seed)] * 2  # long runs of a seed
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            start = threading.Barrier(8)
+            threaded = [pool.submit(read, order, start) for order in orders]
+            results = [future.result(timeout=60) for future in threaded]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [cold] * 8
+    assert measure._streams.filled <= cells
+
+
+def _traced_bytes() -> int:
+    gc.collect()
+    return tracemalloc.get_traced_memory()[0]
+
+
+def test_the_stream_store_keeps_its_budget_and_a_new_seed_frees_it(monkeypatch):
+    # a store of _KEPT_STREAMS rows fills all of them up to D = 16, 16 / D as
+    # many above, 32 bytes of state and its index entry a cell; a read under
+    # another master seed replaces it, and the old store goes
+    _clear_streams(monkeypatch, 1000)
+    dim = 8
+    ch = preset_channel("random-cptp", [96, 2], dim)
+    plans = [plan_element(*target, dim) for target in random.Random(8).sample(
+        list(itertools.product(range(dim), repeat=4)), 200)]
+    seed_a, seed_b = BackendConfig("sampled", 100, 1), BackendConfig("sampled", 100, 2)
+    for plan in plans:  # sides, key parts and kept output states are built before tracing
+        reconstruct_element(plan, ch, seed_b)
+    _clear_streams(monkeypatch, 1000)
+    tracemalloc.start()
+    try:
+        start = _traced_bytes()
+        for plan in plans:
+            reconstruct_element(plan, ch, seed_a)
+            assert measure._streams.filled <= 1000
+        store = measure._streams
+        assert store.seed == 1 and store.filled == len(store.index) == 1000
+        assert store.states.shape == (1000, 4) and store.states.dtype == np.uint64
+        held = _traced_bytes() - start
+        released = weakref.ref(store)
+        del store
+        reconstruct_element(plans[0], ch, seed_b)
+        left = _traced_bytes() - start
+    finally:
+        tracemalloc.stop()
+    assert released() is None
+    # about 150 bytes a cell: its state, its index entry, key tuple and row number;
+    # what is left is the new store's 1000 rows and its one element's cells
+    assert 32 * 1000 <= held <= 200 * 1000 and left < 32 * 1000 + (8 << 10), (held, left)
+    # above D = 16 a cell counts D / 16 times: at D = 32, 500 of the 1000 rows
+    ch = preset_channel("random-cptp", [97, 2], 32)
+    for f, h in itertools.combinations(range(2, 32), 2):
+        reconstruct_element(plan_element(0, f, 1, h, 32), ch, seed_a)
+    assert measure._streams.filled == 500
 
 
 def test_a_stream_at_dimension_32_keeps_its_budget_and_frees_it_with_its_channel(monkeypatch):
