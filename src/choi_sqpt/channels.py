@@ -112,12 +112,16 @@ class QuantumChannel:
 
     def tp_deviation(self) -> float:
         """Max-norm distance of sum_m E_m^dagger E_m from the identity."""
-        # stacked products, each one operator's gemm, added in Kraus order from zeros
-        stack, acc = self.kraus_stack(), np.zeros((self.dim, self.dim), dtype=complex)
+        # stacked products added in Kraus order from zeros, one reduce a block, its first row
+        # taking the running sum; over float rows, as a D = 1 row of one complex would be a
+        # contiguous axis, which np.add.reduce sums pairwise
+        stack, acc = self.kraus_stack(), 0.0
         for block in _blocks(len(stack), self.dim**2):
-            for product in stack[block].conj().transpose(0, 2, 1) @ stack[block]:
-                acc += product
-        return float(np.max(np.abs(acc - np.eye(self.dim))))
+            ops = stack[block]
+            products = (ops.conj().transpose(0, 2, 1) @ ops).view(float)
+            products[0] += acc
+            acc = np.add.reduce(products, axis=0)
+        return float(np.max(np.abs(acc.view(complex) - np.eye(self.dim))))
 
     def is_trace_preserving(self, atol: float = 1e-10) -> bool:
         return self.tp_deviation() <= _tolerance(atol, "atol")

@@ -12,16 +12,18 @@ map between the two flattened matrices is a permutation whose inverse is
 its transpose, so reconstruction is index relabeling, never a dense solve.
 lambda_index and chi_index state that relabeling once, as a map of index
 slots; the matrix relabelings, the beta permutation and the element plans
-are all derived from it.  Every choi-four estimate is an entry of a grid of
-input units |a><b| x observable units |d><c| (_choi_four): the table of their
-kets (two checked sides) combined by _combine, in blocks of input units.  A
-lone element is its expansions' 1 x 1 grid (_unit_side), a set the grid of its
-distinct units (_design), and full choi-four every unit x*D+y on both sides
-(_choi_four_design).  full_sqpt relabels either strategy to chi in one tail.
+are all derived from it.  Every choi-four estimate reads the table of its
+kets (two checked sides).  _combine adds a grid of input units |a><b| x
+observable units |d><c| (_choi_four) in blocks of input units: a set's grid of
+its distinct units (_design), full choi-four's of every unit x*D+y on both sides
+(_choi_four_design).  A lone element adds its at most 16 terms in floats, in
+_combine's order (reconstruct_element).  full_sqpt relabels either strategy to
+chi in one tail.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
@@ -347,13 +349,14 @@ def _choi_four(channel, config, table, sides, last=None, partials=None):
 def reconstruct_element(
     plan: MeasurementPlan, channel: QuantumChannel, config: BackendConfig
 ) -> ChiElementEstimate:
-    """Measure a plan's <= 4 x 4 table and combine it into the chi element.
+    """Measure a plan's <= 4 x 4 table and add its weighted cells into the chi element.
 
-    The 1 x 1 grid of _choi_four, over the plan's own kets, in order: the
-    channel is applied to each input state of the plan (1 or 4) the first time
-    a lone element reads it on that channel, which keeps its output state.
-    Rows and columns are the expansions' sides, built once each (_unit_side),
-    read through a table built per request.  On the sampled backend a cell's stream
+    The table's rows and columns are the plan's own kets, in order, the
+    expansions' sides built once each (_unit_side) and read through a table
+    built per request; its terms are added as _combine adds a grid entry's,
+    in Python floats.  The channel is applied to each input state of the plan
+    (1 or 4) the first time a lone element reads it on that channel, which
+    keeps its output state.  On the sampled backend a cell's stream
     is derived once per master seed, by the first lone element that reads the cell
     under it, and then kept (measure._kept_seed_states).
     """
@@ -364,27 +367,33 @@ def reconstruct_element(
         raise ValueError(
             f"plan dimension {plan.dim} does not match channel dimension {channel.dim}"
         )
-    (rows, inputs), (cols, observables) = _unit_side(plan.inputs), _unit_side(plan.observables)
-    lam, var = _choi_four(channel, config, _Table(rows, cols), (inputs, observables, observables))
+    table = _Table(_unit_side(plan.inputs), _unit_side(plan.observables))
+    values, errs = _read_table(channel, table, config)
+    # _combine's terms, in its order: input-outer, left to right, from +0.0 (so never
+    # -0.0, as its + 0.0 gives); dyadic weights, so each product is exact
+    re = im = variance = 0.0
+    for r, row_values, row_errs in zip(plan.inputs.weights, values.tolist(), errs.tolist()):
+        for s, v, e in zip(plan.observables.weights, row_values, row_errs):
+            w = r * s
+            size = abs(w)
+            re, im, variance = re + w.real * v, im + w.imag * v, variance + size * size * (e * e)
     return ChiElementEstimate(
-        complex(lam[0, 0]), float(np.sqrt(var[0, 0])), plan.settings_count, config.descriptor
+        complex(re, im), math.sqrt(variance), plan.settings_count, config.descriptor
     )
 
 
 _UNIT_SIDES = weakref.WeakKeyDictionary()  # _unit_side's, kept as long as their expansion
 
 
-def _unit_side(expansion: PureStateExpansion):
-    """An expansion's kets as a side, rows and columns alike, and its (1, n) slots and weights.
+def _unit_side(expansion: PureStateExpansion) -> _Side:
+    """An expansion's kets as a side, rows and columns alike, slot p its state p.
 
     Read as rows, the side takes and fills the channel's kept output states.
     """
-    found = _UNIT_SIDES.get(expansion)
-    if found is None:
-        side = _Side(expansion.states, len(expansion.states[0]), keep=True)
-        slots = _padded([(range(len(expansion.weights)), expansion.weights)])
-        found = _UNIT_SIDES[expansion] = side, slots
-    return found
+    side = _UNIT_SIDES.get(expansion)
+    if side is None:
+        side = _UNIT_SIDES[expansion] = _Side(expansion.states, len(expansion.states[0]), keep=True)
+    return side
 
 
 # --- full reconstruction -------------------------------------------------------

@@ -261,6 +261,14 @@ def test_tp_deviation_matches_the_kraus_loop(dim):
                 assert c.tp_deviation() == _tp_deviation_loop(c), (rank, seed)
 
 
+def test_tp_deviation_adds_many_operators_in_order_at_dimension_1():
+    # a D = 1 product is one complex: reduced as one, 40 of them would be summed pairwise
+    for seed in range(8):
+        ch = preset_channel("random-cptp", [seed, 40], 1)
+        for c in (ch, QuantumChannel(1, tuple(1.3 * k for k in ch.kraus))):
+            assert c.tp_deviation() == _tp_deviation_loop(c), seed
+
+
 def test_tp_deviation_memory_is_bounded_at_full_rank():
     # D = 16 at rank D^2: the 256 products stacked at once would take 1 MiB,
     # and the conjugated operators as much again

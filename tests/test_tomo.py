@@ -489,6 +489,31 @@ def test_full_sampled_matches_per_element_reconstruction(dim):
         assert result.std_errors[e * dim + f, g * dim + h] == est.std_error
 
 
+@pytest.mark.parametrize("config", [
+    EXACT, BackendConfig("sampled", 100, 2**32 + 9), BackendConfig("sampled", 1, 2**40 + 3),
+], ids=["exact", "sampled-100", "sampled-1"])
+@pytest.mark.parametrize("name, params, dim", [
+    ("identity", [], 2), ("identity", [], 3), ("bit-flip", [0.0], 2),
+    ("amplitude-damping", [1.0], 2), ("phase-flip", [0.5], 2), ("depolarizing", [1.0], 3),
+])
+def test_lone_elements_give_their_full_entries_bytes_on_exact_zeros_and_ones(
+    monkeypatch, name, params, dim, config
+):
+    # cells of exactly 0 or 1 (and at one shot every sampled cell) make terms that
+    # cancel to a zero of either sign and errors that are all zero; bytes, not ==,
+    # tell -0.0 from 0.0.  A lone element adds its terms without _combine
+    ch = preset_channel(name, params, dim)
+    combines = _count_calls(monkeypatch, tomo, "_combine")
+    result = full_sqpt(ch, config)
+    assert combines[0] == 1
+    for e, f, g, h in _all_targets(dim):
+        est = reconstruct_element(plan_element(e, f, g, h, dim), ch, config)
+        at = (e * dim + f, g * dim + h)
+        assert np.complex128(est.value).tobytes() == result.chi[at].tobytes(), (e, f, g, h)
+        assert np.float64(est.std_error).tobytes() == result.std_errors[at].tobytes()
+    assert combines[0] == 1
+
+
 def _combine_reference(values, errs, row, col) -> tuple[complex, float]:
     # the per-entry term loop _combine replaced: Python's sum from 0,
     # input-outer, every standard error squared as a float by e * e
@@ -504,11 +529,14 @@ def test_combine_matches_the_per_term_sum(monkeypatch):
     # the shortcut's substitution, over a sampled-like table whose errors
     # include 10^4-shot values that libm pow and x * x square differently; as
     # one grid, as the grid whose variance is read through the substitution
-    # (wider than its values), as every pair's 1 x 1 grid (a lone element's, of
-    # 1, 4 or 16 terms, and up to 20 substituted), in one block and in one-unit
+    # (wider than its values), as every pair's 1 x 1 grid (of 1, 4 or 16 terms,
+    # and up to 20 substituted), in one block and in one-unit
     # blocks.  A third table mixes magnitudes near 1e16 and 1, where numpy's
     # pairwise sum (of 8 terms or more along a contiguous axis) and the left to
-    # right sum give other bits, for values and for variances alike
+    # right sum give other bits, for values and for variances alike.  A lone
+    # element adds the same terms in floats: each pair's 1 x 1 grid bytes, also
+    # over a table of -0.0 cells (an exact read's real part can be one), where
+    # only the sum from +0.0 decides the sign
     dim, shots = 3, 10**4
     rng = np.random.default_rng(5)
     values = rng.integers(0, shots + 1, (9, 9)) / shots
@@ -546,6 +574,16 @@ def test_combine_matches_the_per_term_sum(monkeypatch):
                 pairwise_differs[0] |= pairwise[0] != value
                 pairwise_differs[1] |= pairwise[1] != variance
     assert pairwise_differs == [True, True]
+    ch, zeros = preset_channel("identity", dim=dim), np.zeros_like(errs)
+    for table in ((values, errs), (values, zeros), mixed, (-zeros, zeros)):
+        for (x, row), (y, col) in itertools.product(enumerate(rows), repeat=2):
+            read = tuple(t[np.ix_(row[0], col[0])] for t in table)
+            monkeypatch.setattr(tomo, "_read_table", lambda *_, read=read: read)
+            target = chi_index((*units[x].target, *reversed(units[y].target)))
+            est = reconstruct_element(MeasurementPlan(dim, target, units[x], units[y]), ch, EXACT)
+            lam, var = tomo._combine(*table, *(tomo._padded([side]) for side in (row, col, col)))
+            assert np.complex128(est.value).tobytes() == lam.tobytes(), (x, y)
+            assert np.float64(est.std_error).tobytes() == np.sqrt(var).tobytes(), (x, y)
 
 
 @pytest.mark.parametrize("config", [EXACT, BackendConfig("sampled", 10**4, 2**32 + 7)],
@@ -866,8 +904,7 @@ def test_unit_tables_are_read_only_and_bounded():
     gc.collect()
     tracemalloc.start()
     try:
-        found = tomo._unit_side(unit)
-        side, (slots, weights) = found
+        side = tomo._unit_side(unit)
         # the bras and the key parts are built by the first read that uses them
         assert not {"bras", "tails", "prefixes"} & vars(side).keys()
         assert side.bras.shape == (4, 1, 256) and len(side.tails) == len(side.prefixes) == 4
@@ -875,17 +912,16 @@ def test_unit_tables_are_read_only_and_bounded():
     finally:
         tracemalloc.stop()
     # one stacked copy of the four kets, their bras, one key tail and one
-    # hashed key prefix per ket and the (1, 4) slots and weights
+    # hashed key prefix per ket
     assert size <= 320 * 256 + 4096
-    assert tomo._unit_side(unit) is found and len(tomo._UNIT_SIDES) == 1
+    assert tomo._unit_side(unit) is side and len(tomo._UNIT_SIDES) == 1
     assert side.proj == (0, 1, 2, 3) and side.herm == ()
     assert list(side.tails) == [b"p:" + measure._canon_complex(s).encode() for s in unit.states]
     for prefix, ket in zip(side.prefixes, unit.states):
         key = measure._key_prefix(256, measure._canon_complex(ket))
         assert prefix.digest() == hashlib.sha256(key).digest()
     assert all(np.array_equal(row, ket) for row, ket in zip(side.kets[..., 0], unit.states))
-    assert slots.tolist() == [[0, 1, 2, 3]] and weights.tolist() == [list(unit.weights)]
-    assert not any(a.flags.writeable for a in (side.kets, side.bras, slots, weights))
+    assert not any(a.flags.writeable for a in (side.kets, side.bras))
 
 
 def test_a_unit_side_lives_as_long_as_its_expansion():
@@ -1207,7 +1243,7 @@ def test_an_exact_only_process_builds_no_sampled_part():
         tables = [tomo._choi_four_design(3, False)[0], tomo._choi_four_design(3, True)[0],
                   tomo._product_hermitian_design(3, 1)[0], tomo._product_hermitian_design(2, 2)[0]]
         sides = [side for t in tables for side in (t.rows, t.cols)]
-        sides += [side for side, _ in tomo._UNIT_SIDES.values()]
+        sides += list(tomo._UNIT_SIDES.values())
         built = [name for part in tables + sides for name in ('digests', 'tails', 'prefixes')
                  if name in vars(part)]
         calls += built
