@@ -19,8 +19,7 @@ single read's BLAS call per cell.  On the exact backend a Hermitian cell
 whose observable has at most one nonzero per row, as every SU(d) generator
 and tensor product of them, is a gather of D products, not a D x D x D
 product.  A lone element's rows (a _Side built with keep) take the output states
-their channel keeps (_kept_output_states): a channel applies itself once to each
-input ket that lone elements read, up to _KEPT_ENTRIES kept entries.
+their channel keeps (_kept_output_states), derived once per channel and ket.
 
 Every sampled cell derives its own random stream by hashing a canonical
 byte encoding of its two vectors together with the master seed, so results are
@@ -29,9 +28,9 @@ A _Table of two sides hashes its cells' keys on its first sampled read, a
 copy of each row's hashed prefix per column tail; a request mixes only its
 master seed into these digests.  Full reconstruction keeps its table in its
 design, so a warm design hashes no key.  A lone element builds its table per
-request and takes the stream states kept under its master seed
-(_kept_seed_states): a cell, keyed by its two kets' bytes, is hashed and mixed
-once per master seed, up to _KEPT_STREAMS cells.
+request and takes the stream states kept under its master seed (_kept_seed_states),
+derived once per master seed and cell.  Both stores keep one rule (_Kept): a row
+is derived once, kept first come and never evicted, up to its store's budget.
 A block of at most _CELL_POOLS = 16 cells mixes each seed pool in numpy's C
 SeedSequence (about 5 us a cell); a larger block mixes them all in one
 vectorized pass that mirrors it (about 100 us), 16 being the measured
@@ -175,13 +174,12 @@ _POOL_OTHERS = [np.array([i for i in range(4) if i != src]) for src in range(4)]
 _CELL_POOLS = 16
 
 # the complex entries of output states one channel keeps for lone elements' rows:
-# 1 MiB, every input ket's state up to D = 16; read at call time
+# 1 MiB, every input ket's state up to D = 16; read when the channel's store starts
 _KEPT_ENTRIES = 1 << 16
-# the cells whose stream states lone elements keep under one master seed, up to D = 16
-# and 16 / D as many above: 32 bytes of state a cell (512 KiB) and its index entry;
-# read when a master seed starts a store
+# the cells whose stream states lone elements keep under one master seed, 32 bytes a cell
+# (512 KiB): up to D = 16, 16 / D as many above; read when a master seed starts a store
 _KEPT_STREAMS = 1 << 14
-_KEEPING = threading.Lock()  # a room check and its keeping, as one step
+_KEEPING = threading.Lock()  # a store's start, or a room check and its keeping, as one step
 
 
 def _hashmix(values: np.ndarray, chain: np.ndarray) -> np.ndarray:
@@ -269,90 +267,82 @@ def _output_states(channel: QuantumChannel, kets: np.ndarray) -> np.ndarray:
     return outs
 
 
+class _Kept:
+    """Rows derived once and kept, first come, never evicted: rows[index[key]] for a key, in
+    an array that is read-only between writes and grows to twice the rows kept, up to cap."""
+
+    def __init__(self, cap: int, shape: tuple, dtype):
+        self.cap, self.index, self.filled = cap, {}, 0
+        self.rows = _frozen(np.empty((0, *shape)), dtype)
+
+    def take(self, keys, derive, room: int) -> np.ndarray:
+        """The rows of keys: the kept ones, looked up without a lock (a row is written before
+        its key is published), and the rest from derive(their positions), called once; a new
+        key takes one row while at most room <= cap are filled (derive gives it equal bytes)."""
+        at = [self.index.get(key) for key in keys]
+        missing = [n for n, row in enumerate(at) if row is None]
+        if not missing:
+            return self.rows.take(at, 0)
+        fresh = derive(missing)
+        with _KEEPING:
+            in_fresh = dict(zip(map(keys.__getitem__, missing), itertools.count()))  # a key once
+            new = [key for key in in_fresh if key not in self.index][: max(0, room - self.filled)]
+            start, end, rows = self.filled, self.filled + len(new), self.rows
+            if end > len(rows):
+                rows = np.empty((min(self.cap, 2 * end), *rows.shape[1:]), rows.dtype)
+                rows[:start] = self.rows[:start]
+            rows.setflags(write=True)
+            rows[start:end] = fresh.take(list(map(in_fresh.__getitem__, new)), 0)
+            rows.setflags(write=False)
+            self.rows, self.filled = rows, end
+            self.index.update(zip(new, range(start, end)))
+        if len(missing) == len(keys):
+            return fresh
+        found = self.rows.take([row or 0 for row in at], 0)  # a missing key's row is overwritten
+        found[missing] = fresh
+        return found
+
+
 def _kept_output_states(channel: QuantumChannel, kets: np.ndarray, keys) -> np.ndarray:
-    """_output_states of kets (n, D, 1), keyed by their bytes, taking those the channel keeps.
-
-    The kets not kept are applied in one _output_states call, so every state has
-    the bits a fresh read gives, and kept, each as a copy owning its entries,
-    while the channel then keeps at most _KEPT_ENTRIES entries; none is evicted.
-    """
-    kept = channel._kept
-    states = [kept.get(key) for key in keys]
-    missing = [k for k, state in enumerate(states) if state is None]
-    if not missing:
-        return np.array(states)
-    fresh = _output_states(channel, kets[missing])
-    room = _KEPT_ENTRIES // kets.shape[1] ** 2  # the states a channel keeps
-    with _KEEPING:
-        for k, state in zip(missing, fresh):
-            states[k] = state
-            if len(kept) < room:
-                kept.setdefault(keys[k], _frozen(state))  # a copy: a view would pin fresh
-    return fresh if len(missing) == len(keys) else np.array(states)
+    """_output_states of kets (n, D, 1), by their bytes, through the channel's store."""
+    if channel._kept is None:
+        with _KEEPING:  # the first read starts it
+            if channel._kept is None:
+                dim = kets.shape[1]
+                store = _Kept(_KEPT_ENTRIES // dim**2, (dim, dim), complex)
+                object.__setattr__(channel, "_kept", store)
+    store = channel._kept
+    return store.take(keys, lambda missing: _output_states(channel, kets[missing]), store.cap)
 
 
-class _Streams:
-    """The stream states of lone elements' cells under one master seed: states[index[key]] for
-    the key (input ket bytes, observable ket bytes), rows filled in order and never evicted.
-    Only filled rows are written, so only their pages are touched."""
-
-    def __init__(self, master_seed: int | None, cells: int):
-        self.seed, self.index, self.filled = master_seed, {}, 0
-        self.states = np.empty((cells, 4), np.uint64)
-
-
-_streams = _Streams(None, 0)  # the last master seed's; a read under another replaces it
+_streams = (None, None)  # the last master seed and its store; a read under another replaces it
 
 
 def _kept_seed_states(master_seed: int, rows: _Side, cols: _Side, block: slice) -> np.ndarray:
-    """_seed_states of the cells rows[block] x cols (rows, cols, 4), by their kets' bytes,
-    taking those kept under master_seed: the table of a lone element, whose sides hold kets.
-
-    Only the missing cells are hashed and mixed, and kept while the store then fills at
-    most rows // max(1, D // 16) of its rows.  A read under another master seed starts a
-    new store of _KEPT_STREAMS rows.  A key derived twice, by racing reads, takes a second
-    row of its one state.
-    """
+    """_seed_states of the cells rows[block] x cols (rows, cols, 4) of a lone element's table,
+    by their kets' bytes, through master_seed's store, a cell at D taking max(1, D // 16) rows."""
     global _streams
+    seed, store = _streams  # one read: another seed's read may replace the pair
+    if seed != master_seed:
+        with _KEEPING:
+            if _streams[0] != master_seed:
+                _streams = (master_seed, _Kept(_KEPT_STREAMS, (4,), np.uint64))
+            store = _streams[1]
     n_cols = len(cols.keys)
+
+    def derive(missing):
+        prefixes, tails = rows.prefixes[block], cols.tails
+        cells = [(prefixes[n // n_cols], tails[n % n_cols]) for n in missing]
+        return _seed_states(master_seed, _hash_keys(cells).T)
+
     keys = list(itertools.product(rows.keys[block], cols.keys))
-    with _KEEPING:
-        store = _streams
-        at = [store.index.get(key) for key in keys] if store.seed == master_seed else []
-        missing = [n for n, row in enumerate(at) if row is None]
-        # the kept rows, if any: a missing cell's row is overwritten below
-        found = store.states[[row or 0 for row in at]] if len(missing) < len(at) else None
-    if found is not None and not missing:
-        return found.reshape(-1, n_cols, 4)
-    prefixes = rows.prefixes[block]
-    if found is None:
-        cells = itertools.product(prefixes, cols.tails)
-    else:
-        cells = [(prefixes[n // n_cols], cols.tails[n % n_cols]) for n in missing]
-        keys = [keys[n] for n in missing]
-    fresh = _seed_states(master_seed, _hash_keys(cells).T)
-    with _KEEPING:
-        if _streams.seed != master_seed:
-            _streams = _Streams(master_seed, _KEPT_STREAMS)
-        kept, start = _streams, _streams.filled
-        new = max(0, min(len(fresh), len(kept.states) // max(1, rows.kets.shape[1] // 16) - start))
-        kept.states[start : start + new] = fresh[:new]
-        kept.index.update(zip(keys, range(start, start + new)))
-        kept.filled += new
-    if found is None:
-        return fresh.reshape(-1, n_cols, 4)
-    found[missing] = fresh
-    return found.reshape(-1, n_cols, 4)
+    room = store.cap // max(1, rows.kets.shape[1] // 16)
+    return store.take(keys, derive, room).reshape(-1, n_cols, 4)
 
 
 def _outside(p: np.ndarray) -> np.ndarray:
     # probabilities further than PROB_BAND outside [0, 1]
     return (p < -PROB_BAND) | (p > 1.0 + PROB_BAND)
-
-
-def _clamped(p: np.ndarray) -> np.ndarray:
-    # min(max(p, 0.0), 1.0) per entry, signed zeros included
-    return np.where(p < 0.0, 0.0, np.where(p > 1.0, 1.0, p))
 
 
 def _probabilities(p, q, proj, herm) -> tuple[np.ndarray, np.ndarray | None]:
@@ -366,7 +356,7 @@ def _probabilities(p, q, proj, herm) -> tuple[np.ndarray, np.ndarray | None]:
     # two reductions a kind tell whether any probability lies outside [0, 1]
     clamp = any(x.size and (x.min() < 0.0 or x.max() > 1.0) for x in (p, q) if x is not None)
     if herm:
-        probs = _clamped(q) if clamp else q
+        probs = np.clip(q, 0.0, 1.0) if clamp else q
         totals = probs.sum(axis=2, keepdims=True)
     if clamp or herm and (np.abs(totals - 1.0) > PROB_BAND).any():
         # the cells in row-major order, only once a probability is outside or a sum is off
@@ -388,7 +378,7 @@ def _probabilities(p, q, proj, herm) -> tuple[np.ndarray, np.ndarray | None]:
                 f"outcome probabilities sum to {totals[m, herm.index(k), 0]}; the channel "
                 "is not trace preserving"
             )
-    return (_clamped(p) if clamp else p), (probs / totals if herm else None)
+    return (np.clip(p, 0.0, 1.0) if clamp else p), (probs / totals if herm else None)
 
 
 class _Side:

@@ -355,10 +355,10 @@ def reconstruct_element(
     expansions' sides built once each (_unit_side) and read through a table
     built per request; its terms are added as _combine adds a grid entry's,
     in Python floats.  The channel is applied to each input state of the plan
-    (1 or 4) the first time a lone element reads it on that channel, which
-    keeps its output state.  On the sampled backend a cell's stream
-    is derived once per master seed, by the first lone element that reads the cell
-    under it, and then kept (measure._kept_seed_states).
+    (1 or 4) the first time a lone element reads it on that channel, and on the
+    sampled backend a cell's stream is derived the first time a lone element reads
+    the cell under its master seed; each is then kept while its store has room
+    (measure._Kept: first come, never evicted).
     """
     _instance(plan, MeasurementPlan, "plan")
     _instance(channel, QuantumChannel, "channel")
@@ -388,7 +388,7 @@ _UNIT_SIDES = weakref.WeakKeyDictionary()  # _unit_side's, kept as long as their
 def _unit_side(expansion: PureStateExpansion) -> _Side:
     """An expansion's kets as a side, rows and columns alike, slot p its state p.
 
-    Read as rows, the side takes and fills the channel's kept output states.
+    Read as rows, it takes and fills the channel's and the master seed's stores (measure._Kept).
     """
     side = _UNIT_SIDES.get(expansion)
     if side is None:

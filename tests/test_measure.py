@@ -499,6 +499,86 @@ def test_streams_seed_pcg64_through_a_true_seed_sequence():
     assert type(seq) not in {ref() for ref in registry}
 
 
+def _kept_row(key: bytes) -> np.ndarray:
+    # a row derived from its key alone, as a stream state is: 4 uint64 words
+    return np.frombuffer(hashlib.sha256(key).digest(), np.uint64)
+
+
+def _deriving(keys, calls: list):
+    # a derive for store.take(keys, ...) that records the positions it is called with
+    def derive(missing):
+        calls.append(missing)
+        return np.array([_kept_row(keys[n]) for n in missing])
+    return derive
+
+
+def _take(store, keys, room, calls: list) -> np.ndarray:
+    # store.take(keys), checked byte for byte against fresh rows; the store's array
+    # stays read-only, within its cap and at most twice the rows it keeps
+    rows = store.take(keys, _deriving(keys, calls), room)
+    assert rows.tobytes() == np.array([_kept_row(key) for key in keys]).tobytes()
+    assert not store.rows.flags.writeable and store.rows.base is None
+    assert len(store.rows) <= min(store.cap, 2 * store.filled)
+    return rows
+
+
+def test_a_store_derives_each_missing_key_once():
+    # derive is called once a read, with exactly the positions of the keys not
+    # kept, and not at all once every key is; a returned row is a copy
+    store, calls = measure._Kept(8, (4,), np.uint64), []
+    _take(store, [b"a", b"b", b"c"], 8, calls)
+    assert calls == [[0, 1, 2]]
+    rows = _take(store, [b"x", b"b", b"y", b"a"], 8, calls)
+    assert calls[1:] == [[0, 2]]
+    rows[:] = 0
+    _take(store, [b"y", b"c", b"x", b"a", b"b"], 8, calls)
+    assert len(calls) == 2 and store.filled == len(store.index) == 5
+
+
+def test_a_store_keeps_rows_first_come_within_its_room():
+    # rows fill in order while at most `room` are filled and are never evicted or
+    # rewritten; a smaller room than is filled keeps nothing more, and room 0 nothing
+    store, calls = measure._Kept(8, (4,), np.uint64), []
+    _take(store, [b"a", b"b"], 3, calls)
+    _take(store, [b"c", b"d", b"e"], 3, calls)
+    assert store.index == {b"a": 0, b"b": 1, b"c": 2}
+    kept = store.rows[:3].tobytes()
+    _take(store, [b"d", b"e"], 1, calls)
+    _take(store, [b"d", b"a"], 3, calls)
+    assert calls[2:] == [[0, 1], [0]] and store.filled == 3
+    _take(store, [b"e", b"a", b"d"], 8, calls)
+    assert store.index == {b"a": 0, b"b": 1, b"c": 2, b"e": 3, b"d": 4}
+    assert store.rows[:3].tobytes() == kept
+    # a key twice in one read takes one row, which later reads take
+    _take(store, [b"f", b"f"], 8, calls)
+    _take(store, [b"f", b"g", b"f"], 8, calls)
+    assert calls[5:] == [[0, 1], [1]] and store.filled == len(store.index) == 7
+    assert store.index[b"f"] == 5 and store.index[b"g"] == 6
+    empty, calls = measure._Kept(0, (4,), np.uint64), []
+    for _ in range(2):
+        _take(empty, [b"a", b"b"], 0, calls)
+    assert calls == [[0, 1]] * 2 and empty.filled == 0 and empty.index == {}
+
+
+def test_a_key_two_racing_reads_derive_keeps_its_first_row():
+    # a read that derives a key while another read derives and keeps it: both
+    # return the same bytes, and the key keeps the row the first keeper wrote
+    store, calls = measure._Kept(8, (4,), np.uint64), []
+    inner = []
+    keys = [b"a", b"b"]
+
+    def racing(missing):
+        inner.append(_take(store, [b"b"], 8, calls))
+        return _deriving(keys, calls)(missing)
+
+    outer = store.take(keys, racing, 8)
+    assert outer.tobytes() == np.array([_kept_row(key) for key in keys]).tobytes()
+    assert inner[0].tobytes() == outer[1:].tobytes()
+    assert calls == [[0], [0, 1]] and store.index == {b"b": 0, b"a": 1}
+    assert store.filled == 2 and store.rows[:2].tobytes() == outer[::-1].tobytes()
+    assert _take(store, keys, 8, calls).tobytes() == outer.tobytes() and len(calls) == 2
+
+
 def _reference_cell(channel, psi, obs, config) -> tuple[float, float]:
     # one cell read alone: its own stream, then a binomial draw for a
     # projector or a multinomial one over a Hermitian observable's eigenvalues
@@ -647,12 +727,11 @@ def test_an_exact_gathered_read_counts_d_entries_a_hermitian_cell(monkeypatch):
 
 
 def test_probabilities_within_the_band_are_clamped_as_before():
-    # probabilities at most PROB_BAND outside [0, 1] are clamped into it as
+    # probabilities at most 1e-9 (PROB_BAND) outside [0, 1] are clamped into it as
     # Python's min(max(p, 0.0), 1.0) clamps each entry, signed zeros kept, and a
     # Hermitian cell's distribution is normalized by its clamped sum; none raises
-    band = measure.PROB_BAND
-    p = np.array([[0.25, -0.0, -band / 2, 1.0 + band / 2], [0.0, 1.0, -band, 1.0 + band]])
-    q = np.array([[[0.5, 0.5], [-band / 4, 1.0 + band / 4]], [[-0.0, 1.0], [0.75, 0.25]]])
+    p = np.array([[0.25, -0.0, -5e-10, 1.0 + 5e-10], [0.0, 1.0, -1e-9, 1.0 + 1e-9]])
+    q = np.array([[[0.5, 0.5], [-2.5e-10, 1.0 + 2.5e-10]], [[-0.0, 1.0], [0.75, 0.25]]])
     proj, herm = (0, 1, 4, 5), (2, 3)
 
     def clamped(x):
@@ -669,6 +748,15 @@ def test_probabilities_within_the_band_are_clamped_as_before():
     # a table of Hermitian columns only reads an empty p
     empty, pvals = measure._probabilities(np.zeros((2, 0)), q, (), (0, 1))
     assert empty.shape == (2, 0) and pvals.shape == q.shape
+
+
+@pytest.mark.parametrize("outside", [-2e-9, 1.0 + 2e-9])
+def test_probabilities_beyond_the_band_raise(outside):
+    # 2e-9 outside [0, 1] is beyond PROB_BAND = 1e-9, in a projector cell or an outcome
+    with pytest.raises(PhysicalityError, match=f"outcome probability {outside} lies outside"):
+        measure._probabilities(np.array([[0.5, outside]]), None, (0, 1), ())
+    with pytest.raises(PhysicalityError, match=f"outcome probability {outside} lies outside"):
+        measure._probabilities(np.zeros((1, 0)), np.array([[[outside, 1.0 - outside]]]), (), (0,))
 
 
 def test_table_raises_what_its_first_unphysical_cell_raises():

@@ -977,9 +977,9 @@ def _ket_bytes(expansion) -> list[bytes]:
 
 
 def _clear_streams(monkeypatch, cells=1 << 14):
-    # an empty store of lone elements' stream states, with room for `cells`
+    # no store of lone elements' stream states; the next master seed's starts with room for `cells`
     monkeypatch.setattr(measure, "_KEPT_STREAMS", cells)
-    monkeypatch.setattr(measure, "_streams", measure._Streams(None, 0))
+    monkeypatch.setattr(measure, "_streams", (None, None))
 
 
 def test_design_caches_give_the_same_bytes_cold_and_warm():
@@ -1334,11 +1334,13 @@ def _element_bytes(channel, target, config) -> bytes:
 
 
 def _kept_entries(channel) -> int:
-    # the complex entries a channel's kept states hold: each is read-only and
-    # owns its entries, so a kept state pins no larger block
-    kept = channel._kept.values()
-    assert all(state.base is None and not state.flags.writeable for state in kept)
-    return sum(state.size for state in kept)
+    # the complex entries a channel's kept states hold: filled rows of one read-only
+    # array that owns its entries and has at most twice as many rows, so a kept
+    # state pins no larger block
+    store = channel._kept
+    assert store.rows.base is None and not store.rows.flags.writeable
+    assert store.filled == len(store.index) and len(store.rows) <= 2 * store.filled
+    return store.rows[: store.filled].size
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -1353,7 +1355,7 @@ def test_a_warm_channel_gives_every_lone_element_its_cold_bytes(monkeypatch, dim
     targets = _all_targets(dim)
     cold = {t: _element_bytes(QuantumChannel(dim, ch.kraus), t, config) for t in targets}
     assert {t: _element_bytes(ch, t, config) for t in targets} == cold
-    assert len(ch._kept) == dim**2 and _kept_entries(ch) == dim**4
+    assert ch._kept.filled == dim**2 and _kept_entries(ch) == dim**4
     calls = _count_channel_applications(monkeypatch)
     random.Random(dim).shuffle(targets)
     assert {t: _element_bytes(ch, t, config) for t in targets} == cold
@@ -1388,7 +1390,7 @@ def test_lone_elements_racing_on_one_channel_get_their_cold_bytes(monkeypatch, r
     finally:
         sys.setswitchinterval(interval)
     assert results == [cold] * 8
-    assert len(ch._kept) == room and _kept_entries(ch) == room * dim**2
+    assert ch._kept.filled == room and _kept_entries(ch) == room * dim**2
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -1405,7 +1407,7 @@ def test_kept_streams_give_every_sampled_element_its_cold_bytes(monkeypatch, dim
 
     _clear_streams(monkeypatch, 0)
     cold = read(targets)
-    assert measure._streams.filled == 0
+    assert measure._streams[1].filled == 0
     _clear_streams(monkeypatch)
     assert read(targets) == cold
     assert read(random.Random(dim).sample(targets, len(targets))) == cold
@@ -1415,7 +1417,8 @@ def test_kept_streams_give_every_sampled_element_its_cold_bytes(monkeypatch, dim
     shuffled = random.Random(dim + 1).sample(targets, len(targets))
     assert {(t, 3): _element_bytes(ch, t, configs[0]) for t in shuffled} == first
     assert hashed[0] == 0
-    assert measure._streams.filled == len(measure._streams.index) == dim**4
+    store = measure._streams[1]
+    assert store.filled == len(store.index) == dim**4
 
 
 @pytest.mark.parametrize("cells", [1 << 14, 40], ids=["every-cell", "forty-cells"])
@@ -1447,7 +1450,7 @@ def test_lone_elements_racing_under_two_seeds_get_their_cold_bytes(monkeypatch, 
     finally:
         sys.setswitchinterval(interval)
     assert results == [cold] * 8
-    assert measure._streams.filled <= cells
+    assert measure._streams[1].filled <= cells
 
 
 def _traced_bytes() -> int:
@@ -1473,10 +1476,11 @@ def test_the_stream_store_keeps_its_budget_and_a_new_seed_frees_it(monkeypatch):
         start = _traced_bytes()
         for plan in plans:
             reconstruct_element(plan, ch, seed_a)
-            assert measure._streams.filled <= 1000
-        store = measure._streams
-        assert store.seed == 1 and store.filled == len(store.index) == 1000
-        assert store.states.shape == (1000, 4) and store.states.dtype == np.uint64
+            assert measure._streams[1].filled <= 1000
+        store = measure._streams[1]
+        assert measure._streams[0] == 1 and store.filled == len(store.index) == 1000
+        assert store.rows.shape == (1000, 4) and store.rows.dtype == np.uint64
+        assert not store.rows.flags.writeable
         held = _traced_bytes() - start
         released = weakref.ref(store)
         del store
@@ -1492,7 +1496,7 @@ def test_the_stream_store_keeps_its_budget_and_a_new_seed_frees_it(monkeypatch):
     ch = preset_channel("random-cptp", [97, 2], 32)
     for f, h in itertools.combinations(range(2, 32), 2):
         reconstruct_element(plan_element(0, f, 1, h, 32), ch, seed_a)
-    assert measure._streams.filled == 500
+    assert measure._streams[1].filled == 500
 
 
 def test_a_stream_at_dimension_32_keeps_its_budget_and_frees_it_with_its_channel(monkeypatch):
@@ -1514,7 +1518,7 @@ def test_a_stream_at_dimension_32_keeps_its_budget_and_frees_it_with_its_channel
         for plan in plans:
             reconstruct_element(plan, ch, EXACT)
             assert _kept_entries(ch) <= measure._KEPT_ENTRIES
-        assert len(ch._kept) == (1 << 16) // dim**2
+        assert ch._kept.filled == (1 << 16) // dim**2
         held = tracemalloc.get_traced_memory()[0] - start
         channel = weakref.ref(ch)
         del ch
@@ -1532,13 +1536,13 @@ def test_a_pickled_or_copied_channel_keeps_no_state(monkeypatch):
     monkeypatch.setattr(measure, "_KEPT_ENTRIES", 1 << 16)
     ch = preset_channel("random-cptp", [99, 2], 3)
     expected = _element_bytes(ch, (0, 1, 2, 0), EXACT)
-    assert len(ch._kept) == 4
+    assert ch._kept.filled == 4
     for copied in (pickle.loads(pickle.dumps(ch)), copy.deepcopy(ch), copy.copy(ch)):
         stack = copied.kraus_stack()
-        assert copied._kept == {} and stack.tobytes() == ch.kraus_stack().tobytes()
+        assert copied._kept is None and stack.tobytes() == ch.kraus_stack().tobytes()
         assert not stack.flags.writeable and all(k.base is stack for k in copied.kraus)
         assert _element_bytes(copied, (0, 1, 2, 0), EXACT) == expected
-        assert len(copied._kept) == len(ch._kept) == 4
+        assert copied._kept.filled == ch._kept.filled == 4
 
 
 @pytest.mark.parametrize("config", [EXACT, BackendConfig("sampled", 100, 1)],
@@ -1551,16 +1555,17 @@ def test_full_designs_and_measure_table_neither_read_nor_fill_kept_states(monkey
     ch = preset_channel("random-cptp", [98, 2], 3)
     for target in _all_targets(3):
         reconstruct_element(plan_element(*target, 3), ch, config)
-    kept = dict(ch._kept)
-    assert len(kept) == 3**2
+    store = ch._kept
+    kept = dict(store.index), store.rows[: store.filled].tobytes()
+    assert store.filled == 3**2
     calls = _count_channel_applications(monkeypatch)
     for channel in (fresh, ch):
         for strategy, tp_shortcut in CALIBRATION_CASES:
             full_sqpt(channel, config, strategy, tp_shortcut)
         measure_table(channel, states, states, config)
     assert calls[0] == 2 * (len(CALIBRATION_CASES) + 1) * 3**2
-    assert fresh._kept == {} and ch._kept.keys() == kept.keys()
-    assert all(ch._kept[key] is state for key, state in kept.items())
+    assert fresh._kept is None and ch._kept is store
+    assert (dict(store.index), store.rows[: store.filled].tobytes()) == kept
 
 
 # (strategy, tp_shortcut) cases whose reported std_errors are calibrated
