@@ -97,7 +97,8 @@ class PureStateExpansion:
 
     Verified on construction on the support S of the states (the levels
     where any state is nonzero) together with a and b: off S x S both sides
-    are exactly zero, so the |S| x |S| block decides the dense identity.
+    are exactly zero, so the |S| x |S| block decides the dense identity.  No two
+    states share a projector, so each state is one setting.
     """
 
     weights: tuple[complex, ...]
@@ -119,6 +120,9 @@ class PureStateExpansion:
         a, b = (_index(x, len(levels), "target level") for x in self.target)
         support = kets.any(axis=0) | (levels == a) | (levels == b)
         block = kets[:, support]
+        overlaps = np.abs(block.conj() @ block.T) + np.eye(len(block))  # a state with itself: 2
+        if (np.abs(overlaps - 1.0) <= _EXPANSION_ATOL).any():
+            raise ValueError("expansion states must not repeat a projector")
         want = np.outer(levels[support] == a, levels[support] == b)
         residual = np.max(np.abs((block.T * weights) @ block.conj() - want))
         if not residual <= _EXPANSION_ATOL:  # a NaN weight makes the residual NaN

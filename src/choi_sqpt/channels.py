@@ -97,13 +97,10 @@ class QuantumChannel:
         stack.setflags(write=False)
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "kraus", tuple(stack))
-        # the measure._Kept store of the output states lone elements read, by ket bytes,
-        # started by their first read (measure._kept_output_states); it goes with the channel
-        object.__setattr__(self, "_kept", None)
 
     def __reduce__(self):
         # a pickled or copied channel is rebuilt from its operators: read-only, with its
-        # Kraus views into one stack, and with no store (a kept row has this process's bits)
+        # Kraus views into one stack
         return QuantumChannel, (self.dim, self.kraus)
 
     def kraus_stack(self) -> np.ndarray:

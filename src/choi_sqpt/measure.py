@@ -18,8 +18,8 @@ alone, then makes a stacked product per observable kind present, again a
 single read's BLAS call per cell.  On the exact backend a Hermitian cell
 whose observable has at most one nonzero per row, as every SU(d) generator
 and tensor product of them, is a gather of D products, not a D x D x D
-product.  A lone element's rows (a _Side built with keep) take the output states
-their channel keeps (_kept_output_states), derived once per channel and ket.
+product.  A lone element's rows (a read with keep) take the output states kept
+for their channel (_kept_output_states), derived once per channel and ket.
 
 Every sampled cell derives its own random stream by hashing a canonical
 byte encoding of its two vectors together with the master seed, so results are
@@ -29,8 +29,9 @@ copy of each row's hashed prefix per column tail; a request mixes only its
 master seed into these digests.  Full reconstruction keeps its table in its
 design, so a warm design hashes no key.  A lone element builds its table per
 request and takes the stream states kept under its master seed (_kept_seed_states),
-derived once per master seed and cell.  Both stores keep one rule (_Kept): a row
-is derived once, kept first come and never evicted, up to its store's budget.
+derived once per master seed and cell.  Both stores are listed here, _outputs by
+channel and _streams by seed, under one rule (_Kept): a row is derived once, kept
+first come and never evicted, up to its store's budget.
 A block of at most _CELL_POOLS = 16 cells mixes each seed pool in numpy's C
 SeedSequence (about 5 us a cell); a larger block mixes them all in one
 vectorized pass that mirrors it (about 100 us), 16 being the measured
@@ -42,6 +43,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import threading
+import weakref
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Mapping, Sequence
@@ -179,7 +181,7 @@ _KEPT_ENTRIES = 1 << 16
 # the cells whose stream states lone elements keep under one master seed, 32 bytes a cell
 # (512 KiB): up to D = 16, 16 / D as many above; read when a master seed starts a store
 _KEPT_STREAMS = 1 << 14
-_KEEPING = threading.Lock()  # a store's start, or a room check and its keeping, as one step
+_KEEPING = threading.Lock()  # a seed's store start, or a room check and its keeping, as one step
 
 
 def _hashmix(values: np.ndarray, chain: np.ndarray) -> np.ndarray:
@@ -305,16 +307,16 @@ class _Kept:
 
 def _kept_output_states(channel: QuantumChannel, kets: np.ndarray, keys) -> np.ndarray:
     """_output_states of kets (n, D, 1), by their bytes, through the channel's store."""
-    if channel._kept is None:
-        with _KEEPING:  # the first read starts it
-            if channel._kept is None:
-                dim = kets.shape[1]
-                store = _Kept(_KEPT_ENTRIES // dim**2, (dim, dim), complex)
-                object.__setattr__(channel, "_kept", store)
-    store = channel._kept
+    # the first read starts the store, without a lock: setdefault is one dict step, so
+    # racing first reads share one store
+    store = _outputs.get(channel)
+    if store is None:
+        dim = kets.shape[1]
+        store = _outputs.setdefault(channel, _Kept(_KEPT_ENTRIES // dim**2, (dim, dim), complex))
     return store.take(keys, lambda missing: _output_states(channel, kets[missing]), store.cap)
 
 
+_outputs = weakref.WeakKeyDictionary()  # each channel's store, which goes with its channel
 _streams = (None, None)  # the last master seed and its store; a read under another replaces it
 
 
@@ -384,18 +386,15 @@ def _probabilities(p, q, proj, herm) -> tuple[np.ndarray, np.ndarray | None]:
 class _Side:
     """A table side: vectors its builder has checked, split by kind and stacked read-only.
 
-    proj and herm index the 1-d and 2-d vectors, stacked as kets and ops.  A side
-    built with keep, a lone element's, holds kets only; it reads its rows' output states
-    through the channel's kept states and, with its columns, a sampled read's stream states
-    through the kept ones, by its kets' bytes (keys, built on that first read).  The first read
-    to use it builds a column's bras, for the exact backend the ops' nonzeros, or for the
-    sampled backend a column's tails (each vector's _key_tail, in order) and eigs (the
-    ops' evals, evecs, evecs_h) or a row's prefixes (each ket's _key_prefix hashed, one
-    sha256 state, derived from its tail).
+    proj and herm index the 1-d and 2-d vectors, stacked as kets and ops.  The first read
+    to use a side builds: keys, its kets' bytes, for a read with keep (a lone element's,
+    whose stores key their rows by them); a column's bras; for the exact backend the ops'
+    nonzeros; or for the sampled backend a column's tails (each vector's _key_tail, in
+    order) and eigs (the ops' evals, evecs, evecs_h) or a row's prefixes (each ket's
+    _key_prefix hashed, one sha256 state, derived from its tail).
     """
 
-    def __init__(self, vectors, dim: int, keep: bool = False):
-        self.keep = keep
+    def __init__(self, vectors, dim: int):
         self.proj = tuple(k for k, v in enumerate(vectors) if v.ndim == 1)
         self.herm = tuple(k for k, v in enumerate(vectors) if v.ndim == 2)
         self.kets = _frozen([vectors[k] for k in self.proj]).reshape(-1, dim, 1)
@@ -443,8 +442,8 @@ class _Side:
 class _Table:
     """The cells rows x cols of two sides.  The first sampled read builds digests, each
     cell's canonical_key words (_hash_keys of the rows' prefixes and the columns' tails),
-    which depend on neither channel nor seed; a lone element's table, whose rows are built
-    with keep, takes the kept stream states instead (_kept_seed_states) and builds none.
+    which depend on neither channel nor seed; a lone element's table, read with keep,
+    takes the kept stream states instead (_kept_seed_states) and builds none.
     """
 
     def __init__(self, rows: _Side, cols: _Side):
@@ -479,11 +478,12 @@ def measure_table(
 
 
 def _read_table(
-    channel: QuantumChannel, table: _Table, config: BackendConfig
+    channel: QuantumChannel, table: _Table, config: BackendConfig, keep: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Values and standard errors of every cell of a table, its sides checked at the channel's D.
 
-    Rows are read in blocks of stacked entries (channels._blocks).
+    Rows are read in blocks of stacked entries (channels._blocks).  With keep, a lone
+    element's read, the rows take and fill the channel's and the master seed's stores.
     On the sampled backend each cell draws from default_rng(SeedSequence(
     [master_seed, *its digest words])); only the draws are made cell by cell.
     """
@@ -502,7 +502,7 @@ def _read_table(
     # a D x D matrix per Hermitian observable, or D products where the exact read gathers it
     per_herm = dim if herm and not sampled and cols.nonzeros is not None else dim * dim
     for block in _blocks(n_rows, dim * dim + len(herm) * per_herm + len(proj) * dim):
-        if rows.keep:
+        if keep:
             outs = _kept_output_states(channel, rows.kets[block], rows.keys[block])[:, None]
         else:
             outs = _output_states(channel, rows.kets[block])[:, None]
@@ -515,7 +515,7 @@ def _read_table(
             continue
         q = np.diagonal(evecs_h @ outs @ evecs, axis1=2, axis2=3).real if herm else None
         p, pvals = _probabilities(p, q, proj, herm)
-        if rows.keep:
+        if keep:
             streams = _kept_seed_states(config.master_seed, rows, cols, block)
         else:
             words = table.digests[block]

@@ -352,13 +352,13 @@ def reconstruct_element(
     """Measure a plan's <= 4 x 4 table and add its weighted cells into the chi element.
 
     The table's rows and columns are the plan's own kets, in order, the
-    expansions' sides built once each (_unit_side) and read through a table
-    built per request; its terms are added as _combine adds a grid entry's,
+    expansions' sides built once each (_unit_side) and read with keep through a
+    table built per request; its terms are added as _combine adds a grid entry's,
     in Python floats.  The channel is applied to each input state of the plan
     (1 or 4) the first time a lone element reads it on that channel, and on the
     sampled backend a cell's stream is derived the first time a lone element reads
-    the cell under its master seed; each is then kept while its store has room
-    (measure._Kept: first come, never evicted).
+    the cell under its master seed; each is then kept while its store in measure
+    has room (first come, never evicted).
     """
     _instance(plan, MeasurementPlan, "plan")
     _instance(channel, QuantumChannel, "channel")
@@ -368,7 +368,7 @@ def reconstruct_element(
             f"plan dimension {plan.dim} does not match channel dimension {channel.dim}"
         )
     table = _Table(_unit_side(plan.inputs), _unit_side(plan.observables))
-    values, errs = _read_table(channel, table, config)
+    values, errs = _read_table(channel, table, config, keep=True)
     # _combine's terms, in its order: input-outer, left to right, from +0.0 (so never
     # -0.0, as its + 0.0 gives); dyadic weights, so each product is exact
     re = im = variance = 0.0
@@ -386,13 +386,10 @@ _UNIT_SIDES = weakref.WeakKeyDictionary()  # _unit_side's, kept as long as their
 
 
 def _unit_side(expansion: PureStateExpansion) -> _Side:
-    """An expansion's kets as a side, rows and columns alike, slot p its state p.
-
-    Read as rows, it takes and fills the channel's and the master seed's stores (measure._Kept).
-    """
+    """An expansion's kets as a side, rows and columns alike, slot p its state p."""
     side = _UNIT_SIDES.get(expansion)
     if side is None:
-        side = _UNIT_SIDES[expansion] = _Side(expansion.states, len(expansion.states[0]), keep=True)
+        side = _UNIT_SIDES[expansion] = _Side(expansion.states, len(expansion.states[0]))
     return side
 
 

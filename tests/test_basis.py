@@ -203,6 +203,20 @@ def test_pure_state_expansion_validates_reconstruction():
             PureStateExpansion(weights, states, target)
 
 
+def test_expansions_refuse_a_repeated_projector():
+    # |0>, |0> and |0>, -|0> with weights (0.5, 0.5) reproduce |0><0|, but a plan
+    # would read their one setting twice; every choi-four unit still builds
+    ket = basis_state(0, 2)
+    for states in [(ket, ket), (ket, -ket)]:
+        with pytest.raises(ValueError, match="must not repeat a projector"):
+            PureStateExpansion((0.5, 0.5), states, (0, 0))
+    for dim in range(1, 7):
+        for a in range(dim):
+            for b in range(dim):
+                unit = expand_choi_four(a, b, dim)
+                PureStateExpansion(unit.weights, unit.states, unit.target)
+
+
 @pytest.mark.parametrize("local_dim, n_sites", [(2, 1), (3, 1), (2, 2), (6, 1), (2, 3)])
 def test_design_r_expands_each_unit_over_the_state_projectors(local_dim, n_sites):
     # column a*D+b of R holds the weights of |a><b| over the product-state

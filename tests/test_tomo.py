@@ -578,7 +578,7 @@ def test_combine_matches_the_per_term_sum(monkeypatch):
     for table in ((values, errs), (values, zeros), mixed, (-zeros, zeros)):
         for (x, row), (y, col) in itertools.product(enumerate(rows), repeat=2):
             read = tuple(t[np.ix_(row[0], col[0])] for t in table)
-            monkeypatch.setattr(tomo, "_read_table", lambda *_, read=read: read)
+            monkeypatch.setattr(tomo, "_read_table", lambda *_, keep, read=read: read)
             target = chi_index((*units[x].target, *reversed(units[y].target)))
             est = reconstruct_element(MeasurementPlan(dim, target, units[x], units[y]), ch, EXACT)
             lam, var = tomo._combine(*table, *(tomo._padded([side]) for side in (row, col, col)))
@@ -611,9 +611,9 @@ def test_choi_four_set_matches_lone_elements(monkeypatch, dim, config):
     tables = []
     read = tomo._read_table
 
-    def recorded(channel, table, cfg):
+    def recorded(channel, table, cfg, keep=False):
         tables.append((len(table.rows.kets), len(table.cols.proj) + len(table.cols.herm)))
-        return read(channel, table, cfg)
+        return read(channel, table, cfg, keep)
 
     monkeypatch.setattr(tomo, "_read_table", recorded)
     ch = preset_channel("random-cptp", [17, 3], dim)
@@ -1337,7 +1337,7 @@ def _kept_entries(channel) -> int:
     # the complex entries a channel's kept states hold: filled rows of one read-only
     # array that owns its entries and has at most twice as many rows, so a kept
     # state pins no larger block
-    store = channel._kept
+    store = measure._outputs[channel]
     assert store.rows.base is None and not store.rows.flags.writeable
     assert store.filled == len(store.index) and len(store.rows) <= 2 * store.filled
     return store.rows[: store.filled].size
@@ -1355,7 +1355,7 @@ def test_a_warm_channel_gives_every_lone_element_its_cold_bytes(monkeypatch, dim
     targets = _all_targets(dim)
     cold = {t: _element_bytes(QuantumChannel(dim, ch.kraus), t, config) for t in targets}
     assert {t: _element_bytes(ch, t, config) for t in targets} == cold
-    assert ch._kept.filled == dim**2 and _kept_entries(ch) == dim**4
+    assert measure._outputs[ch].filled == dim**2 and _kept_entries(ch) == dim**4
     calls = _count_channel_applications(monkeypatch)
     random.Random(dim).shuffle(targets)
     assert {t: _element_bytes(ch, t, config) for t in targets} == cold
@@ -1390,7 +1390,7 @@ def test_lone_elements_racing_on_one_channel_get_their_cold_bytes(monkeypatch, r
     finally:
         sys.setswitchinterval(interval)
     assert results == [cold] * 8
-    assert ch._kept.filled == room and _kept_entries(ch) == room * dim**2
+    assert measure._outputs[ch].filled == room and _kept_entries(ch) == room * dim**2
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -1518,7 +1518,7 @@ def test_a_stream_at_dimension_32_keeps_its_budget_and_frees_it_with_its_channel
         for plan in plans:
             reconstruct_element(plan, ch, EXACT)
             assert _kept_entries(ch) <= measure._KEPT_ENTRIES
-        assert ch._kept.filled == (1 << 16) // dim**2
+        assert measure._outputs[ch].filled == (1 << 16) // dim**2
         held = tracemalloc.get_traced_memory()[0] - start
         channel = weakref.ref(ch)
         del ch
@@ -1530,19 +1530,74 @@ def test_a_stream_at_dimension_32_keeps_its_budget_and_frees_it_with_its_channel
     assert held >= 16 << 16 and left < 64 << 10, (held, left)
 
 
+def test_lone_elements_stores_are_one_ledger_in_measure(monkeypatch):
+    # a fixed mix of 1-, 4- and 16-setting lone elements at D = 2, 4, 8 and 16, one
+    # channel a D, read exact and sampled under one master seed: measure lists every
+    # store they fill, each within its budget, and each channel's store goes with it
+    monkeypatch.setattr(measure, "_KEPT_ENTRIES", 1 << 16)
+    rng, plans = random.Random(37), {}
+    for dim in (2, 4, 8, 16):
+        targets = []
+        for _ in range(2):
+            e, g = rng.sample(range(dim), 2)
+            f, h = rng.sample(range(dim), 2)
+            targets += [(e, f, e, f), (e, f, g, f), (e, f, g, h)]
+        plans[dim] = [plan_element(*target, dim) for target in targets]
+        assert [p.settings_count for p in plans[dim]] == [1, 4, 16] * 2
+    sampled = BackendConfig("sampled", 100, 37)
+    kets = {dim: len({k.tobytes() for p in ps for k in p.inputs.states})
+            for dim, ps in plans.items()}
+    cells = len({(i.tobytes(), o.tobytes()) for ps in plans.values() for p in ps
+                 for i in p.inputs.states for o in p.observables.states})
+
+    def read(channels, config):
+        for dim, ch in channels.items():
+            for plan in plans[dim]:
+                reconstruct_element(plan, ch, config)
+
+    # each expansion's side and its key parts are built before tracing
+    read({dim: preset_channel("random-cptp", [dim, 2], dim) for dim in plans}, EXACT)
+    read({dim: preset_channel("random-cptp", [dim, 2], dim) for dim in plans},
+         BackendConfig("sampled", 100, 38))
+    _clear_streams(monkeypatch)
+    tracemalloc.start()
+    try:
+        start = _traced_bytes()
+        chs = {dim: preset_channel("random-cptp", [dim + 40, 2], dim) for dim in plans}
+        assert all(set(vars(ch)) == {"dim", "kraus", "_stack"} for ch in chs.values())
+        read(chs, EXACT)
+        read(chs, sampled)
+        assert all(set(vars(ch)) == {"dim", "kraus", "_stack"} for ch in chs.values())
+        assert all(ch in measure._outputs for ch in chs.values())
+        for dim, ch in chs.items():
+            store = measure._outputs[ch]
+            assert store.filled == kets[dim] <= measure._KEPT_ENTRIES // dim**2
+            assert len(store.rows) <= 2 * (measure._KEPT_ENTRIES // dim**2)
+            assert _kept_entries(ch) == kets[dim] * dim**2
+        seed, streams = measure._streams
+        assert seed == 37 and streams.filled == cells <= measure._KEPT_STREAMS
+        stores = [weakref.ref(measure._outputs[ch]) for ch in chs.values()]
+        del chs, ch, store
+        left = _traced_bytes() - start
+    finally:
+        tracemalloc.stop()
+    assert not any(store() for store in stores)
+    assert left < 64 << 10, left
+
+
 def test_a_pickled_or_copied_channel_keeps_no_state(monkeypatch):
     # a kept state has the BLAS bits of the process that computed it; the
     # copy is rebuilt from the operators, read-only views of one stack
     monkeypatch.setattr(measure, "_KEPT_ENTRIES", 1 << 16)
     ch = preset_channel("random-cptp", [99, 2], 3)
     expected = _element_bytes(ch, (0, 1, 2, 0), EXACT)
-    assert ch._kept.filled == 4
+    assert measure._outputs[ch].filled == 4
     for copied in (pickle.loads(pickle.dumps(ch)), copy.deepcopy(ch), copy.copy(ch)):
         stack = copied.kraus_stack()
-        assert copied._kept is None and stack.tobytes() == ch.kraus_stack().tobytes()
+        assert copied not in measure._outputs and stack.tobytes() == ch.kraus_stack().tobytes()
         assert not stack.flags.writeable and all(k.base is stack for k in copied.kraus)
         assert _element_bytes(copied, (0, 1, 2, 0), EXACT) == expected
-        assert copied._kept.filled == ch._kept.filled == 4
+        assert measure._outputs[copied].filled == measure._outputs[ch].filled == 4
 
 
 @pytest.mark.parametrize("config", [EXACT, BackendConfig("sampled", 100, 1)],
@@ -1555,7 +1610,7 @@ def test_full_designs_and_measure_table_neither_read_nor_fill_kept_states(monkey
     ch = preset_channel("random-cptp", [98, 2], 3)
     for target in _all_targets(3):
         reconstruct_element(plan_element(*target, 3), ch, config)
-    store = ch._kept
+    store = measure._outputs[ch]
     kept = dict(store.index), store.rows[: store.filled].tobytes()
     assert store.filled == 3**2
     calls = _count_channel_applications(monkeypatch)
@@ -1564,7 +1619,7 @@ def test_full_designs_and_measure_table_neither_read_nor_fill_kept_states(monkey
             full_sqpt(channel, config, strategy, tp_shortcut)
         measure_table(channel, states, states, config)
     assert calls[0] == 2 * (len(CALIBRATION_CASES) + 1) * 3**2
-    assert fresh._kept is None and ch._kept is store
+    assert fresh not in measure._outputs and measure._outputs[ch] is store
     assert (dict(store.index), store.rows[: store.filled].tobytes()) == kept
 
 
