@@ -28,10 +28,10 @@ A _Table of two sides hashes its cells' keys on its first sampled read, a
 copy of each row's hashed prefix per column tail; a request mixes only its
 master seed into these digests.  Full reconstruction keeps its table in its
 design, so a warm design hashes no key.  A lone element builds its table per
-request and takes the stream states kept under its master seed (_kept_seed_states),
-derived once per master seed and cell.  Both stores are listed here, _outputs by
-channel and _streams by seed, under one rule (_Kept): a row is derived once, kept
-first come and never evicted, up to its store's budget.
+request and takes the stream states kept under its master seed (_kept_seed_states).
+Both stores are listed here, _outputs by channel and _streams by seed, under one
+rule (_Kept): a store starts without a lock, and a row is derived once, as a read
+that keeps nothing derives it, then kept first come, never evicted, up to its budget.
 A block of at most _CELL_POOLS = 16 cells mixes each seed pool in numpy's C
 SeedSequence (about 5 us a cell); a larger block mixes them all in one
 vectorized pass that mirrors it (about 100 us), 16 being the measured
@@ -181,7 +181,7 @@ _KEPT_ENTRIES = 1 << 16
 # the cells whose stream states lone elements keep under one master seed, 32 bytes a cell
 # (512 KiB): up to D = 16, 16 / D as many above; read when a master seed starts a store
 _KEPT_STREAMS = 1 << 14
-_KEEPING = threading.Lock()  # a seed's store start, or a room check and its keeping, as one step
+_KEEPING = threading.Lock()  # _Kept.take's room check and its keeping, as one step
 
 
 def _hashmix(values: np.ndarray, chain: np.ndarray) -> np.ndarray:
@@ -320,26 +320,21 @@ _outputs = weakref.WeakKeyDictionary()  # each channel's store, which goes with 
 _streams = (None, None)  # the last master seed and its store; a read under another replaces it
 
 
-def _kept_seed_states(master_seed: int, rows: _Side, cols: _Side, block: slice) -> np.ndarray:
-    """_seed_states of the cells rows[block] x cols (rows, cols, 4) of a lone element's table,
-    by their kets' bytes, through master_seed's store, a cell at D taking max(1, D // 16) rows."""
+def _kept_seed_states(master_seed: int, table: _Table, block: slice) -> np.ndarray:
+    """_seed_states of the cells rows[block] x cols (rows, cols, 4) of a lone element's table
+    through master_seed's store (a cell at D takes max(1, D // 16) rows), keyed by its kets'
+    bytes; missing cells derive from the table's digests, as a read without keep's do."""
     global _streams
     seed, store = _streams  # one read: another seed's read may replace the pair
-    if seed != master_seed:
-        with _KEEPING:
-            if _streams[0] != master_seed:
-                _streams = (master_seed, _Kept(_KEPT_STREAMS, (4,), np.uint64))
-            store = _streams[1]
-    n_cols = len(cols.keys)
+    if seed != master_seed:  # no lock: racing first reads may each start one; one stays listed
+        _streams = seed, store = master_seed, _Kept(_KEPT_STREAMS, (4,), np.uint64)
+    keys = list(itertools.product(table.rows.keys[block], table.cols.keys))
+    room = store.cap // max(1, table.rows.kets.shape[1] // 16)
 
     def derive(missing):
-        prefixes, tails = rows.prefixes[block], cols.tails
-        cells = [(prefixes[n // n_cols], tails[n % n_cols]) for n in missing]
-        return _seed_states(master_seed, _hash_keys(cells).T)
+        return _seed_states(master_seed, table.digests[block].reshape(-1, 4)[missing].T)
 
-    keys = list(itertools.product(rows.keys[block], cols.keys))
-    room = store.cap // max(1, rows.kets.shape[1] // 16)
-    return store.take(keys, derive, room).reshape(-1, n_cols, 4)
+    return store.take(keys, derive, room).reshape(-1, len(table.cols.keys), 4)
 
 
 def _outside(p: np.ndarray) -> np.ndarray:
@@ -442,8 +437,8 @@ class _Side:
 class _Table:
     """The cells rows x cols of two sides.  The first sampled read builds digests, each
     cell's canonical_key words (_hash_keys of the rows' prefixes and the columns' tails),
-    which depend on neither channel nor seed; a lone element's table, read with keep,
-    takes the kept stream states instead (_kept_seed_states) and builds none.
+    which depend on neither channel nor seed, the one path a cell's key is hashed by; a
+    lone element's table, read with keep, builds them only when a cell is not kept.
     """
 
     def __init__(self, rows: _Side, cols: _Side):
@@ -516,7 +511,7 @@ def _read_table(
         q = np.diagonal(evecs_h @ outs @ evecs, axis1=2, axis2=3).real if herm else None
         p, pvals = _probabilities(p, q, proj, herm)
         if keep:
-            streams = _kept_seed_states(config.master_seed, rows, cols, block)
+            streams = _kept_seed_states(config.master_seed, table, block)
         else:
             words = table.digests[block]
             streams = _seed_states(config.master_seed, words.reshape(-1, 4).T).reshape(words.shape)

@@ -294,10 +294,10 @@ def _combine(values, errs, rows, cols, var_cols) -> tuple[np.ndarray, np.ndarray
     A block's terms are the rows (p, q) of one float array, each row every
     entry's [re, im] pair and then, with errors, its variance term: at least
     two floats a row, so np.add.reduce over the outer axis adds the rows left
-    to right (a contiguous axis would be summed pairwise), and + 0.0 gives the
-    sum from 0 its sign of zero.  The shorter side's missing rows are zeros.
-    The blocks reduce into one array, per input unit the entries' [re, im]
-    pairs and then their variances, and both results are views of it.
+    to right (a contiguous axis would be summed pairwise), from initial=0.0 as
+    sum() adds from 0, signed zeros included.  The shorter side's missing rows
+    are zeros.  The blocks reduce into one array, per input unit the entries'
+    [re, im] pairs and then their variances, and both results are views of it.
     """
     (i, r), (j, s), (jv, sv) = rows, cols, var_cols
     sq_errs = np.square(errs) if np.count_nonzero(errs) else None
@@ -319,8 +319,7 @@ def _combine(values, errs, rows, cols, var_cols) -> tuple[np.ndarray, np.ndarray
             sq_weights = np.abs(np.multiply(rb, sv, order="C")) ** 2
             np.multiply(sq_weights, sq_errs[ib, jv], out=terms[:, :n_var, :, pairs:])
         rows_pq = terms.reshape(n_in * width, *terms.shape[2:])
-        np.add.reduce(rows_pq, axis=0, out=sums[block, :floats])
-    sums += 0.0
+        np.add.reduce(rows_pq, axis=0, out=sums[block, :floats], initial=0.0)
     return sums[:, :pairs].view(complex), sums[:, pairs:]
 
 
@@ -370,7 +369,7 @@ def reconstruct_element(
     table = _Table(_unit_side(plan.inputs), _unit_side(plan.observables))
     values, errs = _read_table(channel, table, config, keep=True)
     # _combine's terms, in its order: input-outer, left to right, from +0.0 (so never
-    # -0.0, as its + 0.0 gives); dyadic weights, so each product is exact
+    # -0.0, as its initial=0.0 gives); dyadic weights, so each product is exact
     re = im = variance = 0.0
     for r, row_values, row_errs in zip(plan.inputs.weights, values.tolist(), errs.tolist()):
         for s, v, e in zip(plan.observables.weights, row_values, row_errs):

@@ -432,7 +432,7 @@ _SEEDS = [0, 1, 2**32 - 1, 2**32, 2**40 + 11, 2**64 - 1]
 
 
 @pytest.mark.parametrize("seed", _SEEDS)
-def test_seed_states_match_seed_sequence(seed):
+def test_seed_states_match_seed_sequence(monkeypatch, seed):
     # blocks up to _CELL_POOLS cells mix each pool in numpy's SeedSequence,
     # larger ones in the vectorized mirror: both give numpy's streams
     rng = np.random.default_rng(seed % 1000)
@@ -440,9 +440,18 @@ def test_seed_states_match_seed_sequence(seed):
     words[:3] = [[0, 0, 0, 0], [2**32 - 1] * 4, [1, 2, 3, 4]]
     expected = [np.random.SeedSequence([seed, *map(int, w)]).generate_state(4, np.uint64)
                 for w in words]
+    pools, seed_sequence = [], np.random.SeedSequence
+
+    def counted(entropy):
+        pools.append(entropy)
+        return seed_sequence(entropy)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counted)
     for cells in (1, 4, measure._CELL_POOLS, measure._CELL_POOLS + 1, 1000):
+        pools.clear()
         states = measure._seed_states(seed, words[:cells].T)
         assert states.tobytes() == np.array(expected[:cells]).tobytes(), cells
+        assert len(pools) == (cells if cells <= measure._CELL_POOLS else 0), cells
 
 
 def _reference_rng(key: bytes, master_seed: int) -> np.random.Generator:

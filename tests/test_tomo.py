@@ -743,9 +743,10 @@ def test_full_canonical_key_budget(monkeypatch, strategy, tp_shortcut):
 def test_element_canonical_key_budget(monkeypatch):
     # planning builds no key.  A lone element's expansion tables encode each
     # ket once, for rows and columns alike, on the first request that reads
-    # them; a request hashes one key per cell whose stream no lone element
-    # derived under its master seed, from its rows' cached prefix states and
-    # its columns' cached tails, and a new master seed derives every stream again
+    # them; a request whose every cell's stream a lone element derived under
+    # its master seed hashes no key, one that misses a cell hashes its table's
+    # digests, one key per cell, from its rows' cached prefix states and its
+    # columns' cached tails, and a new master seed derives every stream again
     _clear_designs()
     _clear_streams(monkeypatch)
     calls, encodings = _count_stream_keys(monkeypatch)
@@ -1419,6 +1420,36 @@ def test_kept_streams_give_every_sampled_element_its_cold_bytes(monkeypatch, dim
     assert hashed[0] == 0
     store = measure._streams[1]
     assert store.filled == len(store.index) == dim**4
+
+
+@pytest.mark.parametrize("dim", [2, 8, 16])
+def test_a_lone_element_with_some_cells_kept_gets_its_cold_bytes(monkeypatch, dim):
+    # a 4-setting element keeps the cells of its input kets with |D-1>; a 16-setting
+    # element on the same input kets then finds those 4 kept and derives the other 12
+    # from its table's digests, each in its own place: the bytes of a read that keeps
+    # nothing, the store growing by the new cells alone.  A read whose every cell is
+    # kept hashes no key
+    last = dim - 1
+    targets = chi_index((0, last, last, last)), chi_index((0, last, 0, last))
+    prior, plan = (plan_element(*target, dim) for target in targets)
+    assert prior.inputs is plan.inputs and (prior.settings_count, plan.settings_count) == (4, 16)
+    ch = preset_channel("random-cptp", [dim + 110, 2], dim)
+    sampled = BackendConfig("sampled", 10_000, 2**41 + dim)
+
+    def cells(p) -> set:
+        return set(itertools.product(_ket_bytes(p.inputs), _ket_bytes(p.observables)))
+
+    _clear_streams(monkeypatch, 0)
+    cold = [_element_bytes(ch, target, sampled) for target in targets]
+    _clear_streams(monkeypatch)
+    assert _element_bytes(ch, targets[0], sampled) == cold[0]
+    store = measure._streams[1]
+    assert store.filled == len(cells(prior)) == 4
+    assert _element_bytes(ch, targets[1], sampled) == cold[1]
+    assert store.filled - 4 == len(cells(plan) - cells(prior)) == 12
+    hashes = _count_calls(monkeypatch, measure, "_hash_keys")
+    assert [_element_bytes(ch, target, sampled) for target in targets] == cold
+    assert hashes[0] == 0 and measure._streams[1] is store and store.filled == 16
 
 
 @pytest.mark.parametrize("cells", [1 << 14, 40], ids=["every-cell", "forty-cells"])
